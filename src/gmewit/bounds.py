@@ -8,11 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, kron, max_eigenvalue
+from .linalg import max_eigenvalue
 from .measurement import ImprecisionBudget, q_of, u_of
 from .states import spoof_state
-from .witnesses import (C4_TERMS, WitnessSpec, mermin_witness, observable_table,
-                        stabilizer_terms)
+from .witnesses import (C4_TERMS, D3_TERMS, WitnessSpec, assemble, bloch_table,
+                        mermin_witness, stabilizer_terms)
 
 #: Regime-switch imprecision (2−√2)/4 where the Mermin bound plateaus and
 #: the stabilizer-family closed forms stop being valid.
@@ -128,27 +128,30 @@ def _golden_refine(f, lo: float, hi: float, xtol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
+def _reduced_operators(terms, offset, bloch_rest) -> dict:
+    """First-party letter → the parties-2..n operator that multiplies it.
+
+    The constant offset joins the identity letter.
+    """
+    firsts = {letters[0] for _, letters in terms} | {"I"}
+    return {a: assemble([(c, letters[1:]) for c, letters in terms if letters[0] == a],
+                        offset if a == "I" else 0.0, bloch_rest) for a in firsts}
+
+
 def _reduced_sweep(terms, offset, n, eps, theta_grid):
     """Max over θ of the top eigenvalue of the party-1-reduced operator.
 
     Party 1's tilted letter is replaced by its |χ(θ)⟩ expectation
-    (α for X̃, β for Z̃); parties 2..n keep their tilted matrices.
+    (α for X̃, β for Z̃); parties 2..n keep their tilted observables.
     """
-    budget = ImprecisionBudget.uniform(eps, n)
-    table = observable_table("stabilizer", n, budget)[1:]
-    dim = 2 ** (n - 1)
-    grouped = {"X": np.zeros((dim, dim), dtype=complex),
-               "Z": np.zeros((dim, dim), dtype=complex),
-               "I": offset * np.eye(dim, dtype=complex)}
-    for coeff, letters in terms:
-        rest = kron(*(table[j][c] for j, c in enumerate(letters[1:])))
-        grouped[letters[0]] = grouped[letters[0]] + coeff * rest
+    bloch = bloch_table("stabilizer", n, ImprecisionBudget.uniform(eps, n))
+    ops = _reduced_operators(terms, offset, bloch[1:])
     q, u = q_of(eps), u_of(eps)
 
     def top(theta):
         alpha = u * np.cos(2 * theta) + q * np.sin(2 * theta)
         beta = q * np.cos(2 * theta) + u * np.sin(2 * theta)
-        return max_eigenvalue(alpha * grouped["X"] + beta * grouped["Z"] + grouped["I"])
+        return max_eigenvalue(alpha * ops["X"] + beta * ops["Z"] + ops["I"])
 
     thetas = np.linspace(0, np.pi, theta_grid, endpoint=False)
     values = [top(t) for t in thetas]
@@ -158,8 +161,23 @@ def _reduced_sweep(terms, offset, n, eps, theta_grid):
     return float(top(theta)), float(theta)
 
 
+def _at_least_single_party(numeric: BoundResult, single: BoundResult) -> BoundResult:
+    """The larger of the numeric θ-sweep bound and the single-party closed
+    form.  Tilting party 1 alone is within every budget, so a sweep value
+    below the closed form would under-report the biseparable maximum."""
+    if single.value <= numeric.value:
+        return numeric
+    return BoundResult(numeric.witness, numeric.n, numeric.eps, numeric.bound_kind,
+                       single.value, "single-party-closed-form",
+                       saturating_theta=single.saturating_theta)
+
+
 def stabilizer_bisep_bound_numeric(n: int, eps: float, theta_grid: int = 721) -> BoundResult:
-    """Conjectured-optimum biseparable bound via the reduced-operator θ-sweep."""
+    """Conjectured-optimum biseparable bound via the reduced-operator θ-sweep.
+
+    For ε ≤ ε* it is never below the single-party closed form; ``regime``
+    says which of the two was returned.
+    """
     if n not in (3, 4):
         raise ValueError("the numeric sweep covers n = 3, 4 only")
     _check_eps(eps)
@@ -167,8 +185,11 @@ def stabilizer_bisep_bound_numeric(n: int, eps: float, theta_grid: int = 721) ->
         return BoundResult(f"stabilizer{n}", n, 0.0, "biseparable",
                            float(2 ** (n - 1) - 1), "closed-form")
     value, theta = _reduced_sweep(stabilizer_terms(n), -1.0, n, eps, theta_grid)
-    return BoundResult(f"stabilizer{n}", n, eps, "biseparable", value,
-                       "numeric-theta-sweep", saturating_theta=theta)
+    numeric = BoundResult(f"stabilizer{n}", n, eps, "biseparable", value,
+                          "numeric-theta-sweep", saturating_theta=theta)
+    if eps > EPS_STAR:
+        return numeric
+    return _at_least_single_party(numeric, stabilizer_single_party_bound(n, eps))
 
 
 def stabilizer_quantum_bound(n: int) -> BoundResult:
@@ -186,14 +207,11 @@ def w_witness_bounds(eps: float) -> dict[str, BoundResult]:
     _check_eps(eps, EPS_STAR)
     q, u = q_of(eps), u_of(eps)
     s = np.sqrt(eps * (1 - eps))
-    budget = ImprecisionBudget.uniform(eps, 3)
-    table = observable_table("wstate", 3, budget)
-    xt, yt = table[1]["X"], table[1]["Y"]
+    bloch = bloch_table("wstate", 3, ImprecisionBudget.uniform(eps, 3))
+    ops = _reduced_operators(D3_TERMS, 0.0, bloch[1:])
     # Party 1 in |χ(π/4)⟩: both tilted X and Y average to (q+u)/√2.
     coef = (q + u) / np.sqrt(2)
-    reduced = (coef * (kron(xt, I2) + kron(I2, xt) + kron(yt, I2) + kron(I2, yt))
-               + kron(xt, xt) + kron(yt, yt))
-    numeric = max_eigenvalue(reduced)
+    numeric = max_eigenvalue(coef * (ops["X"] + ops["Y"]) + ops["I"])
     return {
         "biseparable": BoundResult("d3", 3, eps, "biseparable", float(numeric),
                                    "numeric-theta-sweep", saturating_theta=np.pi / 4),
@@ -212,19 +230,24 @@ def w_witness_bounds(eps: float) -> dict[str, BoundResult]:
 # ---------------------------------------------------------------------------
 
 def cluster_witness_bounds(eps: float, theta_grid: int = 721) -> dict[str, BoundResult]:
-    """Biseparable-numeric, single-party and fully-separable bounds for C4."""
+    """Biseparable-numeric, single-party and fully-separable bounds for C4.
+
+    The biseparable bound is never below the single-party closed form;
+    its ``regime`` says which of the two was returned.
+    """
     _check_eps(eps, EPS_STAR)
     q, s = q_of(eps), np.sqrt(eps * (1 - eps))
-    u = u_of(eps)
     value, theta = _reduced_sweep(C4_TERMS, 0.0, 4, eps, theta_grid)
     fully = 1 + 2 * np.sqrt(2) * s + q * (4 * s + 3 * np.sqrt(2)
                                           + 2 * np.sqrt(2) * q * (2 * eps + 2 * s - 1))
+    single = BoundResult("c4", 4, eps, "single-party-imprecise",
+                         float(2 * (1 + np.sqrt(1 + 4 * q * s))),
+                         "closed-form", saturating_theta=np.pi / 8)
+    numeric = BoundResult("c4", 4, eps, "biseparable", value,
+                          "numeric-theta-sweep", saturating_theta=theta)
     return {
-        "biseparable": BoundResult("c4", 4, eps, "biseparable", value,
-                                   "numeric-theta-sweep", saturating_theta=theta),
-        "single_party": BoundResult("c4", 4, eps, "single-party-imprecise",
-                                    float(2 * (1 + np.sqrt(1 + 4 * q * s))),
-                                    "closed-form", saturating_theta=np.pi / 8),
+        "biseparable": _at_least_single_party(numeric, single),
+        "single_party": single,
         "fully_separable": BoundResult("c4", 4, eps, "fully-separable", float(fully),
                                        "closed-form", saturating_theta=np.pi / 8),
     }

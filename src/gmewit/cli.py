@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -76,14 +75,17 @@ def parse_noise(spec: str) -> NoiseModel:
         raise click.BadParameter("expected kind:p, e.g. dephasing:0.9") from exc
 
 
-def _map(fn, items, workers: int):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+class _Main(click.Group):
+    """Reports bad input found inside a command as a one-line usage error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, FileNotFoundError) as exc:
+            raise click.UsageError(str(exc)) from exc
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Multiqubit entanglement witnesses under imprecise measurements."""
 
@@ -92,9 +94,10 @@ _common = [
     click.option("--out", default=None, help="Output file (default stdout)."),
     click.option("--format", "output_format", default="csv",
                  type=click.Choice(["csv", "json"])),
-    click.option("--seed", default=42, show_default=True),
-    click.option("--workers", default=1, show_default=True),
 ]
+
+_seed = click.option("--seed", default=42, show_default=True,
+                     help="Seed of the randomized optimizer restarts.")
 
 
 def common_options(fn):
@@ -146,12 +149,12 @@ def _bound_row(witness: str, n: int, eps: float) -> dict:
 @click.option("--eps", default=None, type=float)
 @click.option("--eps-grid", default=None, help="start:stop:count grid of ε values.")
 @common_options
-def bound(witness, n, eps, eps_grid, out, output_format, seed, workers):
+def bound(witness, n, eps, eps_grid, out, output_format):
     """Separability bound curves for a witness family."""
     if (eps is None) == (eps_grid is None):
         raise click.BadParameter("give exactly one of --eps / --eps-grid")
     grid = [eps] if eps is not None else parse_grid(eps_grid)
-    rows = _map(lambda e: _bound_row(witness, n, float(e)), grid, workers)
+    rows = [_bound_row(witness, n, float(e)) for e in grid]
     emit(rows, BOUND_COLUMNS, out, output_format)
 
 
@@ -176,8 +179,7 @@ STATES = {
 @click.option("--fixture", default=None,
               help="Correlator fixture JSON (bundled name or path).")
 @common_options
-def witness(witness_name, state_name, noise, eps, fixture, out, output_format,
-            seed, workers):
+def witness(witness_name, state_name, noise, eps, fixture, out, output_format):
     """Witness expectation on a state or on measured correlators."""
     if fixture is not None:
         path = fixture if "/" in fixture else fixture_path(fixture)
@@ -204,7 +206,7 @@ def witness(witness_name, state_name, noise, eps, fixture, out, output_format,
 @main.command()
 @click.option("--eps-grid", required=True, help="start:stop:count grid of ε values.")
 @common_options
-def spoof(eps_grid, out, output_format, seed, workers):
+def spoof(eps_grid, out, output_format):
     """Predicted spoofing curve of the tilted Mermin witness."""
     rows = spoofing_curve(parse_grid(eps_grid))
     emit(rows, ["epsilon", "predicted", "bound_corrected", "bound_ideal"],
@@ -219,13 +221,14 @@ def spoof(eps_grid, out, output_format, seed, workers):
               type=click.Choice(["dephasing", "white", "depolarizing"]))
 @click.option("--case", default="best-case-exact",
               type=click.Choice(["best-case-exact", "worst-case-tilted"]))
-@click.option("--i43-bound", default=DEFAULT_I43_BISEP_BOUND, show_default=False,
-              help="External I43 biseparable bound constant.")
+@click.option("--i43-bound", default=DEFAULT_I43_BISEP_BOUND, type=float,
+              show_default=False, help="External I43 biseparable bound constant.")
 @click.option("--p-grid", default=None,
               help="Optional start:stop:count sweep emitting the table format.")
 @common_options
+@_seed
 def robustness(witness_name, eps, noise_kind, case, i43_bound, p_grid, out,
-               output_format, seed, workers):
+               output_format, seed):
     """Noise-visibility thresholds (and optional sweep tables)."""
     if noise_kind == "white":
         noise_kind = "depolarizing"
@@ -261,8 +264,9 @@ def robustness(witness_name, eps, noise_kind, case, i43_bound, p_grid, out,
 @click.option("--curve", default=None,
               help="start:stop:count grid of w-fractions (emits the curve table).")
 @common_options
+@_seed
 def fidelity(witness_name, observed, eps_x, eps_y, eps_z, restarts, curve, out,
-             output_format, seed, workers):
+             output_format, seed):
     """GHZ-fidelity lower bounds L0 and L_ε from a witness value."""
     if eps_x is None and eps_y is None and eps_z is None:
         budget = REFERENCE_BUDGET
@@ -288,7 +292,7 @@ def fidelity(witness_name, observed, eps_x, eps_y, eps_z, restarts, curve, out,
 @click.option("--counts", required=True,
               help="CountTable CSV (bundled name or path).")
 @common_options
-def tomo(counts, out, output_format, seed, workers):
+def tomo(counts, out, output_format):
     """Detector-tomography fidelities from a coincidence count table."""
     path = counts if "/" in counts else fixture_path(counts)
     table = CountTable.from_csv(path)
@@ -307,7 +311,7 @@ def tomo(counts, out, output_format, seed, workers):
 @click.option("--probs", required=True,
               help="JSON file holding the P(r|s) table (nested or flat list).")
 @common_options
-def inm(n, m, probs, out, output_format, seed, workers):
+def inm(n, m, probs, out, output_format):
     """Evaluate the I_nm correlator functional on a probability table."""
     with open(probs) as fh:
         data = np.asarray(json.load(fh), dtype=float)
@@ -318,7 +322,7 @@ def inm(n, m, probs, out, output_format, seed, workers):
 
 @main.command()
 @common_options
-def verify(out, output_format, seed, workers):
+def verify(out, output_format):
     """Run the full acceptance-check suite; exit 0 iff everything passes."""
     results = run_checks()
     rows = [{"name": r.name, "passed": str(r.passed).lower(),

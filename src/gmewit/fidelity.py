@@ -8,10 +8,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .linalg import I2, PAULI, expectation, kron
-from .measurement import ImprecisionBudget, q_of, u_of
+from .linalg import expectation
+from .measurement import AXIS_VECTORS, ImprecisionBudget, tilt_vector
 from .states import ghz_state
-from .witnesses import BUILDERS, WitnessSpec
+from .witnesses import BUILDERS, WitnessSpec, assemble
 
 def _algebraic_range(witness: str) -> tuple[float, float]:
     evals = np.linalg.eigvalsh(BUILDERS[witness]().matrix)
@@ -79,29 +79,21 @@ def _lower_bound_fixed(w_matrix: np.ndarray, p_ghz: np.ndarray, w: float,
     return float(max(vals[i], g(res.x)))
 
 
-def _tilted_matrix(spec_terms, bases: str, budget: ImprecisionBudget,
-                   omegas: np.ndarray, constant_offset: float = 0.0) -> np.ndarray:
-    """Witness matrix with continuous perpendicular tilt directions.
+def _tilt_table(bases: str, budget: ImprecisionBudget, omegas: np.ndarray):
+    """Per-party Bloch table with continuous perpendicular tilt directions.
 
-    ``omegas[j, k]`` rotates party j's basis-k tilt partner within the plane
-    perpendicular to the intended axis: partner = cos ω·e₁ + sin ω·e₂.
+    ``omegas[j, k]`` rotates party j's basis-k tilt direction within the plane
+    perpendicular to the intended axis: d = cos ω·e₁ + sin ω·e₂.
     """
-    n = omegas.shape[0]
-    obs = []
-    for j in range(n):
-        d = dict(PAULI)
-        d["I"] = I2
+    table = []
+    for j in range(omegas.shape[0]):
+        row = {}
         for k, b in enumerate(bases):
-            eps = budget.eps(j, b)
-            e1, e2 = (PAULI[a] for a in _PERP[b])
-            d[b] = (q_of(eps) * PAULI[b]
-                    + u_of(eps) * (np.cos(omegas[j, k]) * e1 + np.sin(omegas[j, k]) * e2))
-        obs.append(d)
-    dim = 2 ** n
-    mat = constant_offset * np.eye(dim, dtype=complex)
-    for coeff, letters in spec_terms:
-        mat += coeff * kron(*(obs[j][c] for j, c in enumerate(letters)))
-    return mat
+            e1, e2 = (AXIS_VECTORS[a] for a in _PERP[b])
+            row[b] = tilt_vector(b, budget.eps(j, b),
+                                 np.cos(omegas[j, k]) * e1 + np.sin(omegas[j, k]) * e2)
+        table.append(row)
+    return table
 
 
 @dataclass
@@ -131,7 +123,7 @@ def numeric_l_eps(query: FidelityBoundQuery, return_details: bool = False):
 
     def objective(x):
         omegas = x.reshape(4, len(bases))
-        mat = _tilted_matrix(spec.terms, bases, query.budget, omegas, spec.constant_offset)
+        mat = assemble(spec.terms, spec.constant_offset, _tilt_table(bases, query.budget, omegas))
         return _lower_bound_fixed(mat, p_ghz, w, query.lambda_grid)
 
     rng = np.random.default_rng(query.seed)
@@ -144,8 +136,8 @@ def numeric_l_eps(query: FidelityBoundQuery, return_details: bool = False):
             best, best_x = float(res.fun), res.x
     if return_details:
         omegas = best_x.reshape(4, len(bases))
-        return LEpsResult(best, omegas,
-                          _tilted_matrix(spec.terms, bases, query.budget, omegas, spec.constant_offset))
+        return LEpsResult(best, omegas, assemble(spec.terms, spec.constant_offset,
+                                                 _tilt_table(bases, query.budget, omegas)))
     return best
 
 

@@ -35,6 +35,11 @@ def kron(*mats: np.ndarray) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
+def bloch_observable(v) -> np.ndarray:
+    """The 2×2 observable v·σ = v_x·X + v_y·Y + v_z·Z of a real 3-vector."""
+    return np.array([[v[2], v[0] - 1j * v[1]], [v[0] + 1j * v[1], -v[2]]], dtype=complex)
+
+
 def pauli_string(letters: str) -> np.ndarray:
     """Tensor product of single-qubit Paulis, e.g. ``"XZII"``."""
     return kron(*(PAULI[c] for c in letters))

@@ -10,10 +10,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import I2, PAULI, assert_hermitian, herm_eig
+from .linalg import I2, PAULI, assert_hermitian, bloch_observable, herm_eig
 from .tolerances import tol
 
 AXES = ("X", "Y", "Z")
+AXIS_VECTORS = {"X": np.array([1.0, 0, 0]), "Y": np.array([0, 1.0, 0]), "Z": np.array([0, 0, 1.0])}
 
 
 def q_of(eps: float) -> float:
@@ -24,6 +25,12 @@ def q_of(eps: float) -> float:
 def u_of(eps: float) -> float:
     """Transverse coefficient √(1−q²) = 2√(ε(1−ε))."""
     return 2.0 * np.sqrt(eps * (1.0 - eps))
+
+
+def tilt_vector(intended: str, eps: float, direction) -> np.ndarray:
+    """Bloch vector q·e_intended + u·d of the extremal imprecise observable,
+    tilted toward the unit direction d ⊥ e_intended."""
+    return q_of(eps) * AXIS_VECTORS[intended] + u_of(eps) * direction
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +107,8 @@ class ImprecisionBudget:
 
 def bloch_states(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenstates |±n⟩ of n·σ for a unit Bloch vector n."""
-    nx, ny, nz = axis / np.linalg.norm(axis)
-    op = nx * PAULI["X"] + ny * PAULI["Y"] + nz * PAULI["Z"]
-    _, vecs = herm_eig(op)
+    _, vecs = herm_eig(bloch_observable(axis / np.linalg.norm(axis)))
     return vecs[:, 0], vecs[:, 1]
-
-
-AXIS_VECTORS = {"X": np.array([1.0, 0, 0]), "Y": np.array([0, 1.0, 0]), "Z": np.array([0, 0, 1.0])}
 
 
 def projectors(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,42 +10,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundResult, mermin_bisep_bound, stabilizer_bisep_bound_numeric
-from .linalg import PAULI, expectation, kron
-from .measurement import q_of, u_of
+from .linalg import expectation
+from .measurement import AXIS_VECTORS, q_of, tilt_vector
 from .states import NoiseModel, apply_noise, ghz_state
-from .witnesses import BUILDERS
-from .tolerances import tol
+from .witnesses import BUILDERS, assemble
 
-#: Explicit worst-case tilt configurations (per party: letter → (q·letter +
-#: u·signed-partner)).  These reproduce the printed worst-case trace formulas
-#: exactly and are used as the direct-computation oracle.
+_E = AXIS_VECTORS
+
+#: Explicit worst-case tilt configurations: per party, letter → signed unit
+#: partner d of the tilted observable q·σ + u·(d·σ).  These reproduce the
+#: printed worst-case trace formulas exactly and are used as the
+#: direct-computation oracle.
 WORST_CONFIGS = {
-    "mermin4": [{"X": ("Y", +1), "Y": ("X", -1)}] * 4,
-    "stabilizer4": [
-        {"X": ("Y", +1), "Z": ("X", +1)},
-        {"X": ("Y", +1), "Z": ("X", +1)},
-        {"X": ("Y", +1), "Z": ("X", +1)},
-        {"X": ("Y", +1), "Z": ("X", -1)},
-    ],
+    "mermin4": [{"X": _E["Y"], "Y": -_E["X"]}] * 4,
+    "stabilizer4": [{"X": _E["Y"], "Z": _E["X"]}] * 3 + [{"X": _E["Y"], "Z": -_E["X"]}],
 }
-
-
-def _config_matrix(witness: str, eps: float) -> np.ndarray:
-    """Witness matrix assembled with the explicit worst tilt configuration."""
-    spec = BUILDERS[witness]()
-    config = WORST_CONFIGS[witness]
-    q, u = q_of(eps), u_of(eps)
-    obs = []
-    for party in config:
-        d = {"I": PAULI["I"], "X": PAULI["X"], "Y": PAULI["Y"], "Z": PAULI["Z"]}
-        for letter, (partner, sign) in party.items():
-            d[letter] = q * PAULI[letter] + sign * u * PAULI[partner]
-        obs.append(d)
-    dim = 2 ** spec.n
-    mat = spec.constant_offset * np.eye(dim, dtype=complex)
-    for coeff, letters in spec.terms:
-        mat += coeff * kron(*(obs[j][c] for j, c in enumerate(letters)))
-    return mat
 
 
 @dataclass(frozen=True)
@@ -79,41 +58,37 @@ def noisy_witness_value(witness: str, noise_kind: str, p: float,
                         measurement_case: str = "best-case-exact",
                         eps: float = 0.0) -> float:
     """Direct trace of the (possibly worst-case-tilted) witness on the noisy state."""
+    spec = BUILDERS[witness]()
     if measurement_case == "best-case-exact":
-        mat = BUILDERS[witness]().matrix
+        mat = spec.matrix
     else:
-        mat = _config_matrix(witness, eps)
+        bloch = [{letter: tilt_vector(letter, eps, d) for letter, d in party.items()}
+                 for party in WORST_CONFIGS[witness]]
+        mat = assemble(spec.terms, spec.constant_offset, bloch)
     rho = apply_noise(ghz_state(4, +1), NoiseModel(noise_kind, p))
     return expectation(mat, rho)
+
+
+def _affine_crossing(witness: str, noise_kind: str, measurement_case: str,
+                     eps: float, bound: float) -> float:
+    """Visibility at which the witness value, affine in p, meets ``bound``:
+    (B − v₀)/(v₁ − v₀) from the values at p = 0 and p = 1."""
+    v0 = noisy_witness_value(witness, noise_kind, 0.0, measurement_case, eps)
+    v1 = noisy_witness_value(witness, noise_kind, 1.0, measurement_case, eps)
+    return (bound - v0) / (v1 - v0)
 
 
 def threshold_visibility(query: ThresholdQuery) -> float:
     """Visibility p at which the witness value meets the biseparable bound.
 
-    Solved by bisection on p ∈ [0, 1] to 1e−9; raises if the witness value
-    never (or always) crosses the bound on that interval.
+    The witness value is affine in p, so the crossing is exact; raises if it
+    lies outside p ∈ [0, 1].
     """
-    bound = query.bound_value
-
-    def f(p):
-        return noisy_witness_value(query.witness, query.noise_kind, p,
-                                   query.measurement_case, query.eps) - bound
-
-    lo, hi = 0.0, 1.0
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return 0.0
-    if fhi == 0.0:
-        return 1.0
-    if flo * fhi > 0:
+    p = _affine_crossing(query.witness, query.noise_kind, query.measurement_case,
+                         query.eps, query.bound_value)
+    if not 0.0 <= p <= 1.0:
         raise ValueError("witness value never crosses the bound on p ∈ [0, 1]")
-    while hi - lo > tol("bisection"):
-        mid = 0.5 * (lo + hi)
-        if f(mid) * flo > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +132,7 @@ def worst_case_thresholds(witness: str, eps: float, noise_kind: str,
         else:
             closed = (bound + 3 * (1 - 12 * q ** 2 + 10 * q ** 4)) / (
                 2 * (3 - 30 * q ** 2 + 31 * q ** 4))
-    # Oracle: the witness value on the noisy state is affine in p.
-    v0 = noisy_witness_value(witness, noise_kind, 0.0, "worst-case-tilted", eps)
-    v1 = noisy_witness_value(witness, noise_kind, 1.0, "worst-case-tilted", eps)
-    oracle = (bound - v0) / (v1 - v0)
+    oracle = _affine_crossing(witness, noise_kind, "worst-case-tilted", eps, bound)
     return {"closed_form": float(closed), "oracle": float(oracle),
             "agrees": bool(abs(closed - oracle) <= 1e-6)}
 
@@ -225,9 +197,10 @@ def di_thresholds(m: int, bisep_bound_i43: float | None = None,
                   restarts: int = 50, seed: int = 42) -> float:
     """Visibility threshold of the device-independent I₄ₘ witness.
 
-    m=2: closed form (8 + 2^{5/2})/16 from the DI Mermin bound.  m=3:
-    bisection on the numerically optimized I₄₃ value of ρ_deph(p) against
-    the externally supplied biseparable bound constant.
+    m=2: closed form (8 + 2^{5/2})/16 from the DI Mermin bound.  m=3: I₄₃ on
+    ρ_deph(p) is (2p−1)·S with S the numerically optimized GHZ value, so the
+    threshold against the externally supplied biseparable bound B is
+    (1 + B/S)/2.
     """
     if m == 2:
         return (8 + 2 ** 2.5) / 16
@@ -235,21 +208,10 @@ def di_thresholds(m: int, bisep_bound_i43: float | None = None,
         raise ValueError("only m = 2 and m = 3 are supported")
     if bisep_bound_i43 is None:
         raise ValueError("the I₄₃ biseparable bound constant must be supplied")
-    quantum, phis = max_i43(restarts=restarts, seed=seed)
-
-    def f(p):
-        return i43_ghz_value(phis, p) - bisep_bound_i43
-
-    lo, hi = 0.5, 1.0
-    if f(hi) <= 0:
+    quantum, _ = max_i43(restarts=restarts, seed=seed)
+    if quantum <= bisep_bound_i43:
         raise ValueError("the supplied bound is never violated at full visibility")
-    while hi - lo > tol("bisection"):
-        mid = 0.5 * (lo + hi)
-        if f(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return (1 + bisep_bound_i43 / quantum) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,7 @@ _DEFAULTS = {
     "density_trace": 1e-12,
     "density_psd": -1e-10,
     "expectation_imag": 1e-10,
-    "eig_residual": 1e-9,
-    "entrywise": 1e-12,
-    "pauli_algebra": 1e-15,
     "povm_completeness": 1e-10,
-    "theta_refine": 1e-8,
-    "bisection": 1e-9,
     "prob_norm": 1e-9,
 }
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, herm_eig, kron
-from .measurement import ImprecisionBudget, tilted_observable
+from .linalg import PAULI, bloch_observable, herm_eig, kron
+from .measurement import AXIS_VECTORS, ImprecisionBudget, tilt_vector
 from .tolerances import tol
 
 #: In-plane tilt partner for each witness family.
@@ -58,34 +58,35 @@ class CorrelatorRecord:
 # Assembly helpers
 # ---------------------------------------------------------------------------
 
-def observable_table(family: str, n: int, budget: ImprecisionBudget | None):
-    """Per-party letter → 2×2 observable map for a witness family.
+def bloch_table(family: str, n: int, budget: ImprecisionBudget | None):
+    """Per-party letter → Bloch vector table of a witness family.
 
-    With a budget, each letter is replaced by its tilted observable with the
-    in-plane partner of the family (ε = 0 reproduces the exact Pauli).
+    With a budget, each letter is tilted toward the in-plane partner of the
+    family; without one every party measures the exact Paulis.
     """
+    if budget is None:
+        return [{}] * n
     plane = TILT_PLANES[family]
-    table = []
-    for party in range(n):
-        row = {"I": I2}
-        for letter, partner in plane.items():
-            eps = 0.0 if budget is None else budget.eps(party, letter)
-            row[letter] = tilted_observable(letter, partner, eps).matrix
-        table.append(row)
-    return table
+    return [{letter: tilt_vector(letter, budget.eps(party, letter), AXIS_VECTORS[partner])
+             for letter, partner in plane.items()} for party in range(n)]
 
 
-def assemble(terms, constant_offset: float, obs_table) -> np.ndarray:
-    n = len(obs_table)
-    dim = 2 ** n
-    mat = constant_offset * np.eye(dim, dtype=complex)
+def assemble(terms, offset: float, bloch) -> np.ndarray:
+    """offset·𝟙 + Σ c·⊗ⱼ(nⱼ·σ) over the (coefficient, letters) terms.
+
+    ``bloch[j]`` maps a letter to party j's real 3-vector n; a letter absent
+    from it is the exact Pauli, and ``I`` is the identity.
+    """
+    obs = [{**PAULI, **{letter: bloch_observable(v) for letter, v in row.items()}}
+           for row in bloch]
+    mat = offset * np.eye(2 ** len(obs), dtype=complex)
     for coeff, letters in terms:
-        mat += coeff * kron(*(obs_table[p][c] for p, c in enumerate(letters)))
+        mat += coeff * kron(*(obs[j][c] for j, c in enumerate(letters)))
     return mat
 
 
 def _make_spec(name, family, n, terms, offset, budget) -> WitnessSpec:
-    table = observable_table(family, n, budget)
+    table = bloch_table(family, n, budget)
     return WitnessSpec(name, n, tuple(terms), offset, assemble(terms, offset, table))
 
 

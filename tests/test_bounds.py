@@ -61,11 +61,31 @@ def test_stabilizer_closed_forms_at_zero():
 
 
 def test_stabilizer_numeric_dominates_closed_forms():
-    for eps in np.linspace(0.0, EPS_STAR, 8):
+    for eps in [6e-4, 2e-3, *np.linspace(0.0, EPS_STAR, 8)]:
         numeric = stabilizer_bisep_bound_numeric(4, eps).value
         single = stabilizer_single_party_bound(4, eps).value
         fully = stabilizer_fully_sep_bound(4, eps).value
         assert numeric >= max(single, fully) - 1e-7
+
+
+def test_cluster_numeric_dominates_closed_forms():
+    for eps in [6e-4, 2e-3, 6e-3, *np.linspace(0.0, EPS_STAR, 8)]:
+        b = cluster_witness_bounds(eps)
+        assert b["biseparable"].value >= max(b["single_party"].value,
+                                             b["fully_separable"].value) - 1e-7
+
+
+def test_bisep_regime_names_the_returned_value():
+    # At the reference ε_X the θ-sweep lies below the single-party closed
+    # form, which is then returned; at larger ε the sweep wins.
+    low = stabilizer_bisep_bound_numeric(4, 6e-4)
+    assert low.regime == "single-party-closed-form"
+    assert low.value == stabilizer_single_party_bound(4, 6e-4).value
+    assert stabilizer_bisep_bound_numeric(4, 0.1).regime == "numeric-theta-sweep"
+    low = cluster_witness_bounds(6e-4)
+    assert low["biseparable"].regime == "single-party-closed-form"
+    assert low["biseparable"].value == low["single_party"].value
+    assert cluster_witness_bounds(0.1)["biseparable"].regime == "numeric-theta-sweep"
 
 
 def test_stabilizer_numeric_endpoints():

@@ -99,6 +99,40 @@ def test_robustness_command_di(runner):
     assert threshold == pytest.approx((8 + 2 ** 2.5) / 16, abs=1e-9)
 
 
+def test_robustness_command_i43(runner):
+    result = runner.invoke(main, ["robustness", "--witness", "i43"])
+    assert result.exit_code == 0, result.output
+    threshold = float(result.output.strip().split("\n")[1].split(",")[1])
+    assert threshold == pytest.approx(0.834, abs=1e-3)
+
+
+def test_removed_options_are_rejected(runner):
+    base = ["bound", "--witness", "mermin", "--eps", "0.1"]
+    assert runner.invoke(main, base + ["--workers", "2"]).exit_code == 2
+    assert runner.invoke(main, base + ["--seed", "1"]).exit_code == 2
+    result = runner.invoke(main, ["robustness", "--witness", "i42", "--seed", "1"])
+    assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["bound", "--witness", "stabilizer", "--n", "5", "--eps", "0.01"],
+    ["bound", "--witness", "stabilizer", "--eps", "0.2"],
+    ["witness", "--witness", "mermin4", "--state", "ghz3"],
+    ["inm", "--probs", "{two_entries}"],
+    ["tomo", "--counts", "{missing}"],
+    ["robustness", "--witness", "mermin4", "--case", "worst-case-tilted",
+     "--eps", "0.3"],
+])
+def test_bad_input_is_a_one_line_usage_error(tmp_path, runner, args):
+    two_entries = tmp_path / "probs.json"
+    two_entries.write_text("[0.5, 0.5]")
+    paths = {"two_entries": str(two_entries), "missing": str(tmp_path / "missing.csv")}
+    result = runner.invoke(main, [a.format(**paths) for a in args])
+    assert result.exit_code == 2, result.output
+    lines = result.output.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+
+
 def test_robustness_command_threshold(runner):
     result = runner.invoke(main, ["robustness", "--witness", "mermin4",
                                   "--noise", "white"])

@@ -30,7 +30,7 @@ def test_best_case_closed_forms_match_bisection():
         closed = best_case_threshold_closed_form(witness, kind, bound)
         numeric = threshold_visibility(
             ThresholdQuery(witness, 0.0, kind, "best-case-exact", bound))
-        assert numeric == pytest.approx(closed, abs=1e-6)
+        assert numeric == pytest.approx(closed, abs=1e-12)
 
 
 def test_best_case_reference_thresholds():
@@ -84,6 +84,8 @@ def test_di_thresholds():
         di_thresholds(4)
     with pytest.raises(ValueError):
         di_thresholds(3)
+    with pytest.raises(ValueError):
+        di_thresholds(3, bisep_bound_i43=100.0, restarts=2)
 
 
 def test_normalize_witness_value():

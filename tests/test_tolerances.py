@@ -5,7 +5,7 @@ from gmewit.tolerances import tol
 
 def test_defaults():
     assert tol("hermitian") == 1e-12
-    assert tol("bisection") == 1e-9
+    assert tol("prob_norm") == 1e-9
 
 
 def test_unknown_name():

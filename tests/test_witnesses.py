@@ -1,14 +1,17 @@
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmewit import fixture_path
 from gmewit.linalg import PAULI, expectation, pauli_string
 from gmewit.measurement import ImprecisionBudget
 from gmewit.states import cluster_state_4, ghz_state, w_state
-from gmewit.witnesses import (BUILDERS, CorrelatorRecord, born_probabilities,
-                              cluster_witness_c4, eval_from_correlators,
+from gmewit.witnesses import (BUILDERS, CorrelatorRecord, assemble,
+                              born_probabilities, cluster_witness_c4, eval_from_correlators,
                               inm_value, load_correlator_fixture,
                               mermin_recursive, mermin_terms, mermin_witness,
                               stabilizer_terms, stabilizer_witness,
@@ -169,3 +172,51 @@ def test_inm_validation():
     bad = np.full((2, 2, 2, 2), 0.3)               # not normalized
     with pytest.raises(ValueError):
         inm_value(2, 2, bad)
+
+
+# ---------------------------------------------------------------------------
+# Properties of the Bloch-vector builder
+# ---------------------------------------------------------------------------
+
+unit_vectors = (st.tuples(*[st.floats(-1, 1)] * 3)
+                .map(np.array)
+                .filter(lambda v: np.linalg.norm(v) > 0.1)
+                .map(lambda v: v / np.linalg.norm(v)))
+
+
+def bloch_tables(n):
+    return st.lists(st.dictionaries(st.sampled_from("XYZ"), unit_vectors),
+                    min_size=n, max_size=n)
+
+
+def term_lists(n):
+    return st.lists(st.tuples(st.floats(-4, 4), st.text("IXYZ", min_size=n, max_size=n)),
+                    max_size=6)
+
+
+def explicit_2x2(row, letter):
+    if letter not in row:
+        return PAULI[letter]
+    x, y, z = row[letter]
+    return x * PAULI["X"] + y * PAULI["Y"] + z * PAULI["Z"]
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4).flatmap(bloch_tables))
+def test_assembled_single_party_observables_have_spectrum_pm1(table):
+    for row in table:
+        for letter in "XYZ":
+            evals = np.linalg.eigvalsh(assemble([(1.0, letter)], 0.0, [row]))
+            assert np.allclose(evals, [-1.0, 1.0], atol=1e-12)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(bloch_tables(n), term_lists(n), st.floats(-4, 4))))
+def test_assemble_equals_explicit_kron_sum(case):
+    table, terms, offset = case
+    expected = offset * np.eye(2 ** len(table), dtype=complex)
+    for coeff, letters in terms:
+        expected = expected + coeff * reduce(
+            np.kron, [explicit_2x2(row, c) for row, c in zip(table, letters)])
+    assert np.allclose(assemble(terms, offset, table), expected, rtol=0, atol=1e-12)
