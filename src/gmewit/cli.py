@@ -96,10 +96,6 @@ _common = [
                  type=click.Choice(["csv", "json"])),
 ]
 
-_seed = click.option("--seed", default=42, show_default=True,
-                     help="Seed of the randomized optimizer restarts.")
-
-
 def common_options(fn):
     for opt in reversed(_common):
         fn = opt(fn)
@@ -226,15 +222,14 @@ def spoof(eps_grid, out, output_format):
 @click.option("--p-grid", default=None,
               help="Optional start:stop:count sweep emitting the table format.")
 @common_options
-@_seed
 def robustness(witness_name, eps, noise_kind, case, i43_bound, p_grid, out,
-               output_format, seed):
+               output_format):
     """Noise-visibility thresholds (and optional sweep tables)."""
     if noise_kind == "white":
         noise_kind = "depolarizing"
     if witness_name in ("i42", "i43"):
         m = 2 if witness_name == "i42" else 3
-        p = di_thresholds(m, bisep_bound_i43=i43_bound, seed=seed)
+        p = di_thresholds(m, bisep_bound_i43=i43_bound)
         emit([{"witness": witness_name, "threshold": p}],
              ["witness", "threshold"], out, output_format)
         return
@@ -264,7 +259,8 @@ def robustness(witness_name, eps, noise_kind, case, i43_bound, p_grid, out,
 @click.option("--curve", default=None,
               help="start:stop:count grid of w-fractions (emits the curve table).")
 @common_options
-@_seed
+@click.option("--seed", default=42, show_default=True,
+              help="Seed of the randomized tilt-search restarts.")
 def fidelity(witness_name, observed, eps_x, eps_y, eps_z, restarts, curve, out,
              output_format, seed):
     """GHZ-fidelity lower bounds L0 and L_ε from a witness value."""

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import brentq, minimize
 
 from .linalg import expectation
 from .measurement import AXIS_VECTORS, ImprecisionBudget, tilt_vector
@@ -48,7 +48,6 @@ class FidelityBoundQuery:
     witness: str
     observed_value: float
     budget: ImprecisionBudget
-    lambda_grid: int = 80
     tilt_restarts: int = 8
     seed: int = 0
 
@@ -58,25 +57,52 @@ class FidelityBoundQuery:
             raise ValueError("observed value outside the witness's range")
 
 
-def _lower_bound_fixed(w_matrix: np.ndarray, p_ghz: np.ndarray, w: float,
-                       grid: int = 80) -> float:
+#: Largest |λ| the dual search reaches.  A slope still signed at the cap means
+#: w lies outside the spectrum of W_ε (no state is compatible); g(±cap) is
+#: then returned, a finite and still valid bound.
+LAMBDA_CAP = 16.0
+
+
+def _lower_bound_fixed(w_matrix: np.ndarray, p_ghz: np.ndarray, w: float) -> float:
     """Exact fidelity lower bound for a fixed tilted witness matrix.
 
-    L(w) = max_λ [min-eig(P_ghz − λ·W_ε) + λ·w]; the inner function is
-    concave in λ, so a signed log grid plus bounded refinement suffices.
+    L(w) = max_λ g(λ), g(λ) = λ_min(P_ghz − λ·W_ε) + λ·w, the Lagrange dual of
+    min ⟨ghz|ρ|ghz⟩ subject to tr(W_ε ρ) = w; by weak duality every g(λ) is a
+    lower bound.  g is concave with supergradient g′(λ) = w − ⟨v_λ|W_ε|v_λ⟩
+    (Hellmann–Feynman, v_λ a ground vector of P_ghz − λ·W_ε), so λ* is the
+    sign change of a non-increasing function: bracket it by doubling out from
+    ±1 and find it with Brent's method, which also converges at kinks.
     """
-    def g(lam):
-        return np.linalg.eigvalsh(p_ghz - lam * w_matrix)[0] + lam * w
+    def slope(lam):
+        v = np.linalg.eigh(p_ghz - lam * w_matrix)[1][:, 0]
+        return w - float(np.real(np.vdot(v, w_matrix @ v)))
 
-    lams = np.concatenate([np.geomspace(1e-4, 10, grid),
-                           -np.geomspace(1e-4, 10, grid), [0.0]])
-    vals = [g(lam) for lam in lams]
-    i = int(np.argmax(vals))
-    lb = lams[i]
-    span = max(abs(lb), 1e-3)
-    res = minimize_scalar(lambda lam: -g(lam), bounds=(lb - span, lb + span),
-                          method="bounded", options={"xatol": 1e-9})
-    return float(max(vals[i], g(res.x)))
+    lam = _dual_argmax(slope)
+    # g(0) = λ_min(P_ghz) = 0 exactly: the kink at λ = 0, where brentq stops
+    # only within xtol, needs no eigensolve.
+    return max(float(np.linalg.eigvalsh(p_ghz - lam * w_matrix)[0] + lam * w), 0.0)
+
+
+def _dual_argmax(slope) -> float:
+    """Sign change of the non-increasing ``slope`` on [−LAMBDA_CAP, LAMBDA_CAP],
+    or the end of that interval it points to."""
+    known = {}
+
+    def cached(lam):
+        if lam not in known:
+            known[lam] = slope(lam)
+        return known[lam]
+
+    lo, hi = -1.0, 1.0
+    while cached(hi) > 0:           # sign change above hi
+        if hi >= LAMBDA_CAP:
+            return hi
+        lo, hi = hi, 2 * hi
+    while cached(lo) < 0:           # sign change below lo
+        if lo <= -LAMBDA_CAP:
+            return lo
+        lo, hi = 2 * lo, lo
+    return brentq(cached, lo, hi, xtol=1e-12)
 
 
 def _tilt_table(bases: str, budget: ImprecisionBudget, omegas: np.ndarray):
@@ -106,9 +132,11 @@ class LEpsResult:
 def numeric_l_eps(query: FidelityBoundQuery, return_details: bool = False):
     """Smallest GHZ fidelity compatible with the observed witness value.
 
-    Inner step: the certified λ-scan of ``_lower_bound_fixed`` for each tilt
-    configuration.  Outer step: Nelder–Mead over the continuous perpendicular
-    tilt directions of every party/basis, with random restarts.
+    Inner step: the exact λ-dual of ``_lower_bound_fixed``, a valid lower
+    bound for each tilt configuration it is given.  Outer step: Nelder–Mead
+    over the continuous perpendicular tilt directions of every party/basis,
+    with random restarts.  The outer minimum is a heuristic: a local minimum
+    reports a value that is too high, the unsafe side for a certificate.
     """
     spec: WitnessSpec = BUILDERS[query.witness]()
     bases = TILT_BASES[query.witness]
@@ -116,7 +144,7 @@ def numeric_l_eps(query: FidelityBoundQuery, return_details: bool = False):
     p_ghz = np.outer(ghz, ghz.conj())
     w = query.observed_value
     if query.budget.is_ideal():
-        value = _lower_bound_fixed(spec.matrix, p_ghz, w, query.lambda_grid)
+        value = _lower_bound_fixed(spec.matrix, p_ghz, w)
         if return_details:
             return LEpsResult(value, np.zeros((4, len(bases))), spec.matrix)
         return value
@@ -124,7 +152,7 @@ def numeric_l_eps(query: FidelityBoundQuery, return_details: bool = False):
     def objective(x):
         omegas = x.reshape(4, len(bases))
         mat = assemble(spec.terms, spec.constant_offset, _tilt_table(bases, query.budget, omegas))
-        return _lower_bound_fixed(mat, p_ghz, w, query.lambda_grid)
+        return _lower_bound_fixed(mat, p_ghz, w)
 
     rng = np.random.default_rng(query.seed)
     best, best_x = np.inf, None

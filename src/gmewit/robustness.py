@@ -165,7 +165,10 @@ def i43_ghz_value(phis: np.ndarray, visibility: float = 1.0) -> float:
 
 
 def max_i43(restarts: int = 50, seed: int = 42) -> tuple[float, np.ndarray]:
-    """Maximal GHZ value of I₄₃ by compass search over the 12 setting angles."""
+    """Maximal GHZ value of I₄₃ by compass search over the 12 setting angles.
+
+    Reference search only: it recovers ``I43_QUANTUM`` = 27√3 to ~1e−14.
+    """
     rng = np.random.default_rng(seed)
     best, best_x = -np.inf, None
     for _ in range(restarts):
@@ -188,19 +191,20 @@ def max_i43(restarts: int = 50, seed: int = 42) -> tuple[float, np.ndarray]:
     return float(best), best_x.reshape(4, 3)
 
 
+#: Maximal GHZ value of I₄₃ over X–Y-plane settings, 27√3.
+I43_QUANTUM = 27 * np.sqrt(3)
+
 #: Default I₄₃ biseparable bound: external literature constant, reconstructed
 #: from the published 83.4 % visibility threshold as (2·0.834−1)·27√3.
-DEFAULT_I43_BISEP_BOUND = (2 * 0.834 - 1) * 27 * np.sqrt(3)
+DEFAULT_I43_BISEP_BOUND = (2 * 0.834 - 1) * I43_QUANTUM
 
 
-def di_thresholds(m: int, bisep_bound_i43: float | None = None,
-                  restarts: int = 50, seed: int = 42) -> float:
+def di_thresholds(m: int, bisep_bound_i43: float | None = None) -> float:
     """Visibility threshold of the device-independent I₄ₘ witness.
 
     m=2: closed form (8 + 2^{5/2})/16 from the DI Mermin bound.  m=3: I₄₃ on
-    ρ_deph(p) is (2p−1)·S with S the numerically optimized GHZ value, so the
-    threshold against the externally supplied biseparable bound B is
-    (1 + B/S)/2.
+    ρ_deph(p) is (2p−1)·S with S = ``I43_QUANTUM``, so the threshold against
+    the externally supplied biseparable bound B is (1 + B/S)/2.
     """
     if m == 2:
         return (8 + 2 ** 2.5) / 16
@@ -208,10 +212,9 @@ def di_thresholds(m: int, bisep_bound_i43: float | None = None,
         raise ValueError("only m = 2 and m = 3 are supported")
     if bisep_bound_i43 is None:
         raise ValueError("the I₄₃ biseparable bound constant must be supplied")
-    quantum, _ = max_i43(restarts=restarts, seed=seed)
-    if quantum <= bisep_bound_i43:
+    if I43_QUANTUM <= bisep_bound_i43:
         raise ValueError("the supplied bound is never violated at full visibility")
-    return (1 + bisep_bound_i43 / quantum) / 2
+    return (1 + bisep_bound_i43 / I43_QUANTUM) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -88,11 +88,17 @@ def apply_noise(psi: np.ndarray, noise: NoiseModel) -> np.ndarray:
     """
     assert_state(psi)
     d = psi.shape[0]
-    proj = np.outer(psi, psi.conj())
+    proj = _projector(psi)
     if noise.kind == "depolarizing":
         return noise.p * proj + (1 - noise.p) * np.eye(d) / d
     n = int(np.log2(d))
     if not np.allclose(psi, ghz_state(n, +1), atol=1e-12):
         raise ValueError("dephasing noise is defined only for |ghz_n^+⟩ inputs")
-    minus = ghz_state(n, -1)
-    return noise.p * proj + (1 - noise.p) * np.outer(minus, minus.conj())
+    return noise.p * proj + (1 - noise.p) * _projector(ghz_state(n, -1))
+
+
+def _projector(psi: np.ndarray) -> np.ndarray:
+    """|ψ⟩⟨ψ| divided by its trace, so that |ghz⟩⟨ghz| has entries exactly ±½
+    (the 1/√2 amplitudes square to 0.4999999999999999)."""
+    proj = np.outer(psi, psi.conj())
+    return proj / np.trace(proj).real

@@ -110,7 +110,9 @@ def test_removed_options_are_rejected(runner):
     base = ["bound", "--witness", "mermin", "--eps", "0.1"]
     assert runner.invoke(main, base + ["--workers", "2"]).exit_code == 2
     assert runner.invoke(main, base + ["--seed", "1"]).exit_code == 2
-    result = runner.invoke(main, ["robustness", "--witness", "i42", "--seed", "1"])
+    assert runner.invoke(main, ["robustness", "--witness", "i43", "--seed", "1"]).exit_code == 2
+    result = runner.invoke(main, ["fidelity", "--witness", "mermin4", "--value", "7",
+                                  "--eps-x", "0", "--seed", "1"])
     assert result.exit_code == 0, result.output
 
 

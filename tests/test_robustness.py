@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gmewit.bounds import mermin_bisep_bound, stabilizer_bisep_bound_numeric
-from gmewit.robustness import (DEFAULT_I43_BISEP_BOUND, ThresholdQuery,
+from gmewit.robustness import (DEFAULT_I43_BISEP_BOUND, I43_QUANTUM, ThresholdQuery,
                                best_case_threshold_closed_form, di_thresholds,
                                i43_ghz_value, max_i43, noisy_witness_value,
                                normalize_witness_value, robustness_sweep,
@@ -31,6 +31,20 @@ def test_best_case_closed_forms_match_bisection():
         numeric = threshold_visibility(
             ThresholdQuery(witness, 0.0, kind, "best-case-exact", bound))
         assert numeric == pytest.approx(closed, abs=1e-12)
+
+
+def test_white_noise_thresholds_are_exact():
+    # The GHZ projector is normalized by its trace, so the full-visibility
+    # witness values are exactly 8 and 11 and the crossings exactly 1/2, 7/11.
+    assert noisy_witness_value("mermin4", "depolarizing", 1.0) == 8.0
+    assert noisy_witness_value("stabilizer4", "depolarizing", 1.0) == 11.0
+    white_m = threshold_visibility(ThresholdQuery(
+        "mermin4", 0.0, "depolarizing", "best-case-exact", mermin_bisep_bound(4, 0.0)))
+    white_s = threshold_visibility(ThresholdQuery(
+        "stabilizer4", 0.0, "depolarizing", "best-case-exact",
+        stabilizer_bisep_bound_numeric(4, 0.0)))
+    assert white_m == 0.5
+    assert white_s == 7 / 11
 
 
 def test_best_case_reference_thresholds():
@@ -70,7 +84,7 @@ def test_threshold_visibility_no_crossing():
 
 def test_max_i43():
     value, phis = max_i43(restarts=20, seed=0)
-    assert value == pytest.approx(27 * np.sqrt(3), abs=1e-4)
+    assert value == pytest.approx(I43_QUANTUM, abs=1e-12)
     assert phis.shape == (4, 3)
     # Affinity in the visibility.
     assert i43_ghz_value(phis, 0.5) == pytest.approx(0.0, abs=1e-9)
@@ -78,14 +92,14 @@ def test_max_i43():
 
 def test_di_thresholds():
     assert di_thresholds(2) == pytest.approx((8 + 2 ** 2.5) / 16)
-    p3 = di_thresholds(3, bisep_bound_i43=DEFAULT_I43_BISEP_BOUND, restarts=20)
+    p3 = di_thresholds(3, bisep_bound_i43=DEFAULT_I43_BISEP_BOUND)
     assert p3 == pytest.approx(0.834, abs=5e-4)
     with pytest.raises(ValueError):
         di_thresholds(4)
     with pytest.raises(ValueError):
         di_thresholds(3)
     with pytest.raises(ValueError):
-        di_thresholds(3, bisep_bound_i43=100.0, restarts=2)
+        di_thresholds(3, bisep_bound_i43=100.0)
 
 
 def test_normalize_witness_value():
