@@ -5,14 +5,12 @@ from importlib import resources
 
 __version__ = "0.1.0"
 
-from .linalg import (I2, PAULI, X, Y, Z, expectation, herm_eig, kron,
-                     max_eigenvalue, partial_trace)
-from .states import (NoiseModel, apply_noise, chi_state, cluster_state_4,
-                     ghz_state, spoof_state, w_state)
-from .measurement import (CountTable, ImprecisionBudget, TiltedObservable,
-                          WaveplateErrorSpec, fidelity_from_counts,
-                          measurement_fidelity, poisson_witness_error,
-                          tilted_observable, waveplate_povm)
+from .linalg import I2, PAULI, X, Y, Z, expectation, kron
+from .states import (NoiseModel, apply_noise, cluster_state_4, ghz_state,
+                     spoof_state, w_state)
+from .measurement import (CountTable, ImprecisionBudget, WaveplateErrorSpec,
+                          fidelity_from_counts, measurement_fidelity,
+                          waveplate_povm)
 from .witnesses import (CorrelatorRecord, WitnessSpec, born_probabilities,
                         cluster_witness_c4, eval_from_correlators, inm_value,
                         mermin_recursive, mermin_witness, stabilizer_witness,

@@ -7,8 +7,9 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
-from .linalg import max_eigenvalue
+from .linalg import assert_hermitian
 from .measurement import ImprecisionBudget, q_of, u_of
 from .states import spoof_state
 from .witnesses import (C4_TERMS, D3_TERMS, WitnessSpec, assemble, bloch_table,
@@ -110,24 +111,6 @@ def stabilizer_fully_sep_bound(n: int, eps: float) -> BoundResult:
                        "closed-form", saturating_theta=np.pi / 8)
 
 
-def _golden_refine(f, lo: float, hi: float, xtol: float = 1e-10) -> float:
-    """Golden-section maximization of f on [lo, hi]."""
-    gr = (1 + np.sqrt(5)) / 2
-    c = hi - (hi - lo) / gr
-    d = lo + (hi - lo) / gr
-    fc, fd = f(c), f(d)
-    while abs(c - d) > xtol:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - (hi - lo) / gr
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + (hi - lo) / gr
-            fd = f(d)
-    return 0.5 * (lo + hi)
-
-
 def _reduced_operators(terms, offset, bloch_rest) -> dict:
     """First-party letter → the parties-2..n operator that multiplies it.
 
@@ -146,19 +129,22 @@ def _reduced_sweep(terms, offset, n, eps, theta_grid):
     """
     bloch = bloch_table("stabilizer", n, ImprecisionBudget.uniform(eps, n))
     ops = _reduced_operators(terms, offset, bloch[1:])
+    # Real combinations of Hermitian operators stay Hermitian: check once per row.
+    for op in ops.values():
+        assert_hermitian(op)
     q, u = q_of(eps), u_of(eps)
 
     def top(theta):
         alpha = u * np.cos(2 * theta) + q * np.sin(2 * theta)
         beta = q * np.cos(2 * theta) + u * np.sin(2 * theta)
-        return max_eigenvalue(alpha * ops["X"] + beta * ops["Z"] + ops["I"])
+        return np.linalg.eigvalsh(alpha * ops["X"] + beta * ops["Z"] + ops["I"])[-1]
 
     thetas = np.linspace(0, np.pi, theta_grid, endpoint=False)
-    values = [top(t) for t in thetas]
-    best = int(np.argmax(values))
+    best = thetas[int(np.argmax([top(t) for t in thetas]))]
     step = np.pi / theta_grid
-    theta = _golden_refine(top, thetas[best] - step, thetas[best] + step)
-    return float(top(theta)), float(theta)
+    res = minimize_scalar(lambda t: -top(t), bounds=(best - step, best + step),
+                          method="bounded", options={"xatol": 1e-10})
+    return float(-res.fun), float(res.x)
 
 
 def _at_least_single_party(numeric: BoundResult, single: BoundResult) -> BoundResult:
@@ -211,7 +197,7 @@ def w_witness_bounds(eps: float) -> dict[str, BoundResult]:
     ops = _reduced_operators(D3_TERMS, 0.0, bloch[1:])
     # Party 1 in |χ(π/4)⟩: both tilted X and Y average to (q+u)/√2.
     coef = (q + u) / np.sqrt(2)
-    numeric = max_eigenvalue(coef * (ops["X"] + ops["Y"]) + ops["I"])
+    numeric = np.linalg.eigvalsh(coef * (ops["X"] + ops["Y"]) + ops["I"])[-1]
     return {
         "biseparable": BoundResult("d3", 3, eps, "biseparable", float(numeric),
                                    "numeric-theta-sweep", saturating_theta=np.pi / 4),
@@ -341,11 +327,6 @@ def all_bipartitions(n: int):
 # Spoofing curve (Fig.-3-style table)
 # ---------------------------------------------------------------------------
 
-def theorem1_budget(n: int, eps: float) -> ImprecisionBudget:
-    """Saturating configuration: only party 1 tilted, all other parties ideal."""
-    return ImprecisionBudget.single_party(eps, n)
-
-
 def spoofing_curve(eps_grid) -> list[dict]:
     """Predicted tilted-Mermin value on the spoof state versus the bounds.
 
@@ -357,7 +338,7 @@ def spoofing_curve(eps_grid) -> list[dict]:
     rows = []
     for eps in eps_grid:
         _check_eps(eps, EPS_STAR)
-        spec = mermin_witness(4, theorem1_budget(4, eps))
+        spec = mermin_witness(4, ImprecisionBudget.single_party(eps, 4))
         predicted = float(np.real(np.vdot(psi, spec.matrix @ psi)))
         rows.append({
             "epsilon": float(eps),

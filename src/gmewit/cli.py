@@ -14,7 +14,8 @@ from .acceptance import REFERENCE_BUDGET, run_checks
 from .bounds import (cluster_witness_bounds, mermin_bisep_bound,
                      mermin_quantum_bound, spoofing_curve,
                      stabilizer_bisep_bound_numeric, stabilizer_fully_sep_bound,
-                     stabilizer_single_party_bound, w_witness_bounds)
+                     stabilizer_quantum_bound, stabilizer_single_party_bound,
+                     w_witness_bounds)
 from .fidelity import (FidelityBoundQuery, closed_form_l0, fidelity_curve,
                        numeric_l_eps)
 from .linalg import expectation
@@ -119,7 +120,7 @@ def _bound_row(witness: str, n: int, eps: float) -> dict:
         return {"epsilon": eps, "bound_biseparable": bisep.value,
                 "bound_single_party": stabilizer_single_party_bound(n, eps).value,
                 "bound_fully_separable": stabilizer_fully_sep_bound(n, eps).value,
-                "bound_quantum": float(3 * 2 ** (n - 2) - 1),
+                "bound_quantum": stabilizer_quantum_bound(n).value,
                 "regime": bisep.regime}
     if witness == "wstate":
         b = w_witness_bounds(eps)

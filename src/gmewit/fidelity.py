@@ -3,7 +3,7 @@ L0 and the imprecision-corrected numeric bound L_ε."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, minimize
@@ -122,14 +122,7 @@ def _tilt_table(bases: str, budget: ImprecisionBudget, omegas: np.ndarray):
     return table
 
 
-@dataclass
-class LEpsResult:
-    value: float
-    omegas: np.ndarray = field(repr=False)
-    witness_matrix: np.ndarray = field(repr=False)
-
-
-def numeric_l_eps(query: FidelityBoundQuery, return_details: bool = False):
+def numeric_l_eps(query: FidelityBoundQuery) -> float:
     """Smallest GHZ fidelity compatible with the observed witness value.
 
     Inner step: the exact λ-dual of ``_lower_bound_fixed``, a valid lower
@@ -144,10 +137,7 @@ def numeric_l_eps(query: FidelityBoundQuery, return_details: bool = False):
     p_ghz = np.outer(ghz, ghz.conj())
     w = query.observed_value
     if query.budget.is_ideal():
-        value = _lower_bound_fixed(spec.matrix, p_ghz, w)
-        if return_details:
-            return LEpsResult(value, np.zeros((4, len(bases))), spec.matrix)
-        return value
+        return _lower_bound_fixed(spec.matrix, p_ghz, w)
 
     def objective(x):
         omegas = x.reshape(4, len(bases))
@@ -155,17 +145,12 @@ def numeric_l_eps(query: FidelityBoundQuery, return_details: bool = False):
         return _lower_bound_fixed(mat, p_ghz, w)
 
     rng = np.random.default_rng(query.seed)
-    best, best_x = np.inf, None
+    best = np.inf
     for _ in range(query.tilt_restarts):
         x0 = rng.uniform(0, 2 * np.pi, 4 * len(bases))
         res = minimize(objective, x0, method="Nelder-Mead",
                        options={"maxfev": 400, "xatol": 1e-3, "fatol": 1e-6})
-        if res.fun < best:
-            best, best_x = float(res.fun), res.x
-    if return_details:
-        omegas = best_x.reshape(4, len(bases))
-        return LEpsResult(best, omegas, assemble(spec.terms, spec.constant_offset,
-                                                 _tilt_table(bases, query.budget, omegas)))
+        best = min(best, float(res.fun))
     return best
 
 

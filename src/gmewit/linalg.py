@@ -1,5 +1,5 @@
 """Dense complex linear algebra: Pauli matrices, Kronecker products,
-Hermitian eigensolving, expectation values and validation helpers.
+expectation values and validation helpers.
 
 All operators are plain ``numpy`` complex arrays; states are 1-D complex
 vectors, density matrices square complex arrays.  Every public routine
@@ -49,10 +49,8 @@ def pauli_string(letters: str) -> np.ndarray:
 # Validation
 # ---------------------------------------------------------------------------
 
-def is_hermitian(m: np.ndarray, atol: float | None = None) -> bool:
-    if atol is None:
-        atol = tol("hermitian")
-    return bool(np.max(np.abs(m - m.conj().T)) <= atol)
+def is_hermitian(m: np.ndarray) -> bool:
+    return bool(np.max(np.abs(m - m.conj().T)) <= tol("hermitian"))
 
 
 def assert_hermitian(m: np.ndarray) -> None:
@@ -79,7 +77,7 @@ def assert_density_matrix(rho: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Expectation values and eigensolving
+# Expectation values
 # ---------------------------------------------------------------------------
 
 def expectation(op: np.ndarray, state: np.ndarray) -> float:
@@ -102,56 +100,3 @@ def expectation(op: np.ndarray, state: np.ndarray) -> float:
     if abs(val.imag) > tol("expectation_imag"):
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return float(val.real)
-
-
-def herm_eig(m: np.ndarray, mode: str = "full"):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Parameters
-    ----------
-    m : ndarray
-        Hermitian matrix, dimension at most 2**10.
-    mode : {"full", "max-only"}
-        "full" returns ``(eigenvalues, eigenvectors)`` with eigenvalues
-        sorted descending and eigenvectors as columns; "max-only" returns
-        ``(max_eigenvalue, eigenvector)``.
-    """
-    assert_hermitian(m)
-    if m.shape[0] > 2 ** 10:
-        raise ValueError("dimension exceeds the supported 2^10 cap")
-    evals, evecs = np.linalg.eigh(m)
-    order = np.argsort(evals)[::-1]
-    evals, evecs = evals[order], evecs[:, order]
-    if mode == "max-only":
-        return float(evals[0]), evecs[:, 0]
-    if mode != "full":
-        raise ValueError(f"unknown mode {mode!r}")
-    return evals.astype(float), evecs
-
-
-def max_eigenvalue(m: np.ndarray) -> float:
-    assert_hermitian(m)
-    return float(np.linalg.eigvalsh(m)[-1])
-
-
-def min_eigenvalue(m: np.ndarray) -> float:
-    assert_hermitian(m)
-    return float(np.linalg.eigvalsh(m)[0])
-
-
-# ---------------------------------------------------------------------------
-# Partial trace (used by the see-saw oracle and purity checks)
-# ---------------------------------------------------------------------------
-
-def partial_trace(rho: np.ndarray, keep: list[int], n: int) -> np.ndarray:
-    """Partial trace of an n-qubit density matrix onto the qubits ``keep``."""
-    keep = sorted(keep)
-    traced = [q for q in range(n) if q not in keep]
-    t = rho.reshape([2] * (2 * n))
-    n_cur = n
-    # Trace out highest qubits first so lower traced-qubit indices stay valid.
-    for q in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=q, axis2=q + n_cur)
-        n_cur -= 1
-    d = 2 ** len(keep)
-    return t.reshape(d, d)

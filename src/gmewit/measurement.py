@@ -1,4 +1,4 @@
-"""Measurement models: tilted observables, imprecision budgets, the
+"""Measurement models: tilted Bloch vectors, imprecision budgets, the
 waveplate/PBS POVM error model, and tomography-based fidelity estimation."""
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import I2, PAULI, assert_hermitian, bloch_observable, herm_eig
+from .linalg import I2, PAULI, assert_hermitian, bloch_observable
 from .tolerances import tol
 
 AXES = ("X", "Y", "Z")
@@ -31,33 +31,6 @@ def tilt_vector(intended: str, eps: float, direction) -> np.ndarray:
     """Bloch vector q·e_intended + u·d of the extremal imprecise observable,
     tilted toward the unit direction d ⊥ e_intended."""
     return q_of(eps) * AXIS_VECTORS[intended] + u_of(eps) * direction
-
-
-# ---------------------------------------------------------------------------
-# Tilted observables
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TiltedObservable:
-    """Dichotomic observable q·σ(intended) + √(1−q²)·σ(partner)."""
-
-    intended: str
-    partner: str
-    q: float
-    matrix: np.ndarray
-
-
-def tilted_observable(intended: str, partner: str, eps: float) -> TiltedObservable:
-    """Extremal imprecise observable for the intended axis with infidelity ε."""
-    if intended not in AXES or partner not in AXES:
-        raise ValueError("axes must be X, Y or Z")
-    if intended == partner:
-        raise ValueError("partner axis must differ from the intended axis")
-    if not 0.0 <= eps <= 0.5:
-        raise ValueError("ε must lie in [0, 1/2]")
-    q, u = q_of(eps), u_of(eps)
-    mat = q * PAULI[intended] + u * PAULI[partner]
-    return TiltedObservable(intended, partner, q, mat)
 
 
 @dataclass(frozen=True)
@@ -107,14 +80,15 @@ class ImprecisionBudget:
 
 def bloch_states(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenstates |±n⟩ of n·σ for a unit Bloch vector n."""
-    _, vecs = herm_eig(bloch_observable(axis / np.linalg.norm(axis)))
-    return vecs[:, 0], vecs[:, 1]
+    vecs = np.linalg.eigh(bloch_observable(axis / np.linalg.norm(axis)))[1]
+    return vecs[:, 1], vecs[:, 0]
 
 
 def projectors(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral ± projectors of a dichotomic 2×2 observable."""
-    _, vecs = herm_eig(obs)
-    plus, minus = vecs[:, 0], vecs[:, 1]
+    """Spectral ± projectors of a dichotomic 2×2 Hermitian observable."""
+    assert_hermitian(obs)
+    vecs = np.linalg.eigh(obs)[1]
+    plus, minus = vecs[:, 1], vecs[:, 0]
     return np.outer(plus, plus.conj()), np.outer(minus, minus.conj())
 
 
@@ -330,51 +304,3 @@ def fidelity_from_counts(table: CountTable) -> dict:
                 "symmetric": float((1.0 + pass_fail) / 2.0),
             }
     return out
-
-
-# ---------------------------------------------------------------------------
-# Poissonian Monte-Carlo witness error
-# ---------------------------------------------------------------------------
-
-def poisson_witness_error(setting_counts: dict, spec, trials: int = 1000,
-                          seed: int = 42) -> tuple[float, float]:
-    """Monte-Carlo mean and std of a correlator-witness value.
-
-    ``setting_counts`` maps each term's letter string to a length-2^n array
-    of outcome counts (computational ordering of ±1 outcome tuples).  Every
-    count is resampled from a Poisson law with the observed count as mean,
-    correlators are recomputed per trial and the witness re-evaluated.
-    """
-    if trials < 100:
-        raise ValueError("trials must be at least 100")
-    rng = np.random.default_rng(seed)
-    n = spec.n
-    for letters, counts in setting_counts.items():
-        if np.sum(counts) == 0:
-            raise ValueError(f"setting {letters} has zero total counts")
-
-    def parity_vector(letters):
-        # Identity positions are marginalized: only non-identity outcome bits
-        # contribute to the correlator sign.
-        active = [i for i, c in enumerate(letters) if c != "I"]
-        signs = np.ones(2 ** n)
-        for i in range(2 ** n):
-            bits = sum((i >> (n - 1 - q)) & 1 for q in active)
-            signs[i] = (-1) ** bits
-        return signs
-
-    parities = {letters: parity_vector(letters) for _, letters in spec.terms}
-    values = np.empty(trials)
-    for t in range(trials):
-        total = spec.constant_offset
-        for coeff, letters in spec.terms:
-            if letters == "I" * n:
-                total += coeff
-                continue
-            counts = np.asarray(setting_counts[letters], dtype=float)
-            sample = rng.poisson(counts)
-            tot = sample.sum()
-            corr = float(parities[letters] @ sample) / tot if tot > 0 else 0.0
-            total += coeff * corr
-        values[t] = total
-    return float(values.mean()), float(values.std(ddof=1))

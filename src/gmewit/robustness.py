@@ -9,11 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundResult, mermin_bisep_bound, stabilizer_bisep_bound_numeric
+from .bounds import (BoundResult, mermin_bisep_bound, mermin_quantum_bound,
+                     stabilizer_bisep_bound_numeric, stabilizer_quantum_bound)
 from .linalg import expectation
 from .measurement import AXIS_VECTORS, q_of, tilt_vector
 from .states import NoiseModel, apply_noise, ghz_state
-from .witnesses import BUILDERS, assemble
+from .witnesses import BUILDERS, assemble, inm_sign
 
 _E = AXIS_VECTORS
 
@@ -142,15 +143,9 @@ def worst_case_thresholds(witness: str, eps: float, noise_kind: str,
 # ---------------------------------------------------------------------------
 
 #: Input vectors and signs of I₄₃ over the residue classes s ≡ 0, 1 (mod 3).
-_I43_SVECS = []
-for _svec in itertools.product(range(3), repeat=4):
-    _s = sum(_svec)
-    if _s % 3 == 0:
-        _I43_SVECS.append((_svec, (-1) ** (_s // 3)))
-    elif _s % 3 == 1:
-        _I43_SVECS.append((_svec, (-1) ** ((_s - 1) // 3)))
-_I43_INDEX = np.array([sv for sv, _ in _I43_SVECS])
-_I43_SIGNS = np.array([sg for _, sg in _I43_SVECS], dtype=float)
+_I43_INDEX = np.array([sv for sv in itertools.product(range(3), repeat=4)
+                       if inm_sign(sum(sv), 3)])
+_I43_SIGNS = np.array([inm_sign(int(s), 3) for s in _I43_INDEX.sum(axis=1)], dtype=float)
 
 
 def i43_ghz_value(phis: np.ndarray, visibility: float = 1.0) -> float:
@@ -232,7 +227,8 @@ def robustness_sweep(witness: str, eps: float, noise_kind: str, p_grid,
                      measurement_case: str = "best-case-exact") -> list[dict]:
     """Fig.-5-style table of witness values and violation flags over p."""
     bound = default_bisep_bound(witness, eps).value
-    quantum = 8.0 if witness == "mermin4" else 11.0
+    quantum = (mermin_quantum_bound(4) if witness == "mermin4"
+               else stabilizer_quantum_bound(4)).value
     rows = []
     for p in p_grid:
         value = noisy_witness_value(witness, noise_kind, p, measurement_case, eps)

@@ -1,4 +1,4 @@
-"""State constructors (GHZ, W, cluster, spoofing, |χ(θ)⟩) and noise channels."""
+"""State constructors (GHZ, W, cluster, spoofing) and noise channels."""
 
 from __future__ import annotations
 
@@ -73,11 +73,6 @@ def cluster_state_4() -> np.ndarray:
         phase = sum(bits[q] * bits[q + 1] for q in range(3))
         psi[idx] *= (-1) ** phase
     return psi
-
-
-def chi_state(theta: float) -> np.ndarray:
-    """|χ(θ)⟩ = cos θ|0⟩ + sin θ|1⟩."""
-    return np.array([np.cos(theta), np.sin(theta)], dtype=complex)
 
 
 def apply_noise(psi: np.ndarray, noise: NoiseModel) -> np.ndarray:

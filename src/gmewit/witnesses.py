@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULI, bloch_observable, herm_eig, kron
-from .measurement import AXIS_VECTORS, ImprecisionBudget, tilt_vector
+from .linalg import PAULI, bloch_observable, kron
+from .measurement import AXIS_VECTORS, ImprecisionBudget, projectors, tilt_vector
 from .tolerances import tol
 
 #: In-plane tilt partner for each witness family.
@@ -234,13 +234,19 @@ def load_correlator_fixture(path) -> tuple[str, list[CorrelatorRecord]]:
 # I_nm multi-setting correlator functional
 # ---------------------------------------------------------------------------
 
+def inm_sign(s: int, m: int) -> int:
+    """Sign of the I_nm term with input sum s: (−1)^{s/m} for s ≡ 0 (mod m),
+    (−1)^{(s−1)/m} for s ≡ 1 (both are (−1)^⌊s/m⌋), and 0 (no term) for the
+    other residue classes."""
+    return (-1) ** (s // m) if s % m <= 1 else 0
+
+
 def inm_value(n: int, m: int, probabilities: np.ndarray) -> float:
     """The I_nm functional on a conditional probability table P(r⃗|s⃗).
 
     ``probabilities`` has shape (m,)*n + (2,)*n.  The symmetrized correlator
     E_s sums Σ_r (−1)^{|r|} P(r⃗|s⃗) over all input vectors with Σs_j = s;
-    the functional adds residue-class s ≡ 0 (mod m) terms with sign
-    (−1)^{s/m} and s ≡ 1 terms with sign (−1)^{(s−1)/m}.
+    the functional adds them with the signs of ``inm_sign``.
     """
     probabilities = np.asarray(probabilities, dtype=float)
     if probabilities.shape != (m,) * n + (2,) * n:
@@ -256,10 +262,7 @@ def inm_value(n: int, m: int, probabilities: np.ndarray) -> float:
         e_s[sum(svec)] += correlators[idx]
     total = 0.0
     for s, e in enumerate(e_s):
-        if s % m == 0:
-            total += (-1) ** (s // m) * e
-        elif s % m == 1:
-            total += (-1) ** ((s - 1) // m) * e
+        total += inm_sign(s, m) * e
     return float(total)
 
 
@@ -267,18 +270,11 @@ def born_probabilities(state: np.ndarray, settings) -> np.ndarray:
     """P(r⃗|s⃗) table for per-party dichotomic observables via the Born rule.
 
     ``settings`` is a per-party list of m 2×2 Hermitian observables; outcome
-    bit 0 maps to the +1 eigenprojector.
+    bit 0 maps to the +1 eigenprojector.  Non-Hermitian settings raise.
     """
     n = len(settings)
     m = len(settings[0])
-    projs = []
-    for party_obs in settings:
-        row = []
-        for obs in party_obs:
-            _, vecs = herm_eig(obs)
-            plus = np.outer(vecs[:, 0], vecs[:, 0].conj())
-            row.append((plus, np.eye(2) - plus))
-        projs.append(row)
+    projs = [[projectors(obs) for obs in party_obs] for party_obs in settings]
     rho = np.outer(state, state.conj()) if state.ndim == 1 else state
     table = np.zeros((m,) * n + (2,) * n)
     for svec in itertools.product(range(m), repeat=n):

@@ -7,8 +7,7 @@ from gmewit.bounds import (EPS_STAR, PartitionSpec, all_bipartitions,
                            mermin_quantum_bound, multi_qubit_partition_bound,
                            spoofing_curve, stabilizer_bisep_bound_numeric,
                            stabilizer_fully_sep_bound, stabilizer_quantum_bound,
-                           stabilizer_single_party_bound, theorem1_budget,
-                           w_witness_bounds)
+                           stabilizer_single_party_bound, w_witness_bounds)
 from gmewit.linalg import expectation
 from gmewit.measurement import ImprecisionBudget
 from gmewit.states import spoof_state
@@ -36,7 +35,7 @@ def test_theorem1_saturation_multiple_n():
     # bound exactly for every ε in the pre-plateau regime.
     for n in (3, 4, 5):
         for eps in np.linspace(0, EPS_STAR, 10):
-            spec = mermin_witness(n, theorem1_budget(n, eps))
+            spec = mermin_witness(n, ImprecisionBudget.single_party(eps, n))
             psi = spoof_state(n)
             predicted = float(np.real(np.vdot(psi, spec.matrix @ psi)))
             assert predicted == pytest.approx(mermin_bisep_bound(n, eps).value,

@@ -148,13 +148,6 @@ def test_l_eps_small_eps_limit():
         closed_form_l0("stabilizer4", 10.5), abs=1e-3)
 
 
-def test_numeric_l_eps_details():
-    query = FidelityBoundQuery("mermin4", 7.0, ImprecisionBudget.ideal(4))
-    res = numeric_l_eps(query, return_details=True)
-    assert res.value == pytest.approx(closed_form_l0("mermin4", 7.0), abs=1e-9)
-    assert res.witness_matrix.shape == (16, 16)
-
-
 def test_fidelity_curve_shape():
     budget = ImprecisionBudget.ideal(4)
     rows = fidelity_curve("mermin4", budget, [0.8, 0.9], tilt_restarts=1)

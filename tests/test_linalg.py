@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from gmewit.linalg import (I2, PAULI, X, Y, Z, assert_density_matrix,
-                           assert_state, expectation, herm_eig, is_hermitian,
-                           kron, max_eigenvalue, min_eigenvalue, partial_trace,
-                           pauli_string)
+from gmewit.linalg import (I2, X, Y, Z, assert_density_matrix, assert_state,
+                           expectation, is_hermitian, kron, pauli_string)
+from gmewit.measurement import AXIS_VECTORS, measurement_fidelity, projectors
+from gmewit.states import ghz_state
+from gmewit.witnesses import born_probabilities
+
+NOT_HERMITIAN = np.array([[0, 1], [0, 0]], dtype=complex)
 
 
 def test_pauli_algebra():
@@ -29,34 +32,18 @@ def test_pauli_string():
     assert pauli_string("XZII").shape == (16, 16)
 
 
-def test_herm_eig_descending_and_residual():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    m = a + a.conj().T
-    evals, evecs = herm_eig(m)
-    assert np.all(np.diff(evals) <= 0)
-    assert abs(evals.sum() - np.trace(m).real) <= 1e-9
-    for k in range(8):
-        v = evecs[:, k]
-        assert np.linalg.norm(m @ v - evals[k] * v) <= 1e-9
-        rayleigh = np.vdot(v, m @ v).real
-        assert abs(rayleigh - evals[k]) <= 1e-9
-
-
-def test_herm_eig_max_only():
-    m = np.diag([3.0, -1.0, 2.0]).astype(complex)
-    top, vec = herm_eig(m, mode="max-only")
-    assert top == pytest.approx(3.0)
-    assert abs(abs(vec[0]) - 1.0) <= 1e-12
-    assert max_eigenvalue(m) == pytest.approx(3.0)
-    assert min_eigenvalue(m) == pytest.approx(-1.0)
-
-
-def test_herm_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-    with pytest.raises(ValueError):
-        herm_eig(np.eye(4, dtype=complex), mode="bogus")
+@pytest.mark.parametrize("call", [
+    pytest.param(projectors, id="projectors"),
+    pytest.param(lambda m: born_probabilities(ghz_state(2, +1), [[m], [m]]),
+                 id="born_probabilities"),
+    pytest.param(lambda m: measurement_fidelity(m, I2 - m, AXIS_VECTORS["Z"]),
+                 id="measurement_fidelity"),
+    pytest.param(lambda m: expectation(m, np.array([1, 0], dtype=complex)),
+                 id="expectation"),
+])
+def test_non_hermitian_input_rejected(call):
+    with pytest.raises(ValueError, match="Hermitian"):
+        call(NOT_HERMITIAN)
 
 
 def test_expectation_vector_and_density_matrix_agree():
@@ -73,7 +60,7 @@ def test_expectation_dimension_mismatch():
 
 def test_is_hermitian():
     assert is_hermitian(X)
-    assert not is_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+    assert not is_hermitian(NOT_HERMITIAN)
 
 
 def test_assert_state():
@@ -88,35 +75,3 @@ def test_assert_density_matrix():
     assert_density_matrix(np.eye(2, dtype=complex) / 2)
     with pytest.raises(ValueError):
         assert_density_matrix(np.diag([1.5, -0.5]).astype(complex))
-
-
-def test_partial_trace_product_state():
-    a = np.array([1, 1j], dtype=complex) / np.sqrt(2)
-    b = np.array([np.cos(0.3), np.sin(0.3)], dtype=complex)
-    c = np.array([1, 0], dtype=complex)
-    psi = kron(a.reshape(2, 1), b.reshape(2, 1), c.reshape(2, 1)).ravel()
-    rho = np.outer(psi, psi.conj())
-    reduced = partial_trace(rho, [0], 3)
-    assert np.max(np.abs(reduced - np.outer(a, a.conj()))) <= 1e-12
-    reduced_bc = partial_trace(rho, [1, 2], 3)
-    bc = np.kron(b, c)
-    assert np.max(np.abs(reduced_bc - np.outer(bc, bc.conj()))) <= 1e-12
-
-
-def test_partial_trace_purity_of_product_factor():
-    # Reduced state of the split-off qubit of a 1|234 product state is pure.
-    from gmewit.states import spoof_state
-    rho = np.outer(spoof_state(4), spoof_state(4).conj())
-    r1 = partial_trace(rho, [0], 4)
-    purity = np.trace(r1 @ r1).real
-    assert purity == pytest.approx(1.0, abs=1e-12)
-
-
-def test_partial_trace_preserves_trace():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    rho = a @ a.conj().T
-    rho /= np.trace(rho)
-    for keep in ([0], [1, 3], [0, 1, 2]):
-        red = partial_trace(rho, keep, 4)
-        assert np.trace(red).real == pytest.approx(1.0, abs=1e-12)

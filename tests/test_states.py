@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gmewit.linalg import expectation, pauli_string
-from gmewit.states import (NoiseModel, apply_noise, chi_state, cluster_state_4,
-                           ghz_state, spoof_state, w_state)
+from gmewit.states import (NoiseModel, apply_noise, cluster_state_4, ghz_state,
+                           spoof_state, w_state)
 
 
 def test_ghz_state_components():
@@ -45,12 +45,6 @@ def test_cluster_state_stabilizers():
     psi = cluster_state_4()
     for letters in ("XZII", "ZXZI", "IZXZ", "IIZX"):
         assert expectation(pauli_string(letters), psi) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_chi_state():
-    psi = chi_state(np.pi / 8)
-    assert psi[0] == pytest.approx(np.cos(np.pi / 8))
-    assert psi[1] == pytest.approx(np.sin(np.pi / 8))
 
 
 def test_noise_model_validation():
