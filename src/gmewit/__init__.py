@@ -11,10 +11,9 @@ from .states import (NoiseModel, apply_noise, cluster_state_4, ghz_state,
 from .measurement import (CountTable, ImprecisionBudget, WaveplateErrorSpec,
                           fidelity_from_counts, measurement_fidelity,
                           waveplate_povm)
-from .witnesses import (CorrelatorRecord, WitnessSpec, born_probabilities,
-                        cluster_witness_c4, eval_from_correlators, inm_value,
-                        mermin_recursive, mermin_witness, stabilizer_witness,
-                        w_witness_d3)
+from .witnesses import (CorrelatorRecord, WitnessSpec, cluster_witness_c4,
+                        eval_from_correlators, inm_value, mermin_witness,
+                        stabilizer_witness, w_witness_d3)
 from .bounds import (BoundResult, PartitionSpec, bisep_brute_force,
                      cluster_witness_bounds, mermin_bisep_bound,
                      mermin_di_bound, multi_qubit_partition_bound,

@@ -12,6 +12,7 @@ from scipy.optimize import minimize_scalar
 from .linalg import assert_hermitian
 from .measurement import ImprecisionBudget, q_of, u_of
 from .states import spoof_state
+from .tolerances import tol
 from .witnesses import (C4_TERMS, D3_TERMS, WitnessSpec, assemble, bloch_table,
                         mermin_witness, stabilizer_terms)
 
@@ -130,31 +131,39 @@ def _reduced_sweep(terms, offset, n, eps, theta_grid):
     bloch = bloch_table("stabilizer", n, ImprecisionBudget.uniform(eps, n))
     ops = _reduced_operators(terms, offset, bloch[1:])
     # Real combinations of Hermitian operators stay Hermitian: check once per row.
+    # X/Z letters tilted in the X–Z plane make them real, and a real θ stack
+    # halves the grid's memory and eigensolver time.
     for op in ops.values():
         assert_hermitian(op)
+    ops = {a: op.real for a, op in ops.items()}
     q, u = q_of(eps), u_of(eps)
 
-    def top(theta):
+    def reduced(theta):
         alpha = u * np.cos(2 * theta) + q * np.sin(2 * theta)
         beta = q * np.cos(2 * theta) + u * np.sin(2 * theta)
-        return np.linalg.eigvalsh(alpha * ops["X"] + beta * ops["Z"] + ops["I"])[-1]
+        stack = np.multiply.outer(alpha, ops["X"])
+        stack += np.multiply.outer(beta, ops["Z"])
+        stack += ops["I"]
+        return stack
 
     thetas = np.linspace(0, np.pi, theta_grid, endpoint=False)
-    best = thetas[int(np.argmax([top(t) for t in thetas]))]
+    best = thetas[int(np.argmax(np.linalg.eigvalsh(reduced(thetas))[:, -1]))]
     step = np.pi / theta_grid
-    res = minimize_scalar(lambda t: -top(t), bounds=(best - step, best + step),
+    res = minimize_scalar(lambda t: -np.linalg.eigvalsh(reduced(t))[-1],
+                          bounds=(best - step, best + step),
                           method="bounded", options={"xatol": 1e-10})
     return float(-res.fun), float(res.x)
 
 
 def _at_least_single_party(numeric: BoundResult, single: BoundResult) -> BoundResult:
     """The larger of the numeric θ-sweep bound and the single-party closed
-    form.  Tilting party 1 alone is within every budget, so a sweep value
-    below the closed form would under-report the biseparable maximum."""
-    if single.value <= numeric.value:
+    form, which is within every budget (only party 1 is tilted), so the sweep
+    must not report less.  ``regime`` names the sweep only where it beats the
+    closed form by more than ``tol("regime_tie")``; a tie is the closed form's."""
+    if numeric.value - single.value > tol("regime_tie"):
         return numeric
     return BoundResult(numeric.witness, numeric.n, numeric.eps, numeric.bound_kind,
-                       single.value, "single-party-closed-form",
+                       max(numeric.value, single.value), "single-party-closed-form",
                        saturating_theta=single.saturating_theta)
 
 
@@ -167,10 +176,9 @@ def stabilizer_bisep_bound_numeric(n: int, eps: float, theta_grid: int = 721) ->
     if n not in (3, 4):
         raise ValueError("the numeric sweep covers n = 3, 4 only")
     _check_eps(eps)
-    if eps == 0.0:
-        return BoundResult(f"stabilizer{n}", n, 0.0, "biseparable",
-                           float(2 ** (n - 1) - 1), "closed-form")
-    value, theta = _reduced_sweep(stabilizer_terms(n), -1.0, n, eps, theta_grid)
+    # At ε = 0 the sweep's maximum is the ideal value 2^{n−1} − 1: take it exactly.
+    value, theta = ((float(2 ** (n - 1) - 1), None) if eps == 0.0
+                    else _reduced_sweep(stabilizer_terms(n), -1.0, n, eps, theta_grid))
     numeric = BoundResult(f"stabilizer{n}", n, eps, "biseparable", value,
                           "numeric-theta-sweep", saturating_theta=theta)
     if eps > EPS_STAR:

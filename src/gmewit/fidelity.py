@@ -3,9 +3,11 @@ L0 and the imprecision-corrected numeric bound L_ε."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.optimize import brentq, minimize
 
 from .linalg import expectation
@@ -62,47 +64,51 @@ class FidelityBoundQuery:
 #: then returned, a finite and still valid bound.
 LAMBDA_CAP = 16.0
 
+#: Half-width of a warm-started λ bracket (λ* moves ~5e-4 per Nelder–Mead step).
+_WARM_STEP = 1e-3
 
-def _lower_bound_fixed(w_matrix: np.ndarray, p_ghz: np.ndarray, w: float) -> float:
-    """Exact fidelity lower bound for a fixed tilted witness matrix.
+
+def _lower_bound_fixed(w_matrix: np.ndarray, p_ghz: np.ndarray, w: float,
+                       start: float | None = None) -> tuple[float, float]:
+    """Exact fidelity lower bound for a fixed tilted witness matrix, and λ*.
 
     L(w) = max_λ g(λ), g(λ) = λ_min(P_ghz − λ·W_ε) + λ·w, the Lagrange dual of
     min ⟨ghz|ρ|ghz⟩ subject to tr(W_ε ρ) = w; by weak duality every g(λ) is a
     lower bound.  g is concave with supergradient g′(λ) = w − ⟨v_λ|W_ε|v_λ⟩
     (Hellmann–Feynman, v_λ a ground vector of P_ghz − λ·W_ε), so λ* is the
     sign change of a non-increasing function: bracket it by doubling out from
-    ±1 and find it with Brent's method, which also converges at kinks.
+    ``start`` (the λ* of a nearby tilt) or, without one, from ±1, and find it
+    with Brent's method, which also converges at kinks.  Each λ costs one
+    ground-pair eigensolve, shared by g and g′.
     """
-    def slope(lam):
-        v = np.linalg.eigh(p_ghz - lam * w_matrix)[1][:, 0]
-        return w - float(np.real(np.vdot(v, w_matrix @ v)))
+    @functools.cache
+    def dual(lam):
+        val, vec = eigh(p_ghz - lam * w_matrix, subset_by_index=[0, 0])
+        return val[0] + lam * w, w - float(np.real(np.vdot(vec, w_matrix @ vec)))
 
-    lam = _dual_argmax(slope)
+    origin, step = (0.0, 1.0) if start is None else (start, _WARM_STEP)
+    lam = _dual_argmax(lambda lam: dual(lam)[1], origin, step)
     # g(0) = λ_min(P_ghz) = 0 exactly: the kink at λ = 0, where brentq stops
     # only within xtol, needs no eigensolve.
-    return max(float(np.linalg.eigvalsh(p_ghz - lam * w_matrix)[0] + lam * w), 0.0)
+    return max(float(dual(lam)[0]), 0.0), lam
 
 
-def _dual_argmax(slope) -> float:
+def _dual_argmax(slope, start: float, step: float) -> float:
     """Sign change of the non-increasing ``slope`` on [−LAMBDA_CAP, LAMBDA_CAP],
-    or the end of that interval it points to."""
-    known = {}
-
-    def cached(lam):
-        if lam not in known:
-            known[lam] = slope(lam)
-        return known[lam]
-
-    lo, hi = -1.0, 1.0
-    while cached(hi) > 0:           # sign change above hi
+    or the end of that interval it points to.  The bracket starts at
+    start ± step and its outer end moves to start ± 2·step, ± 4·step, …"""
+    lo, hi = max(start - step, -LAMBDA_CAP), min(start + step, LAMBDA_CAP)
+    while slope(hi) > 0:            # sign change above hi
         if hi >= LAMBDA_CAP:
             return hi
-        lo, hi = hi, 2 * hi
-    while cached(lo) < 0:           # sign change below lo
+        step *= 2
+        lo, hi = hi, min(start + step, LAMBDA_CAP)
+    while slope(lo) < 0:            # sign change below lo
         if lo <= -LAMBDA_CAP:
             return lo
-        lo, hi = 2 * lo, lo
-    return brentq(cached, lo, hi, xtol=1e-12)
+        step *= 2
+        lo, hi = max(start - step, -LAMBDA_CAP), lo
+    return brentq(slope, lo, hi, xtol=1e-12)
 
 
 def _tilt_table(bases: str, budget: ImprecisionBudget, omegas: np.ndarray):
@@ -112,12 +118,11 @@ def _tilt_table(bases: str, budget: ImprecisionBudget, omegas: np.ndarray):
     perpendicular to the intended axis: d = cos ω·e₁ + sin ω·e₂.
     """
     table = []
-    for j in range(omegas.shape[0]):
+    for j, row_omegas in enumerate(omegas):
         row = {}
-        for k, b in enumerate(bases):
+        for b, omega in zip(bases, row_omegas):
             e1, e2 = (AXIS_VECTORS[a] for a in _PERP[b])
-            row[b] = tilt_vector(b, budget.eps(j, b),
-                                 np.cos(omegas[j, k]) * e1 + np.sin(omegas[j, k]) * e2)
+            row[b] = tilt_vector(b, budget.eps(j, b), np.cos(omega) * e1 + np.sin(omega) * e2)
         table.append(row)
     return table
 
@@ -126,10 +131,12 @@ def numeric_l_eps(query: FidelityBoundQuery) -> float:
     """Smallest GHZ fidelity compatible with the observed witness value.
 
     Inner step: the exact λ-dual of ``_lower_bound_fixed``, a valid lower
-    bound for each tilt configuration it is given.  Outer step: Nelder–Mead
-    over the continuous perpendicular tilt directions of every party/basis,
-    with random restarts.  The outer minimum is a heuristic: a local minimum
-    reports a value that is too high, the unsafe side for a certificate.
+    bound for each tilt configuration it is given, its λ bracket warm-started
+    at the previous evaluation's λ* (a cheaper search, the same value).
+    Outer step: Nelder–Mead over the continuous perpendicular tilt directions
+    of every party/basis, with random restarts.  The outer minimum is a
+    heuristic: a local minimum reports a value that is too high, the unsafe
+    side for a certificate.
     """
     spec: WitnessSpec = BUILDERS[query.witness]()
     bases = TILT_BASES[query.witness]
@@ -137,12 +144,15 @@ def numeric_l_eps(query: FidelityBoundQuery) -> float:
     p_ghz = np.outer(ghz, ghz.conj())
     w = query.observed_value
     if query.budget.is_ideal():
-        return _lower_bound_fixed(spec.matrix, p_ghz, w)
+        return _lower_bound_fixed(spec.matrix, p_ghz, w)[0]
+    lam = None
 
     def objective(x):
+        nonlocal lam
         omegas = x.reshape(4, len(bases))
         mat = assemble(spec.terms, spec.constant_offset, _tilt_table(bases, query.budget, omegas))
-        return _lower_bound_fixed(mat, p_ghz, w)
+        value, lam = _lower_bound_fixed(mat, p_ghz, w, lam)
+        return value
 
     rng = np.random.default_rng(query.seed)
     best = np.inf

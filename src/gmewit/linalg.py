@@ -40,11 +40,6 @@ def bloch_observable(v) -> np.ndarray:
     return np.array([[v[2], v[0] - 1j * v[1]], [v[0] + 1j * v[1], -v[2]]], dtype=complex)
 
 
-def pauli_string(letters: str) -> np.ndarray:
-    """Tensor product of single-qubit Paulis, e.g. ``"XZII"``."""
-    return kron(*(PAULI[c] for c in letters))
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------

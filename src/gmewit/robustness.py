@@ -96,20 +96,6 @@ def threshold_visibility(query: ThresholdQuery) -> float:
 # Closed-form thresholds (Appendix-E style)
 # ---------------------------------------------------------------------------
 
-def best_case_threshold_closed_form(witness: str, noise_kind: str, bound: float) -> float:
-    """Best-case (exact measurements) threshold closed forms.
-
-    White noise: p = bound/8 (Mermin), bound/11 (stabilizer).  Dephasing:
-    p = (bound+8)/16 (Mermin; the printed (bound−8)/16 is an erratum — the
-    witness value on the dephased state is 16p−8) and p = (bound−3)/8.
-    """
-    if noise_kind == "depolarizing":
-        return bound / 8.0 if witness == "mermin4" else bound / 11.0
-    if witness == "mermin4":
-        return (bound + 8.0) / 16.0
-    return (bound - 3.0) / 8.0
-
-
 def worst_case_thresholds(witness: str, eps: float, noise_kind: str,
                           bound: float | None = None) -> dict:
     """Worst-case-tilted threshold: printed closed form plus the direct oracle.

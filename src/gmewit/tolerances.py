@@ -12,6 +12,7 @@ _TOLERANCES = {
     "expectation_imag": 1e-10,
     "povm_completeness": 1e-10,
     "prob_norm": 1e-9,
+    "regime_tie": 1e-12,
 }
 
 

@@ -4,14 +4,15 @@ I_nm probability tables."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULI, bloch_observable, kron
-from .measurement import AXIS_VECTORS, ImprecisionBudget, projectors, tilt_vector
+from .linalg import PAULI
+from .measurement import AXIS_VECTORS, ImprecisionBudget, tilt_vector
 from .tolerances import tol
 
 #: In-plane tilt partner for each witness family.
@@ -71,18 +72,48 @@ def bloch_table(family: str, n: int, budget: ImprecisionBudget | None):
              for letter, partner in plane.items()} for party in range(n)]
 
 
+#: Pauli letters in the order of the coefficient tensor's axes.
+LETTERS = "IXYZ"
+
+
+@functools.cache
+def _pauli_basis(n: int) -> np.ndarray:
+    """Read-only (4ⁿ, 4ⁿ) table: row b is the flattened Pauli string whose
+    letters are the base-4 ``LETTERS`` digits of b."""
+    paulis = np.stack([PAULI[c] for c in LETTERS])
+    table = np.ones((1, 1, 1), dtype=complex)
+    for k in range(1, n + 1):
+        table = np.einsum("bij,ckl->bcikjl", table, paulis).reshape(4 ** k, 2 ** k, 2 ** k)
+    table.flags.writeable = False
+    return table.reshape(4 ** n, 4 ** n)
+
+
 def assemble(terms, offset: float, bloch) -> np.ndarray:
     """offset·𝟙 + Σ c·⊗ⱼ(nⱼ·σ) over the (coefficient, letters) terms.
 
     ``bloch[j]`` maps a letter to party j's real 3-vector n; a letter absent
-    from it is the exact Pauli, and ``I`` is the identity.
+    from it is the exact Pauli, and ``I`` is the identity.  The terms form a
+    real coefficient tensor over {I,X,Y,Z}ⁿ.  Contracting each party's 4×4
+    letter map (identity rows; a tilted letter's row is (0, n)) into it
+    rewrites it in exact Paulis, which the cached Pauli tables of parties
+    1..⌊n/2⌋ and of the rest then expand.
     """
-    obs = [{**PAULI, **{letter: bloch_observable(v) for letter, v in row.items()}}
-           for row in bloch]
-    mat = offset * np.eye(2 ** len(obs), dtype=complex)
-    for coeff, letters in terms:
-        mat += coeff * kron(*(obs[j][c] for j, c in enumerate(letters)))
-    return mat
+    n = len(bloch)
+    coeffs = np.zeros((4,) * n)
+    coeffs[(0,) * n] = offset
+    for c, letters in terms:
+        coeffs[tuple(map(LETTERS.index, letters))] += c
+    for row in bloch:
+        letter_map = np.eye(4)
+        for letter, v in row.items():
+            letter_map[LETTERS.index(letter)] = (0.0, *v)
+        # Contract the leading party axis; its image becomes the last axis.
+        coeffs = coeffs.reshape(4, -1).T @ letter_map
+    k = n // 2
+    a, b = 2 ** k, 2 ** (n - k)
+    # Rows: the (r, c) entry of parties 1..k; columns: that of parties k+1..n.
+    mat = _pauli_basis(k).T @ coeffs.reshape(a * a, b * b) @ _pauli_basis(n - k)
+    return mat.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(a * b, a * b)
 
 
 def _make_spec(name, family, n, terms, offset, budget) -> WitnessSpec:
@@ -113,26 +144,6 @@ def mermin_witness(n: int, budget: ImprecisionBudget | None = None) -> WitnessSp
     if n < 2:
         raise ValueError("n must be at least 2")
     return _make_spec(f"mermin{n}", "mermin", n, mermin_terms(n), 0.0, budget)
-
-
-def mermin_recursive(n: int, observables) -> tuple[np.ndarray, np.ndarray]:
-    """Recursive Mermin pair: M_k = M_{k−1}⊗A₀ − N_{k−1}⊗A₁ and
-    N_k = M_{k−1}⊗A₁ + N_{k−1}⊗A₀.
-
-    ``observables`` is a per-party list of (A₀, A₁) 2×2 Hermitian pairs;
-    with A₀ = X, A₁ = Y the first output equals the Eq.-style assembly.
-    """
-    if len(observables) != n:
-        raise ValueError("need one (A0, A1) pair per party")
-    for a0, a1 in observables:
-        for obs in (a0, a1):
-            evs = np.linalg.eigvalsh(obs)
-            if evs.min() < -1 - 1e-9 or evs.max() > 1 + 1e-9:
-                raise ValueError("observable eigenvalues must lie in [−1, 1]")
-    m, nn = observables[0]
-    for a0, a1 in observables[1:]:
-        m, nn = np.kron(m, a0) - np.kron(nn, a1), np.kron(m, a1) + np.kron(nn, a0)
-    return m, nn
 
 
 # ---------------------------------------------------------------------------
@@ -265,20 +276,3 @@ def inm_value(n: int, m: int, probabilities: np.ndarray) -> float:
         total += inm_sign(s, m) * e
     return float(total)
 
-
-def born_probabilities(state: np.ndarray, settings) -> np.ndarray:
-    """P(r⃗|s⃗) table for per-party dichotomic observables via the Born rule.
-
-    ``settings`` is a per-party list of m 2×2 Hermitian observables; outcome
-    bit 0 maps to the +1 eigenprojector.  Non-Hermitian settings raise.
-    """
-    n = len(settings)
-    m = len(settings[0])
-    projs = [[projectors(obs) for obs in party_obs] for party_obs in settings]
-    rho = np.outer(state, state.conj()) if state.ndim == 1 else state
-    table = np.zeros((m,) * n + (2,) * n)
-    for svec in itertools.product(range(m), repeat=n):
-        for rvec in itertools.product(range(2), repeat=n):
-            op = kron(*(projs[p][svec[p]][rvec[p]] for p in range(n)))
-            table[svec + rvec] = np.trace(op @ rho).real
-    return table

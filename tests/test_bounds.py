@@ -11,7 +11,7 @@ from gmewit.bounds import (EPS_STAR, PartitionSpec, all_bipartitions,
 from gmewit.linalg import expectation
 from gmewit.measurement import ImprecisionBudget
 from gmewit.states import spoof_state
-from gmewit.witnesses import mermin_witness, stabilizer_witness
+from gmewit.witnesses import cluster_witness_c4, mermin_witness, stabilizer_witness
 
 
 def test_mermin_bisep_closed_form_endpoints():
@@ -85,6 +85,27 @@ def test_bisep_regime_names_the_returned_value():
     assert low["biseparable"].regime == "single-party-closed-form"
     assert low["biseparable"].value == low["single_party"].value
     assert cluster_witness_bounds(0.1)["biseparable"].regime == "numeric-theta-sweep"
+
+
+def test_bisep_regime_tie_is_the_closed_form():
+    # At ε = 0 the θ-sweep and the single-party closed form are both exactly
+    # the ideal biseparable value; rounding must not decide the label.
+    for result, exact in ((cluster_witness_bounds(0.0)["biseparable"], 4.0),
+                          (stabilizer_bisep_bound_numeric(4, 0.0), 7.0)):
+        assert result.regime == "single-party-closed-form"
+        assert result.value == pytest.approx(exact, abs=1e-12)
+        assert result.value >= exact
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="C4 2|2 excess, README Known discrepancies")
+def test_cluster_bisep_bound_covers_the_2v2_cut():
+    # The C4 bound sweeps only the cut that splits off party 1; product
+    # states on {0,1}|{2,3} exceed it (5.38761 against 5.38231 at ε = 0.06).
+    eps = 0.06
+    spec = cluster_witness_c4(ImprecisionBudget.uniform(eps, 4))
+    found = bisep_brute_force(spec, PartitionSpec((0, 1), (2, 3)))
+    assert cluster_witness_bounds(eps)["biseparable"].value >= found - 1e-9
 
 
 def test_stabilizer_numeric_endpoints():

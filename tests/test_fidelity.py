@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from gmewit import fidelity
+from gmewit.acceptance import REFERENCE_BUDGET
 from gmewit.fidelity import (LAMBDA_CAP, TILT_BASES, FidelityBoundQuery, _lower_bound_fixed,
                              _tilt_table, closed_form_l0, fidelity_curve,
                              ghz_fidelity, numeric_l_eps)
@@ -107,7 +110,7 @@ def test_exact_dual_matches_grid_scan_oracle(case):
     lo, hi = np.linalg.eigvalsh(mat)[[0, -1]]
     w = lo + (0.01 + 0.98 * t) * (hi - lo)
     oracle = _grid_scan_lower_bound(mat, P_GHZ, w)
-    assert oracle - 1e-12 <= _lower_bound_fixed(mat, P_GHZ, w) <= oracle + 1e-8
+    assert oracle - 1e-12 <= _lower_bound_fixed(mat, P_GHZ, w)[0] <= oracle + 1e-8
 
 
 def test_exact_dual_infeasible_value_is_capped():
@@ -116,7 +119,37 @@ def test_exact_dual_infeasible_value_is_capped():
     mat = _tilted_witness("stabilizer4", 0.01, np.full((4, 2), 0.3))
     w = np.linalg.eigvalsh(mat)[-1] + 0.5
     at_cap = np.linalg.eigvalsh(P_GHZ - LAMBDA_CAP * mat)[0] + LAMBDA_CAP * w
-    assert _lower_bound_fixed(mat, P_GHZ, w) == pytest.approx(at_cap, abs=1e-12)
+    assert _lower_bound_fixed(mat, P_GHZ, w)[0] == pytest.approx(at_cap, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tilts, st.floats(-LAMBDA_CAP, LAMBDA_CAP), st.sampled_from(("inside", "above")))
+def test_warm_started_dual_equals_cold_start(case, start, where):
+    # The bracket is sign-checked, so the start changes only the search
+    # path.  w above λ_max(W_ε) is the capped case.
+    witness, log_eps, omegas, t = case
+    mat = _tilted_witness(witness, 10 ** log_eps, np.reshape(omegas, (4, 2)))
+    lo, hi = np.linalg.eigvalsh(mat)[[0, -1]]
+    w = lo + (0.01 + 0.98 * t) * (hi - lo) if where == "inside" else hi + 0.5
+    cold = _lower_bound_fixed(mat, P_GHZ, w)[0]
+    assert _lower_bound_fixed(mat, P_GHZ, w, start)[0] == pytest.approx(cold, abs=1e-12)
+
+
+def test_tilt_evaluation_eigensolve_budget(monkeypatch):
+    # One restart is at most 400 tilt evaluations; each needs at most 11
+    # eigensolves.  Every eigensolver the fidelity layer can reach is counted.
+    calls = []
+
+    def counted(fn):
+        return lambda *args, **kwargs: calls.append(1) or fn(*args, **kwargs)
+
+    for owner in (np.linalg, scipy.linalg):
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
+    monkeypatch.setattr(fidelity, "eigh", counted(fidelity.eigh))
+    query = FidelityBoundQuery("mermin4", 7.4665, REFERENCE_BUDGET, tilt_restarts=1, seed=0)
+    numeric_l_eps(query)
+    assert 0 < len(calls) <= 11 * 400
 
 
 @settings(max_examples=40, deadline=None)
@@ -129,7 +162,7 @@ def test_exact_dual_sound_for_tilted_witness(case, state_seed):
     rng = np.random.default_rng(state_seed)
     v = rng.normal(size=16) + 1j * rng.normal(size=16)
     v /= np.linalg.norm(v)
-    assert ghz_fidelity(v) >= _lower_bound_fixed(mat, P_GHZ, expectation(mat, v)) - 1e-10
+    assert ghz_fidelity(v) >= _lower_bound_fixed(mat, P_GHZ, expectation(mat, v))[0] - 1e-10
 
 
 def test_l_eps_never_exceeds_l0():

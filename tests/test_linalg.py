@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from gmewit.linalg import (I2, X, Y, Z, assert_density_matrix, assert_state,
-                           expectation, is_hermitian, kron, pauli_string)
+                           expectation, is_hermitian, kron)
 from gmewit.measurement import AXIS_VECTORS, measurement_fidelity, projectors
 from gmewit.states import ghz_state
-from gmewit.witnesses import born_probabilities
+from oracles import born_probabilities, pauli_string
 
 NOT_HERMITIAN = np.array([[0, 1], [0, 0]], dtype=complex)
 

@@ -3,10 +3,11 @@ import pytest
 
 from gmewit.bounds import mermin_bisep_bound, stabilizer_bisep_bound_numeric
 from gmewit.robustness import (DEFAULT_I43_BISEP_BOUND, I43_QUANTUM, ThresholdQuery,
-                               best_case_threshold_closed_form, di_thresholds,
-                               i43_ghz_value, max_i43, noisy_witness_value,
-                               normalize_witness_value, robustness_sweep,
-                               threshold_visibility, worst_case_thresholds)
+                               di_thresholds, i43_ghz_value, max_i43,
+                               noisy_witness_value, normalize_witness_value,
+                               robustness_sweep, threshold_visibility,
+                               worst_case_thresholds)
+from oracles import best_case_threshold_closed_form
 
 
 def test_noisy_witness_affine_in_p():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from gmewit.linalg import expectation, pauli_string
+from gmewit.linalg import expectation
 from gmewit.states import (NoiseModel, apply_noise, cluster_state_4, ghz_state,
                            spoof_state, w_state)
+from oracles import pauli_string
 
 
 def test_ghz_state_components():

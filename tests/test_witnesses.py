@@ -7,15 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmewit import fixture_path
-from gmewit.linalg import PAULI, expectation, pauli_string
+from gmewit.linalg import PAULI, expectation
 from gmewit.measurement import ImprecisionBudget
 from gmewit.states import cluster_state_4, ghz_state, w_state
 from gmewit.witnesses import (BUILDERS, CorrelatorRecord, assemble,
-                              born_probabilities, cluster_witness_c4, eval_from_correlators,
-                              inm_value, load_correlator_fixture,
-                              mermin_recursive, mermin_terms, mermin_witness,
-                              stabilizer_terms, stabilizer_witness,
+                              cluster_witness_c4, eval_from_correlators,
+                              inm_value, load_correlator_fixture, mermin_terms,
+                              mermin_witness, stabilizer_terms, stabilizer_witness,
                               w_witness_d3)
+from oracles import born_probabilities, mermin_recursive, pauli_string
 
 
 def test_mermin_terms_structure():
@@ -220,3 +220,17 @@ def test_assemble_equals_explicit_kron_sum(case):
         expected = expected + coeff * reduce(
             np.kron, [explicit_2x2(row, c) for row, c in zip(table, letters)])
     assert np.allclose(assemble(terms, offset, table), expected, rtol=0, atol=1e-12)
+
+
+def test_assemble_makes_no_kron_calls_after_first_build(monkeypatch):
+    # The Pauli tables are built once per size; a witness matrix is then a
+    # tensor contraction, without a Kronecker product.
+    budget = ImprecisionBudget.uniform(0.01, 4)
+    for build in BUILDERS.values():
+        build(budget)
+    calls = []
+    kron = np.kron
+    monkeypatch.setattr(np, "kron", lambda *args: calls.append(1) or kron(*args))
+    for build in BUILDERS.values():
+        build(budget)
+    assert calls == []
