@@ -13,6 +13,7 @@ _TOLERANCES = {
     "povm_completeness": 1e-10,
     "prob_norm": 1e-9,
     "regime_tie": 1e-12,
+    "dual_kink": 1e-15,
 }
 
 

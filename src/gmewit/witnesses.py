@@ -88,32 +88,90 @@ def _pauli_basis(n: int) -> np.ndarray:
     return table.reshape(4 ** n, 4 ** n)
 
 
+def coefficient_tensor(terms, offset: float, n: int) -> np.ndarray:
+    """Real tensor over {I,X,Y,Z}ⁿ (axes in ``LETTERS`` order) of
+    offset·𝟙 + Σ c·(Pauli string) over the (coefficient, letters) terms."""
+    coeffs = np.zeros((4,) * n)
+    coeffs[(0,) * n] = offset
+    for c, letters in terms:
+        coeffs[tuple(map(LETTERS.index, letters))] += c
+    return coeffs
+
+
+def _contract(coeffs: np.ndarray, maps, skip: int = -1) -> np.ndarray:
+    """Map each party's letter axis through its letter map (party ``skip``
+    keeps its own), one leading axis at a time; each image becomes the last
+    axis, so the axes end in their original order."""
+    for j, letter_map in enumerate(maps):
+        coeffs = coeffs.reshape(4, -1).T
+        if j != skip:
+            coeffs = coeffs @ letter_map
+    return coeffs.reshape((4,) * len(maps))
+
+
+def _halves(n: int) -> tuple[int, int, int]:
+    """Parties 1..k and k+1..n of the Pauli expansion, and their dimensions."""
+    k = n // 2
+    return k, 2 ** k, 2 ** (n - k)
+
+
+def expand(coeffs: np.ndarray, maps) -> np.ndarray:
+    """The matrix Σ_a C[a]·⊗ⱼ(Σ_b Mⱼ[aⱼ, b]·σ_b) of a coefficient tensor C
+    under per-party letter maps M.
+
+    After the contraction the tensor is in exact Paulis, which the cached
+    Pauli tables of parties 1..⌊n/2⌋ and of the rest then expand.
+    """
+    n = len(maps)
+    k, a, b = _halves(n)
+    # Rows: the (r, c) entry of parties 1..k; columns: that of parties k+1..n.
+    mat = _pauli_basis(k).T @ _contract(coeffs, maps).reshape(a * a, b * b) @ _pauli_basis(n - k)
+    return mat.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(a * b, a * b)
+
+
+def pauli_expectations(factor: np.ndarray, n: int) -> np.ndarray:
+    """tr(ρ·P_b) for ρ = F·F† and every Pauli string b, as a tensor over
+    {I,X,Y,Z}ⁿ: the adjoint of ``expand``'s Pauli expansion, through the same
+    two half-size tables."""
+    k, a, b = _halves(n)
+    rho_t = factor.conj() @ factor.T
+    # tr(ρ·A⊗B) = Σ A[r, c]·B[r′, c′]·ρ[(c, c′), (r, r′)], with A on parties
+    # 1..k and B on the rest: r holds ρ[(c, c′), (r, r′)] at ((r, c), (r′, c′)).
+    r = rho_t.reshape(a, b, a, b).transpose(0, 2, 1, 3).reshape(a * a, b * b)
+    return (_pauli_basis(k) @ r @ _pauli_basis(n - k).T).real.reshape((4,) * n)
+
+
+def letter_map_gradients(coeffs: np.ndarray, maps, expect: np.ndarray) -> np.ndarray:
+    """∂tr(ρ·W)/∂Mⱼ for W = ``expand(coeffs, maps)`` and every party j, with
+    ``expect`` the Pauli expectations of ρ: an (n, 4, 4) array.
+
+    W is linear in each letter map, so entry (j, a, b) contracts the
+    coefficient tensor with every other party's map and with E, leaving
+    party j's letter a against Pauli b.
+    """
+    n = len(maps)
+    grads = np.empty((n, 4, 4))
+    for j in range(n):
+        lead = (j, *range(j), *range(j + 1, n))      # party j's axis first
+        partial = _contract(coeffs, maps, skip=j).transpose(lead).reshape(4, -1)
+        grads[j] = partial @ expect.transpose(lead).reshape(4, -1).T
+    return grads
+
+
 def assemble(terms, offset: float, bloch) -> np.ndarray:
     """offset·𝟙 + Σ c·⊗ⱼ(nⱼ·σ) over the (coefficient, letters) terms.
 
     ``bloch[j]`` maps a letter to party j's real 3-vector n; a letter absent
     from it is the exact Pauli, and ``I`` is the identity.  The terms form a
-    real coefficient tensor over {I,X,Y,Z}ⁿ.  Contracting each party's 4×4
-    letter map (identity rows; a tilted letter's row is (0, n)) into it
-    rewrites it in exact Paulis, which the cached Pauli tables of parties
-    1..⌊n/2⌋ and of the rest then expand.
+    real coefficient tensor over {I,X,Y,Z}ⁿ, expanded under each party's
+    letter map: identity rows, except that a letter in ``bloch[j]`` has
+    row (0, n).
     """
-    n = len(bloch)
-    coeffs = np.zeros((4,) * n)
-    coeffs[(0,) * n] = offset
-    for c, letters in terms:
-        coeffs[tuple(map(LETTERS.index, letters))] += c
-    for row in bloch:
-        letter_map = np.eye(4)
+    maps = np.tile(np.eye(4), (len(bloch), 1, 1))
+    for j, row in enumerate(bloch):
         for letter, v in row.items():
-            letter_map[LETTERS.index(letter)] = (0.0, *v)
-        # Contract the leading party axis; its image becomes the last axis.
-        coeffs = coeffs.reshape(4, -1).T @ letter_map
-    k = n // 2
-    a, b = 2 ** k, 2 ** (n - k)
-    # Rows: the (r, c) entry of parties 1..k; columns: that of parties k+1..n.
-    mat = _pauli_basis(k).T @ coeffs.reshape(a * a, b * b) @ _pauli_basis(n - k)
-    return mat.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(a * b, a * b)
+            maps[j, LETTERS.index(letter)] = (0.0, *v)
+    return expand(coefficient_tensor(terms, offset, len(bloch)), maps)
 
 
 def _make_spec(name, family, n, terms, offset, budget) -> WitnessSpec:

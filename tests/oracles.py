@@ -1,15 +1,19 @@
 """Reference constructions used only by the tests: explicit Pauli strings,
-the recursive Mermin pair, Born-rule probability tables and the best-case
-visibility-threshold closed forms."""
+the recursive Mermin pair, Born-rule probability tables, the best-case
+visibility-threshold closed forms and the earlier Nelder–Mead L_ε search."""
 
 from __future__ import annotations
 
 import itertools
 
 import numpy as np
+from scipy.optimize import minimize
 
+from gmewit.fidelity import TILT_BASES, _lower_bound_fixed, _tilt_table
 from gmewit.linalg import PAULI, kron
 from gmewit.measurement import projectors
+from gmewit.states import ghz_state
+from gmewit.witnesses import BUILDERS, coefficient_tensor, expand
 
 
 def pauli_string(letters: str) -> np.ndarray:
@@ -67,3 +71,31 @@ def best_case_threshold_closed_form(witness: str, noise_kind: str, bound: float)
     if witness == "mermin4":
         return (bound + 8.0) / 16.0
     return (bound - 3.0) / 8.0
+
+
+def nelder_mead_l_eps(query) -> float:
+    """L_ε by the earlier outer search: Nelder–Mead (``maxfev`` 400) over the
+    tilt angles from the same seeded starts, on the same exact dual."""
+    spec = BUILDERS[query.witness]()
+    bases = TILT_BASES[query.witness]
+    ghz = ghz_state(4, +1)
+    p_ghz = np.outer(ghz, ghz.conj())
+    w = query.observed_value
+    coeffs = coefficient_tensor(spec.terms, spec.constant_offset, spec.n)
+    table = _tilt_table(bases, query.budget)
+    lam = None
+
+    def objective(x):
+        nonlocal lam
+        maps, _ = table(x.reshape(4, len(bases)))
+        value, lam, _ = _lower_bound_fixed(expand(coeffs, maps), p_ghz, w, lam)
+        return value
+
+    rng = np.random.default_rng(query.seed)
+    best = np.inf
+    for _ in range(query.tilt_restarts):
+        x0 = rng.uniform(0, 2 * np.pi, 4 * len(bases))
+        res = minimize(objective, x0, method="Nelder-Mead",
+                       options={"maxfev": 400, "xatol": 1e-3, "fatol": 1e-6})
+        best = min(best, float(res.fun))
+    return best

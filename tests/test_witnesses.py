@@ -11,10 +11,10 @@ from gmewit.linalg import PAULI, expectation
 from gmewit.measurement import ImprecisionBudget
 from gmewit.states import cluster_state_4, ghz_state, w_state
 from gmewit.witnesses import (BUILDERS, CorrelatorRecord, assemble,
-                              cluster_witness_c4, eval_from_correlators,
-                              inm_value, load_correlator_fixture, mermin_terms,
-                              mermin_witness, stabilizer_terms, stabilizer_witness,
-                              w_witness_d3)
+                              cluster_witness_c4, eval_from_correlators, expand,
+                              inm_value, letter_map_gradients, load_correlator_fixture,
+                              mermin_terms, mermin_witness, pauli_expectations,
+                              stabilizer_terms, stabilizer_witness, w_witness_d3)
 from oracles import born_probabilities, mermin_recursive, pauli_string
 
 
@@ -220,6 +220,20 @@ def test_assemble_equals_explicit_kron_sum(case):
         expected = expected + coeff * reduce(
             np.kron, [explicit_2x2(row, c) for row, c in zip(table, letters)])
     assert np.allclose(assemble(terms, offset, table), expected, rtol=0, atol=1e-12)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_letter_map_gradients_are_the_adjoint_of_expand(n, rank, seed):
+    # tr(ρ·W) is linear in each party's letter map, so contracting party
+    # j's gradient with its own map gives tr(ρ·W) back, for every j.
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(4,) * n)
+    maps = rng.normal(size=(n, 4, 4))
+    factor = rng.normal(size=(2 ** n, rank)) + 1j * rng.normal(size=(2 ** n, rank))
+    value = np.trace(factor.conj().T @ expand(coeffs, maps) @ factor).real
+    grads = letter_map_gradients(coeffs, maps, pauli_expectations(factor, n))
+    assert np.allclose(np.einsum("jab,jab->j", grads, maps), value, rtol=1e-12, atol=1e-10)
 
 
 def test_assemble_makes_no_kron_calls_after_first_build(monkeypatch):
