@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import fixture_path
 from .bounds import (EPS_STAR, all_bipartitions, bisep_brute_force,
@@ -18,7 +17,6 @@ from .bounds import (EPS_STAR, all_bipartitions, bisep_brute_force,
                      spoofing_curve, stabilizer_bisep_bound_numeric,
                      stabilizer_single_party_bound, cluster_witness_bounds,
                      w_witness_bounds)
-from .fidelity import FidelityBoundQuery, closed_form_l0, numeric_l_eps
 from .linalg import PAULI, expectation, kron
 from .measurement import (CountTable, ImprecisionBudget, WaveplateErrorSpec,
                           fidelity_from_counts, waveplate_povm)
@@ -160,6 +158,8 @@ def check_fixture_totals() -> list[CheckResult]:
 
 
 def check_fidelity_bounds(tilt_restarts: int = 8) -> list[CheckResult]:
+    # Imported here: the fidelity layer loads scipy, and only ``verify`` runs this check.
+    from .fidelity import FidelityBoundQuery, closed_form_l0, numeric_l_eps
     out = [_check("l0-stabilizer", 0.9396,
                   closed_form_l0("stabilizer4", 10.5168), 1e-12)]
     for witness, w, reference in (("mermin4", 7.4665, 0.866),
@@ -190,6 +190,7 @@ def check_robustness_thresholds() -> list[CheckResult]:
 
 
 def check_w_cluster_bounds() -> list[CheckResult]:
+    from scipy.optimize import brentq
     crossing = brentq(
         lambda e: w_witness_bounds(e)["biseparable"].value - 4.0, 1e-6, 0.05,
         xtol=1e-10)

@@ -7,7 +7,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .linalg import assert_hermitian
 from .measurement import ImprecisionBudget, q_of, u_of
@@ -128,6 +127,7 @@ def _reduced_sweep(terms, offset, n, eps, theta_grid):
     Party 1's tilted letter is replaced by its |χ(θ)⟩ expectation
     (α for X̃, β for Z̃); parties 2..n keep their tilted observables.
     """
+    from scipy.optimize import minimize_scalar   # scipy loads only where a sweep runs
     bloch = bloch_table("stabilizer", n, ImprecisionBudget.uniform(eps, n))
     ops = _reduced_operators(terms, offset, bloch[1:])
     # Real combinations of Hermitian operators stay Hermitian: check once per row.

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import sys
+from pathlib import Path
 
 import click
 import numpy as np
@@ -16,8 +17,6 @@ from .bounds import (cluster_witness_bounds, mermin_bisep_bound,
                      stabilizer_bisep_bound_numeric, stabilizer_fully_sep_bound,
                      stabilizer_quantum_bound, stabilizer_single_party_bound,
                      w_witness_bounds)
-from .fidelity import (FidelityBoundQuery, closed_form_l0, fidelity_curve,
-                       numeric_l_eps)
 from .linalg import expectation
 from .measurement import CountTable, ImprecisionBudget, fidelity_from_counts
 from .robustness import (ThresholdQuery, DEFAULT_I43_BISEP_BOUND,
@@ -74,6 +73,15 @@ def parse_noise(spec: str) -> NoiseModel:
         return NoiseModel(kind, float(p))
     except ValueError as exc:
         raise click.BadParameter("expected kind:p, e.g. dephasing:0.9") from exc
+
+
+def _input_path(name: str):
+    """``name`` if that file exists, else the bundled fixture of that name."""
+    here, bundled = Path(name), fixture_path(name)
+    for path in (here, bundled):
+        if path.is_file():
+            return path
+    raise FileNotFoundError(f"no file {here.resolve()} nor bundled fixture {bundled}")
 
 
 class _Main(click.Group):
@@ -179,8 +187,7 @@ STATES = {
 def witness(witness_name, state_name, noise, eps, fixture, out, output_format):
     """Witness expectation on a state or on measured correlators."""
     if fixture is not None:
-        path = fixture if "/" in fixture else fixture_path(fixture)
-        name, records = load_correlator_fixture(path)
+        name, records = load_correlator_fixture(_input_path(fixture))
         spec = BUILDERS[name]()
         value, std = eval_from_correlators(spec, records)
         rows = [{"witness": name, "source": str(fixture),
@@ -265,6 +272,9 @@ def robustness(witness_name, eps, noise_kind, case, i43_bound, p_grid, out,
 def fidelity(witness_name, observed, eps_x, eps_y, eps_z, restarts, curve, out,
              output_format, seed):
     """GHZ-fidelity lower bounds L0 and L_ε from a witness value."""
+    # Imported here: the fidelity layer loads scipy, which most commands never need.
+    from .fidelity import (FidelityBoundQuery, closed_form_l0, fidelity_curve,
+                           numeric_l_eps)
     if eps_x is None and eps_y is None and eps_z is None:
         budget = REFERENCE_BUDGET
     else:
@@ -291,8 +301,7 @@ def fidelity(witness_name, observed, eps_x, eps_y, eps_z, restarts, curve, out,
 @common_options
 def tomo(counts, out, output_format):
     """Detector-tomography fidelities from a coincidence count table."""
-    path = counts if "/" in counts else fixture_path(counts)
-    table = CountTable.from_csv(path)
+    table = CountTable.from_csv(_input_path(counts))
     fids = fidelity_from_counts(table)
     rows = [{"projector": label, "axis": d["axis"],
              "fidelity": d["symmetric"], "pass_fail": d["pass_fail"],

@@ -98,15 +98,16 @@ def coefficient_tensor(terms, offset: float, n: int) -> np.ndarray:
     return coeffs
 
 
-def _contract(coeffs: np.ndarray, maps, skip: int = -1) -> np.ndarray:
-    """Map each party's letter axis through its letter map (party ``skip``
-    keeps its own), one leading axis at a time; each image becomes the last
-    axis, so the axes end in their original order."""
-    for j, letter_map in enumerate(maps):
-        coeffs = coeffs.reshape(4, -1).T
-        if j != skip:
-            coeffs = coeffs @ letter_map
-    return coeffs.reshape((4,) * len(maps))
+def _contract(coeffs: np.ndarray, maps) -> list[np.ndarray]:
+    """Map each party's letter axis through its letter map, one leading axis
+    at a time; each image becomes the last axis.  Returns every stage as a
+    (4, 4ⁿ⁻¹) matrix: stage j has parties 1..j mapped, rows party j+1's
+    letter and columns the other axes in cyclic order, so stage n is the
+    fully mapped tensor in the original axis order."""
+    stages = [coeffs.reshape(4, -1)]
+    for letter_map in maps:
+        stages.append((stages[-1].T @ letter_map).reshape(4, -1))
+    return stages
 
 
 def _halves(n: int) -> tuple[int, int, int]:
@@ -125,7 +126,7 @@ def expand(coeffs: np.ndarray, maps) -> np.ndarray:
     n = len(maps)
     k, a, b = _halves(n)
     # Rows: the (r, c) entry of parties 1..k; columns: that of parties k+1..n.
-    mat = _pauli_basis(k).T @ _contract(coeffs, maps).reshape(a * a, b * b) @ _pauli_basis(n - k)
+    mat = _pauli_basis(k).T @ _contract(coeffs, maps)[-1].reshape(a * a, b * b) @ _pauli_basis(n - k)
     return mat.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(a * b, a * b)
 
 
@@ -146,15 +147,19 @@ def letter_map_gradients(coeffs: np.ndarray, maps, expect: np.ndarray) -> np.nda
     ``expect`` the Pauli expectations of ρ: an (n, 4, 4) array.
 
     W is linear in each letter map, so entry (j, a, b) contracts the
-    coefficient tensor with every other party's map and with E, leaving
-    party j's letter a against Pauli b.
+    coefficient tensor, mapped by the parties before j, with E pulled back
+    through the parties after j, leaving party j's letter a against Pauli b.
+    Both sides are shared between parties: the stages of ``_contract``, and
+    E pulled back from the last party down in the same cyclic axis order.
     """
     n = len(maps)
+    prefixes = _contract(coeffs, maps)
     grads = np.empty((n, 4, 4))
-    for j in range(n):
-        lead = (j, *range(j), *range(j + 1, n))      # party j's axis first
-        partial = _contract(coeffs, maps, skip=j).transpose(lead).reshape(4, -1)
-        grads[j] = partial @ expect.transpose(lead).reshape(4, -1).T
+    suffix = expect.reshape(-1, 4).T                 # party n's axis first
+    for j in reversed(range(n)):
+        grads[j] = prefixes[j] @ suffix.T
+        if j:
+            suffix = (maps[j] @ suffix).reshape(-1, 4).T
     return grads
 
 

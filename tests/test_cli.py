@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import gmewit
 import gmewit.cli as cli_mod
+from gmewit import fixture_path
 from gmewit.acceptance import CheckResult
 from gmewit.cli import fmt, main, parse_grid, parse_noise
 
@@ -201,3 +207,73 @@ def test_verify_exit_codes(runner, monkeypatch):
     monkeypatch.setattr(cli_mod, "run_checks", lambda: bad)
     result = runner.invoke(main, ["verify"])
     assert result.exit_code == 1
+
+
+def test_bare_filename_in_the_working_directory_is_read(runner):
+    with runner.isolated_filesystem():
+        Path("mytable.csv").write_bytes(fixture_path("table_a1.csv").read_bytes())
+        result = runner.invoke(main, ["tomo", "--counts", "mytable.csv"])
+        assert result.exit_code == 0, result.output
+        assert result.output == runner.invoke(main, ["tomo", "--counts", "table_a1.csv"]).output
+        Path("mine.json").write_bytes(fixture_path("fig4_mermin.json").read_bytes())
+        result = runner.invoke(main, ["witness", "--fixture", "mine.json"])
+        assert result.exit_code == 0, result.output
+        assert result.output.split("\n")[1].startswith("mermin4,mine.json,")
+        # A file here shadows the bundled fixture of the same name.
+        Path("fig4_mermin.json").write_bytes(fixture_path("fig4_stabilizer.json").read_bytes())
+        result = runner.invoke(main, ["witness", "--fixture", "fig4_mermin.json"])
+        assert result.output.split("\n")[1].startswith("stabilizer4,"), result.output
+
+
+def test_missing_input_names_both_places_tried(runner):
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, ["tomo", "--counts", "nothere.csv"])
+        assert result.exit_code == 2, result.output
+        assert str(Path.cwd() / "nothere.csv") in result.output
+        assert str(fixture_path("nothere.csv")) in result.output
+
+
+#: Commands that must run without loading scipy.
+SCIPY_FREE = {
+    "bound-mermin": ["bound", "--witness", "mermin", "--eps-grid", "0:0.1:5"],
+    "witness-state": ["witness", "--witness", "stabilizer4", "--state", "ghz4",
+                      "--noise", "white:0.9"],
+    "witness-fixture": ["witness", "--fixture", "fig4_mermin.json"],
+    "spoof": ["spoof", "--eps-grid", "0:0.1:3"],
+    "robustness-mermin4": ["robustness", "--witness", "mermin4", "--eps", "0.005"],
+    "robustness-i42": ["robustness", "--witness", "i42"],
+    "robustness-i43": ["robustness", "--witness", "i43"],
+    "tomo": ["tomo", "--counts", "table_a1.csv"],
+    "inm": ["inm", "--probs", "probs.json"],
+}
+
+#: Imports gmewit.cli, runs the command given in argv in-process, and prints
+#: the scipy modules then loaded.
+_CHILD = """
+import json, sys
+import gmewit.cli
+if len(sys.argv) > 1:
+    gmewit.cli.main(args=sys.argv[1:], standalone_mode=False)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def _scipy_loaded_by(args, cwd) -> list[str]:
+    src = str(Path(gmewit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = ["--out", "out.txt"] if args else []
+    proc = subprocess.run([sys.executable, "-c", _CHILD, *args, *out], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("name", ["import"] + sorted(SCIPY_FREE))
+def test_command_loads_no_scipy(tmp_path, name):
+    (tmp_path / "probs.json").write_text(json.dumps([1 / 16] * 256))
+    assert _scipy_loaded_by(SCIPY_FREE.get(name, []), tmp_path) == []
+
+
+def test_scipy_guard_sees_the_theta_sweep(tmp_path):
+    loaded = _scipy_loaded_by(["bound", "--witness", "stabilizer", "--eps", "0.05"], tmp_path)
+    assert "scipy.optimize" in loaded

@@ -236,6 +236,24 @@ def test_letter_map_gradients_are_the_adjoint_of_expand(n, rank, seed):
     assert np.allclose(np.einsum("jab,jab->j", grads, maps), value, rtol=1e-12, atol=1e-10)
 
 
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_letter_map_gradient_entries_match_unit_map_expansions(n, seed):
+    # Entry (j, a, b) is tr(ρ·W) with party j's letter map replaced by the
+    # unit matrix e_a·e_bᵀ, evaluated here through ``expand`` alone.
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(4,) * n)
+    maps = rng.normal(size=(n, 4, 4))
+    factor = rng.normal(size=(2 ** n, 2)) + 1j * rng.normal(size=(2 ** n, 2))
+    grads = letter_map_gradients(coeffs, maps, pauli_expectations(factor, n))
+    for j, a, b in itertools.product(range(n), range(4), range(4)):
+        unit = maps.copy()
+        unit[j] = 0.0
+        unit[j, a, b] = 1.0
+        want = np.trace(factor.conj().T @ expand(coeffs, unit) @ factor).real
+        assert grads[j, a, b] == pytest.approx(want, rel=1e-10, abs=1e-9)
+
+
 def test_assemble_makes_no_kron_calls_after_first_build(monkeypatch):
     # The Pauli tables are built once per size; a witness matrix is then a
     # tensor contraction, without a Kronecker product.
