@@ -10,7 +10,6 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.optimize import brentq, minimize
 
-from .linalg import expectation
 from .measurement import AXIS_VECTORS, ImprecisionBudget, q_of, u_of
 from .states import ghz_state
 from .tolerances import tol
@@ -27,15 +26,6 @@ def _algebraic_range(witness: str) -> tuple[float, float]:
 TILT_BASES = {"mermin4": "XY", "stabilizer4": "XZ"}
 
 _PERP = {"X": ("Y", "Z"), "Y": ("X", "Z"), "Z": ("X", "Y")}
-
-
-def ghz_fidelity(rho: np.ndarray, n: int = 4) -> float:
-    """⟨ghz_n|ρ|ghz_n⟩ for a density matrix (or overlap² for a vector)."""
-    ghz = ghz_state(n, +1)
-    if rho.ndim == 1:
-        return float(abs(np.vdot(ghz, rho)) ** 2)
-    proj = np.outer(ghz, ghz.conj())
-    return expectation(proj, rho)
 
 
 def closed_form_l0(witness: str, w: float) -> float:

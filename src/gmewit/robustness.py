@@ -12,7 +12,7 @@ import numpy as np
 from .bounds import (BoundResult, mermin_bisep_bound, mermin_quantum_bound,
                      stabilizer_bisep_bound_numeric, stabilizer_quantum_bound)
 from .linalg import expectation
-from .measurement import AXIS_VECTORS, q_of, tilt_vector
+from .measurement import AXIS_VECTORS, tilt_vector
 from .states import NoiseModel, apply_noise, ghz_state
 from .witnesses import BUILDERS, assemble, inm_sign
 
@@ -90,38 +90,6 @@ def threshold_visibility(query: ThresholdQuery) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError("witness value never crosses the bound on p ∈ [0, 1]")
     return p
-
-
-# ---------------------------------------------------------------------------
-# Closed-form thresholds (Appendix-E style)
-# ---------------------------------------------------------------------------
-
-def worst_case_thresholds(witness: str, eps: float, noise_kind: str,
-                          bound: float | None = None) -> dict:
-    """Worst-case-tilted threshold: printed closed form plus the direct oracle.
-
-    The oracle evaluates the explicit worst tilt configuration by direct
-    trace and solves the affine crossing; any disagreement beyond 1e−6 is
-    flagged in the returned dict rather than silently patched.
-    """
-    if bound is None:
-        bound = default_bisep_bound(witness, eps).value
-    q = q_of(eps)
-    if witness == "mermin4":
-        factor = 1 - 8 * q ** 2 + 8 * q ** 4
-        if noise_kind == "depolarizing":
-            closed = bound / (8 * factor)
-        else:
-            closed = bound / (16 * factor) + 0.5
-    else:
-        if noise_kind == "depolarizing":
-            closed = bound / (3 - 24 * q ** 2 + 32 * q ** 4)
-        else:
-            closed = (bound + 3 * (1 - 12 * q ** 2 + 10 * q ** 4)) / (
-                2 * (3 - 30 * q ** 2 + 31 * q ** 4))
-    oracle = _affine_crossing(witness, noise_kind, "worst-case-tilted", eps, bound)
-    return {"closed_form": float(closed), "oracle": float(oracle),
-            "agrees": bool(abs(closed - oracle) <= 1e-6)}
 
 
 # ---------------------------------------------------------------------------

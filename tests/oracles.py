@@ -1,19 +1,24 @@
 """Reference constructions used only by the tests: explicit Pauli strings,
-the recursive Mermin pair, Born-rule probability tables, the best-case
-visibility-threshold closed forms and the earlier Nelder–Mead L_ε search."""
+the recursive Mermin pair, Born-rule probability tables, the visibility-
+threshold closed forms, the GHZ fidelity, the device-independent Mermin
+value, the earlier Nelder–Mead L_ε search, the per-restart see-saw and the
+``minimize_scalar`` θ-sweep."""
 
 from __future__ import annotations
 
 import itertools
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
+from gmewit.bounds import BoundResult, PartitionSpec, _reduced_operators
 from gmewit.fidelity import TILT_BASES, _lower_bound_fixed, _tilt_table
-from gmewit.linalg import PAULI, kron
-from gmewit.measurement import projectors
+from gmewit.linalg import PAULI, expectation, kron
+from gmewit.measurement import ImprecisionBudget, projectors, q_of, u_of
+from gmewit.robustness import _affine_crossing, default_bisep_bound
 from gmewit.states import ghz_state
-from gmewit.witnesses import BUILDERS, coefficient_tensor, expand
+from gmewit.witnesses import (BUILDERS, WitnessSpec, bloch_table, coefficient_tensor,
+                              expand)
 
 
 def pauli_string(letters: str) -> np.ndarray:
@@ -99,3 +104,108 @@ def nelder_mead_l_eps(query) -> float:
                        options={"maxfev": 400, "xatol": 1e-3, "fatol": 1e-6})
         best = min(best, float(res.fun))
     return best
+
+
+def worst_case_thresholds(witness: str, eps: float, noise_kind: str,
+                          bound: float | None = None) -> dict:
+    """Worst-case-tilted threshold: printed closed form plus the direct oracle.
+
+    The oracle evaluates the explicit worst tilt configuration by direct
+    trace and solves the affine crossing; any disagreement beyond 1e−6 is
+    flagged in the returned dict rather than silently patched.
+    """
+    if bound is None:
+        bound = default_bisep_bound(witness, eps).value
+    q = q_of(eps)
+    if witness == "mermin4":
+        factor = 1 - 8 * q ** 2 + 8 * q ** 4
+        if noise_kind == "depolarizing":
+            closed = bound / (8 * factor)
+        else:
+            closed = bound / (16 * factor) + 0.5
+    else:
+        if noise_kind == "depolarizing":
+            closed = bound / (3 - 24 * q ** 2 + 32 * q ** 4)
+        else:
+            closed = (bound + 3 * (1 - 12 * q ** 2 + 10 * q ** 4)) / (
+                2 * (3 - 30 * q ** 2 + 31 * q ** 4))
+    oracle = _affine_crossing(witness, noise_kind, "worst-case-tilted", eps, bound)
+    return {"closed_form": float(closed), "oracle": float(oracle),
+            "agrees": bool(abs(closed - oracle) <= 1e-6)}
+
+
+def ghz_fidelity(rho: np.ndarray, n: int = 4) -> float:
+    """⟨ghz_n|ρ|ghz_n⟩ for a density matrix (or overlap² for a vector)."""
+    ghz = ghz_state(n, +1)
+    if rho.ndim == 1:
+        return float(abs(np.vdot(ghz, rho)) ** 2)
+    proj = np.outer(ghz, ghz.conj())
+    return expectation(proj, rho)
+
+
+def mermin_di_bound(n: int) -> BoundResult:
+    """Device-independent Mermin value 2^{n−3/2}."""
+    if n < 3:
+        raise ValueError("n must be at least 3")
+    return BoundResult(f"mermin{n}", n, 0.5, "device-independent",
+                       float(2 ** (n - 1.5)), "closed-form")
+
+
+def seesaw_per_restart(spec: WitnessSpec, partition: PartitionSpec,
+                       restarts: int = 20, iterations: int = 100,
+                       seed: int = 42) -> float:
+    """The see-saw run one restart at a time, with ``einsum`` half-steps:
+    the same start vectors, stopping test and best-of-restarts value as
+    ``bounds.bisep_brute_force``."""
+    n = partition.n
+    rng = np.random.default_rng(seed)
+    w = spec.matrix
+    order = list(partition.block_a) + list(partition.block_b)
+    perm = np.array(
+        [int("".join(str((idx >> (n - 1 - q)) & 1) for q in order), 2)
+         for idx in range(2 ** n)])
+    w_perm = np.zeros_like(w)
+    w_perm[np.ix_(perm, perm)] = w
+    da, db = 2 ** len(partition.block_a), 2 ** len(partition.block_b)
+    w4 = w_perm.reshape(da, db, da, db)
+    best = -np.inf
+    for _ in range(restarts):
+        vb = rng.normal(size=db) + 1j * rng.normal(size=db)
+        vb /= np.linalg.norm(vb)
+        value = -np.inf
+        for _ in range(iterations):
+            rho_b = np.outer(vb, vb.conj())
+            eff_a = np.einsum("ikjl,kl->ij", w4, rho_b.conj())
+            va = np.linalg.eigh(eff_a)[1][:, -1]
+            rho_a = np.outer(va, va.conj())
+            eff_b = np.einsum("ikjl,ij->kl", w4, rho_a.conj())
+            evals, evecs = np.linalg.eigh(eff_b)
+            vb = evecs[:, -1]
+            new = float(evals[-1])
+            if abs(new - value) < 1e-12:
+                value = new
+                break
+            value = new
+        best = max(best, value)
+    return float(best)
+
+
+def reduced_sweep_minimize_scalar(terms, offset, n, eps, theta_grid=721):
+    """The θ-sweep's (value, θ) with the grid maximum refined by a bounded
+    ``minimize_scalar`` (xatol 1e-10) over ±one grid spacing."""
+    bloch = bloch_table("stabilizer", n, ImprecisionBudget.uniform(eps, n))
+    ops = {a: op.real for a, op in _reduced_operators(terms, offset, bloch[1:]).items()}
+    q, u = q_of(eps), u_of(eps)
+
+    def reduced(theta):
+        alpha = u * np.cos(2 * theta) + q * np.sin(2 * theta)
+        beta = q * np.cos(2 * theta) + u * np.sin(2 * theta)
+        return np.multiply.outer(alpha, ops["X"]) + np.multiply.outer(beta, ops["Z"]) + ops["I"]
+
+    thetas = np.linspace(0, np.pi, theta_grid, endpoint=False)
+    best = thetas[int(np.argmax(np.linalg.eigvalsh(reduced(thetas))[:, -1]))]
+    step = np.pi / theta_grid
+    res = minimize_scalar(lambda t: -np.linalg.eigvalsh(reduced(t))[-1],
+                          bounds=(best - step, best + step),
+                          method="bounded", options={"xatol": 1e-10})
+    return float(-res.fun), float(res.x)

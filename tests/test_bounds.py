@@ -1,17 +1,34 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gmewit.bounds import (EPS_STAR, PartitionSpec, all_bipartitions,
+from gmewit.bounds import (EPS_STAR, PartitionSpec, _reduced_sweep, all_bipartitions,
                            bisep_brute_force, cluster_witness_bounds,
-                           mermin_bisep_bound, mermin_di_bound,
-                           mermin_quantum_bound, multi_qubit_partition_bound,
-                           spoofing_curve, stabilizer_bisep_bound_numeric,
+                           mermin_bisep_bound, mermin_quantum_bound,
+                           multi_qubit_partition_bound, spoofing_curve,
+                           stabilizer_bisep_bound_numeric,
                            stabilizer_fully_sep_bound, stabilizer_quantum_bound,
                            stabilizer_single_party_bound, w_witness_bounds)
 from gmewit.linalg import expectation
 from gmewit.measurement import ImprecisionBudget
 from gmewit.states import spoof_state
-from gmewit.witnesses import cluster_witness_c4, mermin_witness, stabilizer_witness
+from gmewit.witnesses import (C4_TERMS, cluster_witness_c4, mermin_witness,
+                              stabilizer_terms, stabilizer_witness)
+from oracles import mermin_di_bound, reduced_sweep_minimize_scalar, seesaw_per_restart
+
+SEESAW_WITNESSES = {
+    "stabilizer4": lambda budget: stabilizer_witness(4, budget),
+    "mermin4": lambda budget: mermin_witness(4, budget),
+    "c4": cluster_witness_c4,
+}
+
+#: (terms, offset, n) of each θ-swept witness.
+SWEEPS = {
+    "stabilizer3": (stabilizer_terms(3), -1.0, 3),
+    "stabilizer4": (stabilizer_terms(4), -1.0, 4),
+    "c4": (C4_TERMS, 0.0, 4),
+}
 
 
 def test_mermin_bisep_closed_form_endpoints():
@@ -189,3 +206,56 @@ def test_brute_force_validation():
     spec = mermin_witness(3)
     with pytest.raises(ValueError):
         bisep_brute_force(spec, PartitionSpec((0,), (1, 2, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SEESAW_WITNESSES)), st.sampled_from(all_bipartitions(4)),
+       st.floats(0.0, EPS_STAR, exclude_min=True), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 6), st.integers(1, 30))
+def test_batched_seesaw_equals_per_restart_oracle(witness, part, eps, seed, restarts,
+                                                  iterations):
+    spec = SEESAW_WITNESSES[witness](ImprecisionBudget.uniform(eps, 4))
+    kwargs = dict(restarts=restarts, iterations=iterations, seed=seed)
+    assert bisep_brute_force(spec, part, **kwargs) == pytest.approx(
+        seesaw_per_restart(spec, part, **kwargs), abs=1e-12)
+
+
+@pytest.mark.parametrize("witness", sorted(SWEEPS))
+def test_theta_sweep_equals_minimize_scalar_oracle(witness):
+    terms, offset, n = SWEEPS[witness]
+    for eps in np.linspace(EPS_STAR / 20, EPS_STAR, 20):
+        value, _ = _reduced_sweep(terms, offset, n, eps, 721)
+        expected, _ = reduced_sweep_minimize_scalar(terms, offset, n, eps)
+        assert value == pytest.approx(expected, abs=1e-12), eps
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Counts ``np.linalg.eigh`` and ``eigvalsh`` calls (one per stacked call)."""
+    count = [0]
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _solve=getattr(np.linalg, name), **kwargs):
+            count[0] += 1
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return count
+
+
+@pytest.mark.parametrize("iterations", [10, 100])
+def test_seesaw_makes_one_stacked_eigensolve_per_half_step(eigensolves, iterations):
+    spec = stabilizer_witness(4, ImprecisionBudget.uniform(0.05, 4))
+    for part in all_bipartitions(4):
+        eigensolves[0] = 0
+        bisep_brute_force(spec, part, iterations=iterations)
+        assert 0 < eigensolves[0] <= 2 * iterations
+
+
+def test_theta_sweep_row_eigensolve_count(eigensolves):
+    # One 721-point grid plus seven 33-point zoom levels.
+    for eps in (0.01, 0.1):
+        for row in (lambda: stabilizer_bisep_bound_numeric(3, eps),
+                    lambda: stabilizer_bisep_bound_numeric(4, eps),
+                    lambda: cluster_witness_bounds(eps)):
+            eigensolves[0] = 0
+            row()
+            assert eigensolves[0] <= 8

@@ -236,11 +236,15 @@ def test_missing_input_names_both_places_tried(runner):
 #: Commands that must run without loading scipy.
 SCIPY_FREE = {
     "bound-mermin": ["bound", "--witness", "mermin", "--eps-grid", "0:0.1:5"],
+    "bound-stabilizer": ["bound", "--witness", "stabilizer", "--eps", "0.05"],
+    "bound-cluster": ["bound", "--witness", "cluster", "--eps", "0.05"],
+    "bound-wstate": ["bound", "--witness", "wstate", "--eps", "0.05"],
     "witness-state": ["witness", "--witness", "stabilizer4", "--state", "ghz4",
                       "--noise", "white:0.9"],
     "witness-fixture": ["witness", "--fixture", "fig4_mermin.json"],
     "spoof": ["spoof", "--eps-grid", "0:0.1:3"],
     "robustness-mermin4": ["robustness", "--witness", "mermin4", "--eps", "0.005"],
+    "robustness-stabilizer4": ["robustness", "--witness", "stabilizer4", "--eps", "0.005"],
     "robustness-i42": ["robustness", "--witness", "i42"],
     "robustness-i43": ["robustness", "--witness", "i43"],
     "tomo": ["tomo", "--counts", "table_a1.csv"],
@@ -274,6 +278,7 @@ def test_command_loads_no_scipy(tmp_path, name):
     assert _scipy_loaded_by(SCIPY_FREE.get(name, []), tmp_path) == []
 
 
-def test_scipy_guard_sees_the_theta_sweep(tmp_path):
-    loaded = _scipy_loaded_by(["bound", "--witness", "stabilizer", "--eps", "0.05"], tmp_path)
+def test_scipy_guard_sees_the_fidelity_bound(tmp_path):
+    loaded = _scipy_loaded_by(["fidelity", "--witness", "mermin4", "--value", "7.4665",
+                               "--restarts", "1"], tmp_path)
     assert "scipy.optimize" in loaded

@@ -9,12 +9,12 @@ from gmewit import fidelity
 from gmewit.acceptance import REFERENCE_BUDGET
 from gmewit.fidelity import (LAMBDA_CAP, TILT_BASES, FidelityBoundQuery, _lower_bound_fixed,
                              _tilt_objective, _tilt_table, closed_form_l0, fidelity_curve,
-                             ghz_fidelity, numeric_l_eps)
+                             numeric_l_eps)
 from gmewit.linalg import expectation
 from gmewit.measurement import ImprecisionBudget
 from gmewit.states import ghz_state
 from gmewit.witnesses import BUILDERS, coefficient_tensor, expand
-from oracles import nelder_mead_l_eps
+from oracles import ghz_fidelity, nelder_mead_l_eps
 
 GHZ = ghz_state(4, +1)
 P_GHZ = np.outer(GHZ, GHZ.conj())

@@ -5,9 +5,8 @@ from gmewit.bounds import mermin_bisep_bound, stabilizer_bisep_bound_numeric
 from gmewit.robustness import (DEFAULT_I43_BISEP_BOUND, I43_QUANTUM, ThresholdQuery,
                                di_thresholds, i43_ghz_value, max_i43,
                                noisy_witness_value, normalize_witness_value,
-                               robustness_sweep, threshold_visibility,
-                               worst_case_thresholds)
-from oracles import best_case_threshold_closed_form
+                               robustness_sweep, threshold_visibility)
+from oracles import best_case_threshold_closed_form, worst_case_thresholds
 
 
 def test_noisy_witness_affine_in_p():

@@ -1,6 +1,7 @@
-"""The benchmark tracer wraps gmewit names by string; each must still resolve."""
+"""The benchmark reads gmewit names by string; each must still resolve."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -23,3 +24,12 @@ TRACER = _load_tracer()
 def test_tracer_targets_resolve(module, attr):
     _, _, target = TRACER._resolve(module, attr)
     assert callable(target)
+
+
+@pytest.mark.parametrize("name", ["restarts", "iterations"])
+def test_seesaw_budget_defaults_stay_integers(name):
+    # benchmarks/layers.py reads these defaults to size the see-saw's
+    # iteration budget in traced bounds runs.
+    from gmewit.bounds import bisep_brute_force
+    default = inspect.signature(bisep_brute_force).parameters[name].default
+    assert isinstance(default, int) and not isinstance(default, bool)
