@@ -282,14 +282,10 @@ def bisep_brute_force(spec: WitnessSpec, partition: PartitionSpec,
     if n > 4:
         raise ValueError("the oracle is limited to n ≤ 4")
     rng = np.random.default_rng(seed)
-    w = spec.matrix
     # Permute qubits so block A occupies the leading positions.
     order = list(partition.block_a) + list(partition.block_b)
-    perm = np.array(
-        [int("".join(str((idx >> (n - 1 - q)) & 1) for q in order), 2)
-         for idx in range(2 ** n)])
-    w_perm = np.zeros_like(w)
-    w_perm[np.ix_(perm, perm)] = w
+    w_perm = spec.matrix.reshape((2,) * 2 * n).transpose(order + [n + q for q in order])
+    w_perm = w_perm.reshape(2 ** n, 2 ** n)
     da, db = 2 ** len(partition.block_a), 2 ** len(partition.block_b)
     # W[(i,k),(j,l)] as maps from one block's vec(v̄ vᵀ) to the other's operator.
     w4 = w_perm.reshape(da, db, da, db)

@@ -7,13 +7,12 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.optimize import brentq, minimize
+from scipy.optimize import minimize
 
 from .measurement import AXIS_VECTORS, ImprecisionBudget, q_of, u_of
 from .states import ghz_state
 from .tolerances import tol
-from .witnesses import (BUILDERS, LETTERS, WitnessSpec, coefficient_tensor, expand,
+from .witnesses import (BUILDERS, LETTERS, WitnessSpec, coefficient_tensor, contract, expand,
                         letter_map_gradients, pauli_expectations)
 
 
@@ -58,10 +57,6 @@ class FidelityBoundQuery:
 #: then returned, a finite and still valid bound.
 LAMBDA_CAP = 16.0
 
-#: Half-width of a warm-started λ bracket (λ* moves little between the outer
-#: search's evaluations; 3e-3 and 1e-2 measured no cheaper).
-_WARM_STEP = 1e-3
-
 
 def _lower_bound_fixed(w_matrix: np.ndarray, p_ghz: np.ndarray, w: float,
                        start: float | None = None) -> tuple[float, float, np.ndarray]:
@@ -70,68 +65,63 @@ def _lower_bound_fixed(w_matrix: np.ndarray, p_ghz: np.ndarray, w: float,
 
     L(w) = max_λ g(λ), g(λ) = λ_min(P_ghz − λ·W_ε) + λ·w, the Lagrange dual of
     min ⟨ghz|ρ|ghz⟩ subject to tr(W_ε ρ) = w; by weak duality every g(λ) is a
-    lower bound, and the largest one evaluated is returned.  g is concave
-    with supergradient g′(λ) = w − ⟨v_λ|W_ε|v_λ⟩ (Hellmann–Feynman, v_λ a
-    ground vector of P_ghz − λ·W_ε), so λ* is the sign change of a
-    non-increasing function: bracket it by doubling out from ``start`` (the
-    λ* of a nearby tilt) or, without one, from ±1, and find it with Brent's
-    method, which also converges at kinks; at a kink g is also evaluated
-    where the tangents at the final bracket's ends cross.  Each λ costs one
-    ground-pair eigensolve, shared by g and g′.  ρ* mixes the ground vectors
-    at the bracket's ends so that tr(W_ε ρ*) = w: the two branches at a
-    kink, one vector on a smooth branch.  A value floored at 0 has F = 0.
+    lower bound, and the largest one evaluated is returned.  g is concave.
+    One full eigensolve of P_ghz − λ·W_ε gives g(λ), the supergradient
+    g′ = w − ⟨u₀|W_ε|u₀⟩ (Hellmann–Feynman) and, where the ground level is
+    isolated, g″ = 2·Σ_{k≥1} |⟨u_k|W_ε|u₀⟩|²/(E₀ − E_k).  The search starts
+    at ``start`` (the λ* of a nearby tilt) or at 0 and keeps a sign-checked
+    bracket of λ* within ±LAMBDA_CAP.  It takes the Newton step on g′ when
+    that lands inside the bracket and is at most half the step before last,
+    and stops once that step is below ``tol("dual_lambda")``.  Otherwise (a
+    degenerate ground level, as at a kink or at λ = 0, or a poor step) it
+    goes to the bracket's unvisited end, or to where the tangents at its two
+    ends cross: the kink itself where two linear branches meet.  It stops
+    there once those tangents, which bound g from above, leave no gain
+    beyond ``tol("dual_kink")``.  ρ* mixes the ground vectors at the
+    bracket's ends so that tr(W_ε ρ*) = w: the two branches at a kink, one
+    vector in effect on a smooth branch.  A value floored at 0 has F = 0.
     """
     solved = {}
-
-    def slope(lam):
-        if lam not in solved:
-            val, vec = eigh(p_ghz - lam * w_matrix, subset_by_index=[0, 0])
-            solved[lam] = (val[0] + lam * w, w - float(np.real(np.vdot(vec, w_matrix @ vec))), vec)
-        return solved[lam][1]
-
-    origin, step = (0.0, 1.0) if start is None else (start, _WARM_STEP)
-    lam = _dual_argmax(slope, origin, step)
+    lo, hi = -LAMBDA_CAP, LAMBDA_CAP
+    lam = 0.0 if start is None else min(max(start, lo), hi)
+    before_last = last = hi - lo
+    while True:
+        evals, evecs = np.linalg.eigh(p_ghz - lam * w_matrix)
+        coupling = (w_matrix @ evecs[:, 0]).conj() @ evecs       # conj ⟨u_k|W_ε|u₀⟩
+        slope = w - coupling[0].real
+        solved[lam] = (evals[0] + lam * w, slope, evecs[:, :1].copy())
+        lo, hi = (lam, hi) if slope >= 0 else (lo, lam)
+        if lo == hi:                    # the slope points past ±LAMBDA_CAP
+            break
+        gaps, nxt = evals[1:] - evals[0], None
+        if gaps[0] > tol("dual_lambda") * (evals[-1] - evals[0]):
+            curvature = 2 * np.sum(np.abs(coupling[1:]) ** 2 / gaps)     # −g″
+            if abs(slope) <= tol("dual_lambda") * curvature:
+                break
+            if curvature > 0:
+                nxt = lam + slope / curvature
+        if nxt is None or not (lo < nxt < hi and abs(nxt - lam) <= before_last / 2):
+            if lo not in solved or hi not in solved:
+                nxt = hi if lo == lam else lo
+            else:
+                (g_lo, s_lo, _), (g_hi, s_hi, _) = solved[lo], solved[hi]
+                nxt = (g_hi - g_lo + s_lo * lo - s_hi * hi) / (s_lo - s_hi)
+                best = max(0.0, *(g for g, _, _ in solved.values()))
+                if not lo < nxt < hi or g_lo + s_lo * (nxt - lo) <= best + tol("dual_kink"):
+                    break
+        before_last, last = last, abs(nxt - lam)
+        lam = nxt
     value = max(g for g, _, _ in solved.values())
-    below = [x for x, (_, s, _) in solved.items() if s >= 0]
-    above = [x for x, (_, s, _) in solved.items() if s < 0]
-    if below and above:
-        lo, hi = max(below), min(above)
-        (g_lo, s_lo, v_lo), (g_hi, s_hi, v_hi) = solved[lo], solved[hi]
-        # The tangents at lo and hi bound g from above and meet at λ×.  On a
-        # smooth branch that bound is within rounding of g; at a kink (two
-        # ground branches crossing) λ× is the crossing, up to the slope jump
-        # times brentq's xtol above the best g evaluated, and g(λ×) is exact.
-        cross = min(max((g_hi - g_lo + s_lo * lo - s_hi * hi) / (s_lo - s_hi), lo), hi)
-        if g_lo + s_lo * (cross - lo) > value + tol("dual_kink"):
-            kink = eigh(p_ghz - cross * w_matrix, subset_by_index=[0, 0], eigvals_only=True)
-            value = max(value, kink[0] + cross * w)
     # g(0) = λ_min(P_ghz) = 0 exactly: the kink at λ = 0 needs no eigensolve.
     if value <= 0.0:
         return 0.0, lam, np.zeros((len(w_matrix), 1))
-    if not above:
-        return value, lam, solved[max(below)][2]
-    if not below:
-        return value, lam, solved[min(above)][2]
+    if hi not in solved or lo == hi:
+        return value, lam, solved[lo][2]
+    if lo not in solved:
+        return value, lam, solved[hi][2]
+    (_, s_lo, v_lo), (_, s_hi, v_hi) = solved[lo], solved[hi]
     p = s_hi / (s_hi - s_lo)
     return value, lam, np.hstack([np.sqrt(p) * v_lo, np.sqrt(1 - p) * v_hi])
-
-
-def _dual_argmax(slope, start: float, step: float) -> float:
-    """Sign change of the non-increasing ``slope`` on [−LAMBDA_CAP, LAMBDA_CAP],
-    or the end of that interval it points to.  The bracket starts at
-    start ± step and its outer end moves to start ± 2·step, ± 4·step, …"""
-    lo, hi = max(start - step, -LAMBDA_CAP), min(start + step, LAMBDA_CAP)
-    while slope(hi) > 0:            # sign change above hi
-        if hi >= LAMBDA_CAP:
-            return hi
-        step *= 2
-        lo, hi = hi, min(start + step, LAMBDA_CAP)
-    while slope(lo) < 0:            # sign change below lo
-        if lo <= -LAMBDA_CAP:
-            return lo
-        step *= 2
-        lo, hi = max(start - step, -LAMBDA_CAP), lo
-    return brentq(slope, lo, hi, xtol=1e-12)
 
 
 def _tilt_table(bases: str, budget: ImprecisionBudget):
@@ -177,7 +167,7 @@ def _tilt_objective(query: FidelityBoundQuery):
     """The outer search's objective: flattened tilt angles ω ↦ (L, ∂L/∂ω).
 
     L is the exact dual of ``_lower_bound_fixed`` for the witness tilted by
-    ω, its λ bracket warm-started at the previous call's λ*.  ∂L/∂ω is the
+    ω, its Newton search started at the previous call's λ*.  ∂L/∂ω is the
     envelope gradient −λ*·tr(ρ*·∂W_ε/∂ω): W_ε is linear in each party's
     letter map, so it needs the Pauli expectations of ρ* and the
     derivatives of the tilted rows only.
@@ -193,9 +183,9 @@ def _tilt_objective(query: FidelityBoundQuery):
     def objective(x):
         nonlocal lam
         maps, d_maps = table(x.reshape(spec.n, len(bases)))
-        value, lam, factor = _lower_bound_fixed(expand(coeffs, maps), p_ghz,
-                                                query.observed_value, lam)
-        grads = letter_map_gradients(coeffs, maps, pauli_expectations(factor, spec.n))
+        stages = contract(coeffs, maps)
+        value, lam, factor = _lower_bound_fixed(expand(stages), p_ghz, query.observed_value, lam)
+        grads = letter_map_gradients(stages, maps, pauli_expectations(factor, spec.n))
         return value, -lam * np.einsum("jab,jkab->jk", grads, d_maps).ravel()
 
     return objective
@@ -205,8 +195,9 @@ def numeric_l_eps(query: FidelityBoundQuery) -> float:
     """Smallest GHZ fidelity compatible with the observed witness value.
 
     Inner step: the exact λ-dual of ``_lower_bound_fixed``, a valid lower
-    bound for each tilt configuration it is given, its λ bracket warm-started
-    at the previous evaluation's λ* (a cheaper search, the same value).
+    bound for each tilt configuration it is given: a safeguarded Newton
+    search for λ* on one full eigensolve per λ (about 4 per evaluation),
+    started at the previous evaluation's λ* (a cheaper search, the same value).
     Outer step: L-BFGS-B over the continuous perpendicular tilt directions of
     every party/basis, from random starts, on the envelope gradient of the
     dual (``_tilt_objective``).  The outer minimum is a local heuristic: a

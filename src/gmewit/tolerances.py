@@ -14,6 +14,7 @@ _TOLERANCES = {
     "prob_norm": 1e-9,
     "regime_tie": 1e-12,
     "dual_kink": 1e-15,
+    "dual_lambda": 1e-12,
 }
 
 

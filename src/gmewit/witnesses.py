@@ -98,7 +98,7 @@ def coefficient_tensor(terms, offset: float, n: int) -> np.ndarray:
     return coeffs
 
 
-def _contract(coeffs: np.ndarray, maps) -> list[np.ndarray]:
+def contract(coeffs: np.ndarray, maps) -> list[np.ndarray]:
     """Map each party's letter axis through its letter map, one leading axis
     at a time; each image becomes the last axis.  Returns every stage as a
     (4, 4ⁿ⁻¹) matrix: stage j has parties 1..j mapped, rows party j+1's
@@ -116,17 +116,17 @@ def _halves(n: int) -> tuple[int, int, int]:
     return k, 2 ** k, 2 ** (n - k)
 
 
-def expand(coeffs: np.ndarray, maps) -> np.ndarray:
+def expand(stages) -> np.ndarray:
     """The matrix Σ_a C[a]·⊗ⱼ(Σ_b Mⱼ[aⱼ, b]·σ_b) of a coefficient tensor C
-    under per-party letter maps M.
+    under per-party letter maps M, from the stages ``contract(C, M)``.
 
     After the contraction the tensor is in exact Paulis, which the cached
     Pauli tables of parties 1..⌊n/2⌋ and of the rest then expand.
     """
-    n = len(maps)
+    n = len(stages) - 1
     k, a, b = _halves(n)
     # Rows: the (r, c) entry of parties 1..k; columns: that of parties k+1..n.
-    mat = _pauli_basis(k).T @ _contract(coeffs, maps)[-1].reshape(a * a, b * b) @ _pauli_basis(n - k)
+    mat = _pauli_basis(k).T @ stages[-1].reshape(a * a, b * b) @ _pauli_basis(n - k)
     return mat.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(a * b, a * b)
 
 
@@ -142,22 +142,22 @@ def pauli_expectations(factor: np.ndarray, n: int) -> np.ndarray:
     return (_pauli_basis(k) @ r @ _pauli_basis(n - k).T).real.reshape((4,) * n)
 
 
-def letter_map_gradients(coeffs: np.ndarray, maps, expect: np.ndarray) -> np.ndarray:
-    """∂tr(ρ·W)/∂Mⱼ for W = ``expand(coeffs, maps)`` and every party j, with
-    ``expect`` the Pauli expectations of ρ: an (n, 4, 4) array.
+def letter_map_gradients(stages, maps, expect: np.ndarray) -> np.ndarray:
+    """∂tr(ρ·W)/∂Mⱼ for W = ``expand(stages)``, ``stages = contract(C, maps)``,
+    and every party j, with ``expect`` the Pauli expectations of ρ: an
+    (n, 4, 4) array.
 
     W is linear in each letter map, so entry (j, a, b) contracts the
     coefficient tensor, mapped by the parties before j, with E pulled back
     through the parties after j, leaving party j's letter a against Pauli b.
-    Both sides are shared between parties: the stages of ``_contract``, and
-    E pulled back from the last party down in the same cyclic axis order.
+    Both sides are shared between parties: the stages of the contraction,
+    and E pulled back from the last party down in the same cyclic axis order.
     """
     n = len(maps)
-    prefixes = _contract(coeffs, maps)
     grads = np.empty((n, 4, 4))
     suffix = expect.reshape(-1, 4).T                 # party n's axis first
     for j in reversed(range(n)):
-        grads[j] = prefixes[j] @ suffix.T
+        grads[j] = stages[j] @ suffix.T
         if j:
             suffix = (maps[j] @ suffix).reshape(-1, 4).T
     return grads
@@ -176,7 +176,7 @@ def assemble(terms, offset: float, bloch) -> np.ndarray:
     for j, row in enumerate(bloch):
         for letter, v in row.items():
             maps[j, LETTERS.index(letter)] = (0.0, *v)
-    return expand(coefficient_tensor(terms, offset, len(bloch)), maps)
+    return expand(contract(coefficient_tensor(terms, offset, len(bloch)), maps))
 
 
 def _make_spec(name, family, n, terms, offset, budget) -> WitnessSpec:

@@ -1,24 +1,25 @@
 """Reference constructions used only by the tests: explicit Pauli strings,
 the recursive Mermin pair, Born-rule probability tables, the visibility-
 threshold closed forms, the GHZ fidelity, the device-independent Mermin
-value, the earlier Nelder–Mead L_ε search, the per-restart see-saw and the
-``minimize_scalar`` θ-sweep."""
+value, the earlier Nelder–Mead L_ε search, the bracket-and-Brent λ-dual,
+the per-restart see-saw and the ``minimize_scalar`` θ-sweep."""
 
 from __future__ import annotations
 
 import itertools
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+import scipy.linalg
+from scipy.optimize import brentq, minimize, minimize_scalar
 
 from gmewit.bounds import BoundResult, PartitionSpec, _reduced_operators
-from gmewit.fidelity import TILT_BASES, _lower_bound_fixed, _tilt_table
+from gmewit.fidelity import LAMBDA_CAP, TILT_BASES, _lower_bound_fixed, _tilt_table
 from gmewit.linalg import PAULI, expectation, kron
 from gmewit.measurement import ImprecisionBudget, projectors, q_of, u_of
 from gmewit.robustness import _affine_crossing, default_bisep_bound
 from gmewit.states import ghz_state
 from gmewit.witnesses import (BUILDERS, WitnessSpec, bloch_table, coefficient_tensor,
-                              expand)
+                              contract, expand)
 
 
 def pauli_string(letters: str) -> np.ndarray:
@@ -93,7 +94,7 @@ def nelder_mead_l_eps(query) -> float:
     def objective(x):
         nonlocal lam
         maps, _ = table(x.reshape(4, len(bases)))
-        value, lam, _ = _lower_bound_fixed(expand(coeffs, maps), p_ghz, w, lam)
+        value, lam, _ = _lower_bound_fixed(expand(contract(coeffs, maps)), p_ghz, w, lam)
         return value
 
     rng = np.random.default_rng(query.seed)
@@ -104,6 +105,57 @@ def nelder_mead_l_eps(query) -> float:
                        options={"maxfev": 400, "xatol": 1e-3, "fatol": 1e-6})
         best = min(best, float(res.fun))
     return best
+
+
+def dual_brentq(w_matrix: np.ndarray, p_ghz: np.ndarray, w: float,
+                start: float | None = None) -> float:
+    """max_λ [λ_min(P_ghz − λ·W_ε) + λ·w] by the earlier inner solver: the
+    Hellmann–Feynman slope's sign change bracketed by doubling out from
+    ``start`` ± 1e-3 (or from ±1 without a start) within ±LAMBDA_CAP, then
+    found by ``brentq`` (xtol 1e-12), one ground-pair ``scipy.linalg.eigh``
+    per λ.  The largest g evaluated is returned, floored at g(0) = 0; at a
+    kink g is also evaluated where the tangents at the final bracket's ends
+    cross."""
+    solved = {}
+
+    def slope(lam):
+        if lam not in solved:
+            val, vec = scipy.linalg.eigh(p_ghz - lam * w_matrix, subset_by_index=[0, 0])
+            solved[lam] = (val[0] + lam * w, w - float(np.real(np.vdot(vec, w_matrix @ vec))))
+        return solved[lam][1]
+
+    origin, step = (0.0, 1.0) if start is None else (start, 1e-3)
+    _brentq_argmax(slope, origin, step)
+    value = max(g for g, _ in solved.values())
+    below = [x for x, (_, s) in solved.items() if s >= 0]
+    above = [x for x, (_, s) in solved.items() if s < 0]
+    if below and above:
+        lo, hi = max(below), min(above)
+        (g_lo, s_lo), (g_hi, s_hi) = solved[lo], solved[hi]
+        cross = min(max((g_hi - g_lo + s_lo * lo - s_hi * hi) / (s_lo - s_hi), lo), hi)
+        if g_lo + s_lo * (cross - lo) > value + 1e-15:
+            kink = scipy.linalg.eigh(p_ghz - cross * w_matrix, subset_by_index=[0, 0],
+                                     eigvals_only=True)
+            value = max(value, kink[0] + cross * w)
+    return max(value, 0.0)
+
+
+def _brentq_argmax(slope, start: float, step: float) -> float:
+    """Sign change of the non-increasing ``slope`` on [−LAMBDA_CAP, LAMBDA_CAP],
+    or the end of that interval it points to.  The bracket starts at
+    start ± step and its outer end moves to start ± 2·step, ± 4·step, …"""
+    lo, hi = max(start - step, -LAMBDA_CAP), min(start + step, LAMBDA_CAP)
+    while slope(hi) > 0:            # sign change above hi
+        if hi >= LAMBDA_CAP:
+            return hi
+        step *= 2
+        lo, hi = hi, min(start + step, LAMBDA_CAP)
+    while slope(lo) < 0:            # sign change below lo
+        if lo <= -LAMBDA_CAP:
+            return lo
+        step *= 2
+        lo, hi = max(start - step, -LAMBDA_CAP), lo
+    return brentq(slope, lo, hi, xtol=1e-12)
 
 
 def worst_case_thresholds(witness: str, eps: float, noise_kind: str,

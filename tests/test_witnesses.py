@@ -11,7 +11,7 @@ from gmewit.linalg import PAULI, expectation
 from gmewit.measurement import ImprecisionBudget
 from gmewit.states import cluster_state_4, ghz_state, w_state
 from gmewit.witnesses import (BUILDERS, CorrelatorRecord, assemble,
-                              cluster_witness_c4, eval_from_correlators, expand,
+                              cluster_witness_c4, contract, eval_from_correlators, expand,
                               inm_value, letter_map_gradients, load_correlator_fixture,
                               mermin_terms, mermin_witness, pauli_expectations,
                               stabilizer_terms, stabilizer_witness, w_witness_d3)
@@ -231,8 +231,9 @@ def test_letter_map_gradients_are_the_adjoint_of_expand(n, rank, seed):
     coeffs = rng.normal(size=(4,) * n)
     maps = rng.normal(size=(n, 4, 4))
     factor = rng.normal(size=(2 ** n, rank)) + 1j * rng.normal(size=(2 ** n, rank))
-    value = np.trace(factor.conj().T @ expand(coeffs, maps) @ factor).real
-    grads = letter_map_gradients(coeffs, maps, pauli_expectations(factor, n))
+    stages = contract(coeffs, maps)
+    value = np.trace(factor.conj().T @ expand(stages) @ factor).real
+    grads = letter_map_gradients(stages, maps, pauli_expectations(factor, n))
     assert np.allclose(np.einsum("jab,jab->j", grads, maps), value, rtol=1e-12, atol=1e-10)
 
 
@@ -245,12 +246,12 @@ def test_letter_map_gradient_entries_match_unit_map_expansions(n, seed):
     coeffs = rng.normal(size=(4,) * n)
     maps = rng.normal(size=(n, 4, 4))
     factor = rng.normal(size=(2 ** n, 2)) + 1j * rng.normal(size=(2 ** n, 2))
-    grads = letter_map_gradients(coeffs, maps, pauli_expectations(factor, n))
+    grads = letter_map_gradients(contract(coeffs, maps), maps, pauli_expectations(factor, n))
     for j, a, b in itertools.product(range(n), range(4), range(4)):
         unit = maps.copy()
         unit[j] = 0.0
         unit[j, a, b] = 1.0
-        want = np.trace(factor.conj().T @ expand(coeffs, unit) @ factor).real
+        want = np.trace(factor.conj().T @ expand(contract(coeffs, unit)) @ factor).real
         assert grads[j, a, b] == pytest.approx(want, rel=1e-10, abs=1e-9)
 
 
