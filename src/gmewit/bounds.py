@@ -12,12 +12,15 @@ from .linalg import assert_hermitian
 from .measurement import ImprecisionBudget, q_of, u_of
 from .states import spoof_state
 from .tolerances import tol
-from .witnesses import (C4_TERMS, D3_TERMS, WitnessSpec, assemble, bloch_table,
+from .witnesses import (C4_TERMS, D3_TERMS, TILT_PLANES, WitnessSpec, assemble, bloch_table,
                         mermin_witness, stabilizer_terms)
 
 #: Regime-switch imprecision (2−√2)/4 where the Mermin bound plateaus and
 #: the stabilizer-family closed forms stop being valid.
 EPS_STAR = (2 - np.sqrt(2)) / 4
+
+#: Points of the θ-sweep's coarse grid over [0, π), before its zoom.
+THETA_GRID = 721
 
 
 @dataclass(frozen=True)
@@ -31,7 +34,6 @@ class BoundResult:
     value: float
     regime: str
     saturating_theta: float | None = None
-    saturating_state: np.ndarray | None = None
 
 
 def _check_eps(eps: float, upper: float = 0.5) -> None:
@@ -114,37 +116,39 @@ def _reduced_operators(terms, offset, bloch_rest) -> dict:
                         offset if a == "I" else 0.0, bloch_rest) for a in firsts}
 
 
-def _reduced_sweep(terms, offset, n, eps, theta_grid):
+def _reduced_sweep(terms, offset, plane, n, eps):
     """Max over θ of the top eigenvalue of the party-1-reduced operator.
 
-    Party 1's tilted letter is replaced by its |χ(θ)⟩ expectation
-    (α for X̃, β for Z̃); parties 2..n keep their tilted observables.
+    Every party's letters a, b are tilted in ``plane``.  Party 1's |χ(θ)⟩,
+    Bloch vector sin 2θ·e_a + cos 2θ·e_b, replaces its tilted letters by their
+    expectations α for ã and β for b̃; parties 2..n keep their tilted ones.
     """
-    bloch = bloch_table("stabilizer", n, ImprecisionBudget.uniform(eps, n))
+    first, second = plane
+    bloch = bloch_table(plane, n, ImprecisionBudget.uniform(eps, n))
     ops = _reduced_operators(terms, offset, bloch[1:])
     # Real combinations of Hermitian operators stay Hermitian: check once per row.
-    # X/Z letters tilted in the X–Z plane make them real, and a real θ stack
+    # Letters tilted in the X–Z plane make them real, and then a real θ stack
     # halves the grid's memory and eigensolver time.
     for op in ops.values():
         assert_hermitian(op)
-    ops = {a: op.real for a, op in ops.items()}
+    ops = {a: op if op.imag.any() else op.real for a, op in ops.items()}
     q, u = q_of(eps), u_of(eps)
 
     def best_of(thetas):
         alpha = u * np.cos(2 * thetas) + q * np.sin(2 * thetas)
         beta = q * np.cos(2 * thetas) + u * np.sin(2 * thetas)
-        stack = np.multiply.outer(alpha, ops["X"])
-        stack += np.multiply.outer(beta, ops["Z"])
+        stack = np.multiply.outer(alpha, ops[first])
+        stack += np.multiply.outer(beta, ops[second])
         stack += ops["I"]
         top = np.linalg.eigvalsh(stack)[:, -1]
         i = int(np.argmax(top))
         return thetas[i], top[i]
 
-    theta, value = best_of(np.linspace(0, np.pi, theta_grid, endpoint=False))
+    theta, value = best_of(np.linspace(0, np.pi, THETA_GRID, endpoint=False))
     # Zoom: 33 points over ±one spacing of the best point, 16× finer each
     # level.  Derivative-free, since the top eigenvalue can be degenerate at
     # the maximum.
-    step = np.pi / theta_grid
+    step = np.pi / THETA_GRID
     while step > 1e-10:
         theta, value = best_of(theta + np.linspace(-step, step, 33))
         step /= 16
@@ -163,7 +167,7 @@ def _at_least_single_party(numeric: BoundResult, single: BoundResult) -> BoundRe
                        saturating_theta=single.saturating_theta)
 
 
-def stabilizer_bisep_bound_numeric(n: int, eps: float, theta_grid: int = 721) -> BoundResult:
+def stabilizer_bisep_bound_numeric(n: int, eps: float) -> BoundResult:
     """Conjectured-optimum biseparable bound via the reduced-operator θ-sweep.
 
     For ε ≤ ε* it is never below the single-party closed form; ``regime``
@@ -173,8 +177,8 @@ def stabilizer_bisep_bound_numeric(n: int, eps: float, theta_grid: int = 721) ->
         raise ValueError("the numeric sweep covers n = 3, 4 only")
     _check_eps(eps)
     # At ε = 0 the sweep's maximum is the ideal value 2^{n−1} − 1: take it exactly.
-    value, theta = ((float(2 ** (n - 1) - 1), None) if eps == 0.0
-                    else _reduced_sweep(stabilizer_terms(n), -1.0, n, eps, theta_grid))
+    value, theta = ((float(2 ** (n - 1) - 1), None) if eps == 0.0 else
+                    _reduced_sweep(stabilizer_terms(n), -1.0, TILT_PLANES["stabilizer"], n, eps))
     numeric = BoundResult(f"stabilizer{n}", n, eps, "biseparable", value,
                           "numeric-theta-sweep", saturating_theta=theta)
     if eps > EPS_STAR:
@@ -197,7 +201,7 @@ def w_witness_bounds(eps: float) -> dict[str, BoundResult]:
     _check_eps(eps, EPS_STAR)
     q, u = q_of(eps), u_of(eps)
     s = np.sqrt(eps * (1 - eps))
-    bloch = bloch_table("wstate", 3, ImprecisionBudget.uniform(eps, 3))
+    bloch = bloch_table(TILT_PLANES["wstate"], 3, ImprecisionBudget.uniform(eps, 3))
     ops = _reduced_operators(D3_TERMS, 0.0, bloch[1:])
     # Party 1 in |χ(π/4)⟩: both tilted X and Y average to (q+u)/√2.
     coef = (q + u) / np.sqrt(2)
@@ -219,15 +223,16 @@ def w_witness_bounds(eps: float) -> dict[str, BoundResult]:
 # Cluster witness
 # ---------------------------------------------------------------------------
 
-def cluster_witness_bounds(eps: float, theta_grid: int = 721) -> dict[str, BoundResult]:
-    """Biseparable-numeric, single-party and fully-separable bounds for C4.
+def cluster_witness_bounds(eps: float) -> dict[str, BoundResult]:
+    """Biseparable-numeric, single-party, fully-separable and quantum bounds
+    for C4.  The quantum value is the untilted witness's maximum, 6.
 
     The biseparable bound is never below the single-party closed form;
     its ``regime`` says which of the two was returned.
     """
     _check_eps(eps, EPS_STAR)
     q, s = q_of(eps), np.sqrt(eps * (1 - eps))
-    value, theta = _reduced_sweep(C4_TERMS, 0.0, 4, eps, theta_grid)
+    value, theta = _reduced_sweep(C4_TERMS, 0.0, TILT_PLANES["cluster"], 4, eps)
     fully = 1 + 2 * np.sqrt(2) * s + q * (4 * s + 3 * np.sqrt(2)
                                           + 2 * np.sqrt(2) * q * (2 * eps + 2 * s - 1))
     single = BoundResult("c4", 4, eps, "single-party-imprecise",
@@ -240,7 +245,36 @@ def cluster_witness_bounds(eps: float, theta_grid: int = 721) -> dict[str, Bound
         "single_party": single,
         "fully_separable": BoundResult("c4", 4, eps, "fully-separable", float(fully),
                                        "closed-form", saturating_theta=np.pi / 8),
+        "quantum": BoundResult("c4", 4, eps, "quantum", 6.0, "closed-form"),
     }
+
+
+# ---------------------------------------------------------------------------
+# One row of bounds per witness family
+# ---------------------------------------------------------------------------
+
+#: Party count of each family's witness; the D3 and C4 witnesses have no other.
+FAMILY_SIZES = {"mermin": 4, "stabilizer": 4, "wstate": 3, "cluster": 4}
+
+
+def family_bounds(family: str, n: int | None, eps: float) -> dict[str, BoundResult | None]:
+    """Biseparable, single-party, fully-separable and quantum bounds of a family
+    at ε, ``None`` where it has no such bound; ``n=None`` is the family's own size."""
+    size = FAMILY_SIZES[family]
+    n = size if n is None else n
+    if family == "mermin":
+        bisep = mermin_bisep_bound(n, eps)
+        # Theorem 1: a spoof state with only the split-off party tilted reaches it.
+        return {"biseparable": bisep, "single_party": bisep, "fully_separable": None,
+                "quantum": mermin_quantum_bound(n)}
+    if family == "stabilizer":
+        return {"biseparable": stabilizer_bisep_bound_numeric(n, eps),
+                "single_party": stabilizer_single_party_bound(n, eps),
+                "fully_separable": stabilizer_fully_sep_bound(n, eps),
+                "quantum": stabilizer_quantum_bound(n)}
+    if n != size:
+        raise ValueError(f"the {family} witness has n = {size} only")
+    return {"wstate": w_witness_bounds, "cluster": cluster_witness_bounds}[family](eps)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +313,6 @@ def bisep_brute_force(spec: WitnessSpec, partition: PartitionSpec,
     n = partition.n
     if spec.n != n:
         raise ValueError("partition size does not match the witness")
-    if n > 4:
-        raise ValueError("the oracle is limited to n ≤ 4")
     rng = np.random.default_rng(seed)
     # Permute qubits so block A occupies the leading positions.
     order = list(partition.block_a) + list(partition.block_b)

@@ -12,11 +12,7 @@ import numpy as np
 
 from . import fixture_path
 from .acceptance import REFERENCE_BUDGET, run_checks
-from .bounds import (cluster_witness_bounds, mermin_bisep_bound,
-                     mermin_quantum_bound, spoofing_curve,
-                     stabilizer_bisep_bound_numeric, stabilizer_fully_sep_bound,
-                     stabilizer_quantum_bound, stabilizer_single_party_bound,
-                     w_witness_bounds)
+from .bounds import FAMILY_SIZES, family_bounds, spoofing_curve
 from .linalg import expectation
 from .measurement import CountTable, ImprecisionBudget, fidelity_from_counts
 from .robustness import (ThresholdQuery, DEFAULT_I43_BISEP_BOUND,
@@ -115,42 +111,16 @@ BOUND_COLUMNS = ["epsilon", "bound_biseparable", "bound_single_party",
                  "bound_fully_separable", "bound_quantum", "regime"]
 
 
-def _bound_row(witness: str, n: int, eps: float) -> dict:
-    if witness == "mermin":
-        bisep = mermin_bisep_bound(n, eps)
-        return {"epsilon": eps, "bound_biseparable": bisep.value,
-                "bound_single_party": bisep.value,
-                "bound_fully_separable": None,
-                "bound_quantum": mermin_quantum_bound(n).value,
-                "regime": bisep.regime}
-    if witness == "stabilizer":
-        bisep = stabilizer_bisep_bound_numeric(n, eps)
-        return {"epsilon": eps, "bound_biseparable": bisep.value,
-                "bound_single_party": stabilizer_single_party_bound(n, eps).value,
-                "bound_fully_separable": stabilizer_fully_sep_bound(n, eps).value,
-                "bound_quantum": stabilizer_quantum_bound(n).value,
-                "regime": bisep.regime}
-    if witness == "wstate":
-        b = w_witness_bounds(eps)
-        return {"epsilon": eps, "bound_biseparable": b["biseparable"].value,
-                "bound_single_party": b["single_party"].value,
-                "bound_fully_separable": b["fully_separable"].value,
-                "bound_quantum": b["quantum"].value,
-                "regime": b["biseparable"].regime}
-    if witness == "cluster":
-        b = cluster_witness_bounds(eps)
-        return {"epsilon": eps, "bound_biseparable": b["biseparable"].value,
-                "bound_single_party": b["single_party"].value,
-                "bound_fully_separable": b["fully_separable"].value,
-                "bound_quantum": 6.0,
-                "regime": b["biseparable"].regime}
-    raise click.BadParameter(f"unknown witness {witness!r}")
+def _bound_row(witness: str, n: int | None, eps: float) -> dict:
+    bounds = family_bounds(witness, n, eps)
+    return {"epsilon": eps, "regime": bounds["biseparable"].regime,
+            **{f"bound_{kind}": None if b is None else b.value for kind, b in bounds.items()}}
 
 
 @main.command()
 @click.option("--witness", required=True,
-              type=click.Choice(["mermin", "stabilizer", "wstate", "cluster"]))
-@click.option("--n", default=4, show_default=True)
+              type=click.Choice(list(FAMILY_SIZES)))
+@click.option("--n", type=int, help="Party count [default: 4, or 3 for wstate].")
 @click.option("--eps", default=None, type=float)
 @click.option("--eps-grid", default=None, help="start:stop:count grid of ε values.")
 @common_options

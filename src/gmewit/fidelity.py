@@ -17,14 +17,17 @@ from .witnesses import (BUILDERS, LETTERS, WitnessSpec, coefficient_tensor, cont
 
 
 @functools.cache
+def _ideal_spec(witness: str) -> WitnessSpec:
+    """The untilted witness of that name, built once per process and read-only."""
+    spec = BUILDERS[witness]()
+    spec.matrix.flags.writeable = False
+    return spec
+
+
+@functools.cache
 def _algebraic_range(witness: str) -> tuple[float, float]:
-    evals = np.linalg.eigvalsh(BUILDERS[witness]().matrix)
+    evals = np.linalg.eigvalsh(_ideal_spec(witness).matrix)
     return float(evals[0]), float(evals[-1])
-
-#: Tilt plane (intended bases that carry imprecision) per witness.
-TILT_BASES = {"mermin4": "XY", "stabilizer4": "XZ"}
-
-_PERP = {"X": ("Y", "Z"), "Y": ("X", "Z"), "Z": ("X", "Y")}
 
 
 def closed_form_l0(witness: str, w: float) -> float:
@@ -47,6 +50,9 @@ class FidelityBoundQuery:
     seed: int = 0
 
     def __post_init__(self):
+        n = _ideal_spec(self.witness).n
+        if self.budget.n != n:
+            raise ValueError(f"the budget has {self.budget.n} parties, {self.witness} has {n}")
         lo, hi = _algebraic_range(self.witness)
         if not lo - 1e-9 <= self.observed_value <= hi + 1e-9:
             raise ValueError("observed value outside the witness's range")
@@ -124,8 +130,8 @@ def _lower_bound_fixed(w_matrix: np.ndarray, p_ghz: np.ndarray, w: float,
     return value, lam, np.hstack([np.sqrt(p) * v_lo, np.sqrt(1 - p) * v_hi])
 
 
-def _tilt_table(bases: str, budget: ImprecisionBudget):
-    """Letter maps of every party as a function of the tilt angles.
+def _tilt_table(bases, budget: ImprecisionBudget):
+    """Letter maps of every party as a function of the tilt angles of ``bases``.
 
     ``omegas[j, k]`` rotates party j's basis-k tilt direction within the plane
     perpendicular to the intended axis e: that letter's row is (0, q·e + u·d)
@@ -139,7 +145,8 @@ def _tilt_table(bases: str, budget: ImprecisionBudget):
     q, u = q_of(eps)[..., None], u_of(eps)[..., None]
     # (n, len(bases), 3): q·e and u·e₁, u·e₂ of every party's tilted letters.
     aligned = q * np.array([AXIS_VECTORS[b] for b in bases])
-    u1, u2 = (u * np.array([AXIS_VECTORS[_PERP[b][i]] for b in bases]) for i in (0, 1))
+    perp = np.array([[AXIS_VECTORS[c] for c in "XYZ" if c != b] for b in bases])
+    u1, u2 = (u * perp[:, i] for i in (0, 1))
     identity = np.tile(np.eye(4), (budget.n, 1, 1))
     parties, k = np.arange(budget.n)[:, None], np.arange(len(bases))
 
@@ -172,17 +179,16 @@ def _tilt_objective(query: FidelityBoundQuery):
     letter map, so it needs the Pauli expectations of ρ* and the
     derivatives of the tilted rows only.
     """
-    spec: WitnessSpec = BUILDERS[query.witness]()
-    bases = TILT_BASES[query.witness]
+    spec = _ideal_spec(query.witness)
     ghz = ghz_state(spec.n, +1)
     p_ghz = np.outer(ghz, ghz.conj())
     coeffs = coefficient_tensor(spec.terms, spec.constant_offset, spec.n)
-    table = _tilt_table(bases, query.budget)
+    table = _tilt_table(spec.tilt_plane, query.budget)
     lam = None
 
     def objective(x):
         nonlocal lam
-        maps, d_maps = table(x.reshape(spec.n, len(bases)))
+        maps, d_maps = table(x.reshape(spec.n, len(spec.tilt_plane)))
         stages = contract(coeffs, maps)
         value, lam, factor = _lower_bound_fixed(expand(stages), p_ghz, query.observed_value, lam)
         grads = letter_map_gradients(stages, maps, pauli_expectations(factor, spec.n))
@@ -204,15 +210,15 @@ def numeric_l_eps(query: FidelityBoundQuery) -> float:
     local minimum reports a value that is too high, the unsafe side for a
     certificate.
     """
-    if query.budget.is_ideal():
-        ghz = ghz_state(4, +1)
-        return _lower_bound_fixed(BUILDERS[query.witness]().matrix, np.outer(ghz, ghz.conj()),
-                                  query.observed_value)[0]
+    spec = _ideal_spec(query.witness)
+    angles = spec.n * len(spec.tilt_plane)
     objective = _tilt_objective(query)
+    if query.budget.is_ideal():             # every tilt is then the untilted witness
+        return objective(np.zeros(angles))[0]
     rng = np.random.default_rng(query.seed)
     best = np.inf
     for _ in range(query.tilt_restarts):
-        x0 = rng.uniform(0, 2 * np.pi, 4 * len(TILT_BASES[query.witness]))
+        x0 = rng.uniform(0, 2 * np.pi, angles)
         res = minimize(objective, x0, jac=True, method="L-BFGS-B", options=_OUTER_OPTIONS)
         best = min(best, float(res.fun))
     return best

@@ -194,16 +194,6 @@ def waveplate_povm(basis: str, spec: WaveplateErrorSpec):
 PREP_LABELS = ("H", "V", "D", "A", "R", "L")
 PROJ_LABELS = ("D", "A", "R", "L", "H", "V")
 
-#: Probe states in the H/V computational basis.
-_PROBES = {
-    "H": np.array([1, 0], dtype=complex),
-    "V": np.array([0, 1], dtype=complex),
-    "D": np.array([1, 1], dtype=complex) / np.sqrt(2),
-    "A": np.array([1, -1], dtype=complex) / np.sqrt(2),
-    "R": np.array([1, 1j], dtype=complex) / np.sqrt(2),
-    "L": np.array([1, -1j], dtype=complex) / np.sqrt(2),
-}
-
 #: Each projector pair and the Bloch axis whose ± eigenstates it targets.
 PROJECTOR_PAIRS = {"X": ("D", "A"), "Y": ("R", "L"), "Z": ("H", "V")}
 

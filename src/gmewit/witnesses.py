@@ -26,13 +26,14 @@ TILT_PLANES = {
 
 @dataclass(frozen=True)
 class WitnessSpec:
-    """A witness as coefficient-weighted Pauli-letter terms plus its matrix."""
+    """A witness: Pauli-letter terms, offset, matrix and tilt plane (letter → partner)."""
 
     name: str
     n: int
     terms: tuple          # ((coefficient, letters), ...)
     constant_offset: float
     matrix: np.ndarray
+    tilt_plane: dict
 
     def __post_init__(self):
         for _, letters in self.terms:
@@ -59,15 +60,14 @@ class CorrelatorRecord:
 # Assembly helpers
 # ---------------------------------------------------------------------------
 
-def bloch_table(family: str, n: int, budget: ImprecisionBudget | None):
-    """Per-party letter → Bloch vector table of a witness family.
+def bloch_table(plane: dict, n: int, budget: ImprecisionBudget | None):
+    """Per-party letter → Bloch vector table of a tilt plane.
 
-    With a budget, each letter is tilted toward the in-plane partner of the
-    family; without one every party measures the exact Paulis.
+    With a budget, each letter of the plane is tilted toward its in-plane
+    partner; without one every party measures the exact Paulis.
     """
     if budget is None:
         return [{}] * n
-    plane = TILT_PLANES[family]
     return [{letter: tilt_vector(letter, budget.eps(party, letter), AXIS_VECTORS[partner])
              for letter, partner in plane.items()} for party in range(n)]
 
@@ -180,8 +180,9 @@ def assemble(terms, offset: float, bloch) -> np.ndarray:
 
 
 def _make_spec(name, family, n, terms, offset, budget) -> WitnessSpec:
-    table = bloch_table(family, n, budget)
-    return WitnessSpec(name, n, tuple(terms), offset, assemble(terms, offset, table))
+    plane = TILT_PLANES[family]
+    matrix = assemble(terms, offset, bloch_table(plane, n, budget))
+    return WitnessSpec(name, n, tuple(terms), offset, matrix, plane)
 
 
 # ---------------------------------------------------------------------------

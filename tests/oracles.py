@@ -12,8 +12,8 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq, minimize, minimize_scalar
 
-from gmewit.bounds import BoundResult, PartitionSpec, _reduced_operators
-from gmewit.fidelity import LAMBDA_CAP, TILT_BASES, _lower_bound_fixed, _tilt_table
+from gmewit.bounds import THETA_GRID, BoundResult, PartitionSpec, _reduced_operators
+from gmewit.fidelity import LAMBDA_CAP, _lower_bound_fixed, _tilt_table
 from gmewit.linalg import PAULI, expectation, kron
 from gmewit.measurement import ImprecisionBudget, projectors, q_of, u_of
 from gmewit.robustness import _affine_crossing, default_bisep_bound
@@ -83,8 +83,8 @@ def nelder_mead_l_eps(query) -> float:
     """L_ε by the earlier outer search: Nelder–Mead (``maxfev`` 400) over the
     tilt angles from the same seeded starts, on the same exact dual."""
     spec = BUILDERS[query.witness]()
-    bases = TILT_BASES[query.witness]
-    ghz = ghz_state(4, +1)
+    bases = spec.tilt_plane
+    ghz = ghz_state(spec.n, +1)
     p_ghz = np.outer(ghz, ghz.conj())
     w = query.observed_value
     coeffs = coefficient_tensor(spec.terms, spec.constant_offset, spec.n)
@@ -93,14 +93,14 @@ def nelder_mead_l_eps(query) -> float:
 
     def objective(x):
         nonlocal lam
-        maps, _ = table(x.reshape(4, len(bases)))
+        maps, _ = table(x.reshape(spec.n, len(bases)))
         value, lam, _ = _lower_bound_fixed(expand(contract(coeffs, maps)), p_ghz, w, lam)
         return value
 
     rng = np.random.default_rng(query.seed)
     best = np.inf
     for _ in range(query.tilt_restarts):
-        x0 = rng.uniform(0, 2 * np.pi, 4 * len(bases))
+        x0 = rng.uniform(0, 2 * np.pi, spec.n * len(bases))
         res = minimize(objective, x0, method="Nelder-Mead",
                        options={"maxfev": 400, "xatol": 1e-3, "fatol": 1e-6})
         best = min(best, float(res.fun))
@@ -242,10 +242,11 @@ def seesaw_per_restart(spec: WitnessSpec, partition: PartitionSpec,
     return float(best)
 
 
-def reduced_sweep_minimize_scalar(terms, offset, n, eps, theta_grid=721):
+def reduced_sweep_minimize_scalar(terms, offset, plane, n, eps):
     """The θ-sweep's (value, θ) with the grid maximum refined by a bounded
-    ``minimize_scalar`` (xatol 1e-10) over ±one grid spacing."""
-    bloch = bloch_table("stabilizer", n, ImprecisionBudget.uniform(eps, n))
+    ``minimize_scalar`` (xatol 1e-10) over ±one grid spacing.  ``plane`` must
+    be the X–Z plane."""
+    bloch = bloch_table(plane, n, ImprecisionBudget.uniform(eps, n))
     ops = {a: op.real for a, op in _reduced_operators(terms, offset, bloch[1:]).items()}
     q, u = q_of(eps), u_of(eps)
 
@@ -254,9 +255,9 @@ def reduced_sweep_minimize_scalar(terms, offset, n, eps, theta_grid=721):
         beta = q * np.cos(2 * theta) + u * np.sin(2 * theta)
         return np.multiply.outer(alpha, ops["X"]) + np.multiply.outer(beta, ops["Z"]) + ops["I"]
 
-    thetas = np.linspace(0, np.pi, theta_grid, endpoint=False)
+    thetas = np.linspace(0, np.pi, THETA_GRID, endpoint=False)
     best = thetas[int(np.argmax(np.linalg.eigvalsh(reduced(thetas))[:, -1]))]
-    step = np.pi / theta_grid
+    step = np.pi / THETA_GRID
     res = minimize_scalar(lambda t: -np.linalg.eigvalsh(reduced(t))[-1],
                           bounds=(best - step, best + step),
                           method="bounded", options={"xatol": 1e-10})

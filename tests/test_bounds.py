@@ -13,7 +13,7 @@ from gmewit.bounds import (EPS_STAR, PartitionSpec, _reduced_sweep, all_bipartit
 from gmewit.linalg import expectation
 from gmewit.measurement import ImprecisionBudget
 from gmewit.states import spoof_state
-from gmewit.witnesses import (C4_TERMS, cluster_witness_c4, mermin_witness,
+from gmewit.witnesses import (C4_TERMS, TILT_PLANES, cluster_witness_c4, mermin_witness,
                               stabilizer_terms, stabilizer_witness)
 from oracles import mermin_di_bound, reduced_sweep_minimize_scalar, seesaw_per_restart
 
@@ -23,11 +23,11 @@ SEESAW_WITNESSES = {
     "c4": cluster_witness_c4,
 }
 
-#: (terms, offset, n) of each θ-swept witness.
+#: (terms, offset, tilt plane, n) of each θ-swept witness.
 SWEEPS = {
-    "stabilizer3": (stabilizer_terms(3), -1.0, 3),
-    "stabilizer4": (stabilizer_terms(4), -1.0, 4),
-    "c4": (C4_TERMS, 0.0, 4),
+    "stabilizer3": (stabilizer_terms(3), -1.0, TILT_PLANES["stabilizer"], 3),
+    "stabilizer4": (stabilizer_terms(4), -1.0, TILT_PLANES["stabilizer"], 4),
+    "c4": (C4_TERMS, 0.0, TILT_PLANES["cluster"], 4),
 }
 
 
@@ -208,6 +208,19 @@ def test_brute_force_validation():
         bisep_brute_force(spec, PartitionSpec((0,), (1, 2, 3)))
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.01, 0.05])
+def test_brute_force_mermin5_below_closed_form(eps):
+    # Five parties, all 15 bipartitions: the see-saw stays below Theorem 1's
+    # bound and reaches the ideal value 2^{n−2} = 8 at ε = 0.
+    spec = mermin_witness(5, ImprecisionBudget.uniform(eps, 5))
+    parts = all_bipartitions(5)
+    assert len(parts) == 15
+    found = max(bisep_brute_force(spec, part) for part in parts)
+    assert found <= mermin_bisep_bound(5, eps).value + 1e-9
+    if eps == 0.0:
+        assert found == pytest.approx(8.0, abs=1e-6)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(SEESAW_WITNESSES)), st.sampled_from(all_bipartitions(4)),
        st.floats(0.0, EPS_STAR, exclude_min=True), st.integers(0, 2 ** 32 - 1),
@@ -222,10 +235,10 @@ def test_batched_seesaw_equals_per_restart_oracle(witness, part, eps, seed, rest
 
 @pytest.mark.parametrize("witness", sorted(SWEEPS))
 def test_theta_sweep_equals_minimize_scalar_oracle(witness):
-    terms, offset, n = SWEEPS[witness]
+    terms, offset, plane, n = SWEEPS[witness]
     for eps in np.linspace(EPS_STAR / 20, EPS_STAR, 20):
-        value, _ = _reduced_sweep(terms, offset, n, eps, 721)
-        expected, _ = reduced_sweep_minimize_scalar(terms, offset, n, eps)
+        value, _ = _reduced_sweep(terms, offset, plane, n, eps)
+        expected, _ = reduced_sweep_minimize_scalar(terms, offset, plane, n, eps)
         assert value == pytest.approx(expected, abs=1e-12), eps
 
 

@@ -130,6 +130,8 @@ def test_removed_options_are_rejected(runner):
     ["tomo", "--counts", "{missing}"],
     ["robustness", "--witness", "mermin4", "--case", "worst-case-tilted",
      "--eps", "0.3"],
+    ["bound", "--witness", "cluster", "--n", "3", "--eps", "0.01"],
+    ["bound", "--witness", "wstate", "--n", "4", "--eps", "0.01"],
 ])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, runner, args):
     two_entries = tmp_path / "probs.json"

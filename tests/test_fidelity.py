@@ -7,7 +7,7 @@ from scipy.optimize import minimize_scalar
 
 from gmewit import fidelity
 from gmewit.acceptance import REFERENCE_BUDGET
-from gmewit.fidelity import (LAMBDA_CAP, TILT_BASES, FidelityBoundQuery, _lower_bound_fixed,
+from gmewit.fidelity import (LAMBDA_CAP, FidelityBoundQuery, _lower_bound_fixed,
                              _tilt_objective, _tilt_table, closed_form_l0, fidelity_curve,
                              numeric_l_eps)
 from gmewit.linalg import expectation
@@ -18,6 +18,9 @@ from oracles import dual_brentq, ghz_fidelity, nelder_mead_l_eps
 
 GHZ = ghz_state(4, +1)
 P_GHZ = np.outer(GHZ, GHZ.conj())
+
+#: The witnesses the ``fidelity`` command bounds.
+TILTED = ["mermin4", "stabilizer4"]
 
 
 def _grid_scan_lower_bound(w_matrix, p_ghz, w, grid=80):
@@ -40,12 +43,12 @@ def _grid_scan_lower_bound(w_matrix, p_ghz, w, grid=80):
 def _tilted_witness(witness, eps, omegas):
     spec = BUILDERS[witness]()
     budget = ImprecisionBudget.uniform(eps, 4)
-    maps, _ = _tilt_table(TILT_BASES[witness], budget)(omegas)
+    maps, _ = _tilt_table(spec.tilt_plane, budget)(omegas)
     return expand(contract(coefficient_tensor(spec.terms, spec.constant_offset, 4), maps))
 
 
 _tilts = st.tuples(
-    st.sampled_from(sorted(TILT_BASES)),
+    st.sampled_from(TILTED),
     st.floats(-8.0, -2.0),
     st.lists(st.floats(0.0, 2 * np.pi), min_size=8, max_size=8),
     st.floats(0.0, 1.0),
@@ -72,6 +75,11 @@ def test_ghz_fidelity():
 def test_query_rejects_out_of_range_value():
     with pytest.raises(ValueError):
         FidelityBoundQuery("mermin4", 9.5, ImprecisionBudget.ideal(4))
+    # A budget for another party count than the witness's.
+    for witness, w, budget in (("mermin4", 7.4, ImprecisionBudget.uniform(0.01, 3)),
+                               ("mermin3", 3.0, ImprecisionBudget.uniform(0.01, 4))):
+        with pytest.raises(ValueError, match="parties"):
+            FidelityBoundQuery(witness, w, budget)
 
 
 def test_ideal_l_eps_matches_closed_form():
@@ -89,14 +97,15 @@ def test_l_eps_soundness_on_random_states():
     # The ideal bound is sound: every state's GHZ fidelity is at least the
     # bound computed from its own witness value.
     rng = np.random.default_rng(7)
-    mat = BUILDERS["mermin4"]().matrix
-    budget = ImprecisionBudget.ideal(4)
-    for _ in range(20):
-        v = rng.normal(size=16) + 1j * rng.normal(size=16)
-        v /= np.linalg.norm(v)
-        w = expectation(mat, v)
-        bound = numeric_l_eps(FidelityBoundQuery("mermin4", w, budget))
-        assert ghz_fidelity(v) >= bound - 1e-7
+    for witness in ("mermin4", "mermin3"):
+        spec = BUILDERS[witness]()
+        budget = ImprecisionBudget.ideal(spec.n)
+        for _ in range(20):
+            v = rng.normal(size=2 ** spec.n) + 1j * rng.normal(size=2 ** spec.n)
+            v /= np.linalg.norm(v)
+            w = expectation(spec.matrix, v)
+            bound = numeric_l_eps(FidelityBoundQuery(witness, w, budget))
+            assert ghz_fidelity(v, n=spec.n) >= bound - 1e-7
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,7 +217,7 @@ def test_outer_search_evaluation_budget(monkeypatch):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(sorted(TILT_BASES)), st.floats(-6.0, -2.0),
+@given(st.sampled_from(TILTED), st.floats(-6.0, -2.0),
        st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0))
 def test_envelope_gradient_matches_central_differences(witness, log_eps, tilt_seed, t):
     # ∂L/∂ω = −λ*·tr(ρ*·∂W_ε/∂ω) against central differences of L itself,
