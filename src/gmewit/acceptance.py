@@ -20,11 +20,10 @@ from .bounds import (EPS_STAR, all_bipartitions, bisep_brute_force,
 from .linalg import PAULI, expectation, kron
 from .measurement import (CountTable, ImprecisionBudget, WaveplateErrorSpec,
                           fidelity_from_counts, waveplate_povm)
-from .robustness import ThresholdQuery, di_thresholds, threshold_visibility
+from .robustness import di_thresholds, threshold_visibility
 from .states import cluster_state_4, ghz_state, w_state
-from .witnesses import (cluster_witness_c4, eval_from_correlators,
-                        load_correlator_fixture, mermin_witness,
-                        stabilizer_witness, w_witness_d3)
+from .witnesses import (eval_from_correlators, ideal, load_correlator_fixture,
+                        stabilizer_witness)
 
 #: Per-basis infidelity budget of the reference experiment (ε_X, ε_Y, ε_Z).
 REFERENCE_BUDGET = ImprecisionBudget.per_basis(6e-4, 2.3e-3, 3e-4, 4)
@@ -134,25 +133,23 @@ def check_witness_values() -> list[CheckResult]:
     bisep = np.kron(plus, ghz3)
     return [
         _check("mermin4-on-ghz4", 8.0,
-               expectation(mermin_witness(4).matrix, ghz_state(4, +1)), 1e-10),
+               expectation(ideal("mermin4").matrix, ghz_state(4, +1)), 1e-10),
         _check("stabilizer4-on-ghz4", 11.0,
-               expectation(stabilizer_witness(4).matrix, ghz_state(4, +1)), 1e-10),
+               expectation(ideal("stabilizer4").matrix, ghz_state(4, +1)), 1e-10),
         _check("d3-on-wstate", 4.0,
-               expectation(w_witness_d3().matrix, w_state()), 1e-10),
+               expectation(ideal("d3").matrix, w_state()), 1e-10),
         _check("c4-on-cluster", 6.0,
-               expectation(cluster_witness_c4().matrix, cluster_state_4()), 1e-10),
+               expectation(ideal("c4").matrix, cluster_state_4()), 1e-10),
         _check("stabilizer4-on-plus-ghz3", 7.0,
-               expectation(stabilizer_witness(4).matrix, bisep), 1e-10),
+               expectation(ideal("stabilizer4").matrix, bisep), 1e-10),
     ]
 
 
 def check_fixture_totals() -> list[CheckResult]:
     out = []
-    for name, builder, reference in (
-            ("fig4_mermin.json", mermin_witness(4), 7.4665),
-            ("fig4_stabilizer.json", stabilizer_witness(4), 10.5168)):
-        _, records = load_correlator_fixture(fixture_path(name))
-        value, _std = eval_from_correlators(builder, records)
+    for name, reference in (("fig4_mermin.json", 7.4665), ("fig4_stabilizer.json", 10.5168)):
+        witness, records = load_correlator_fixture(fixture_path(name))
+        value, _std = eval_from_correlators(ideal(witness), records)
         out.append(_check(f"fixture-total-{name}", reference, value, 0.002))
     return out
 
@@ -172,15 +169,10 @@ def check_fidelity_bounds(tilt_restarts: int = 8) -> list[CheckResult]:
 
 
 def check_robustness_thresholds() -> list[CheckResult]:
-    deph = threshold_visibility(ThresholdQuery(
-        "mermin4", 0.005, "dephasing", "best-case-exact",
-        mermin_bisep_bound(4, 0.005)))
-    white_m = threshold_visibility(ThresholdQuery(
-        "mermin4", 0.0, "depolarizing", "best-case-exact",
-        mermin_bisep_bound(4, 0.0)))
-    white_s = threshold_visibility(ThresholdQuery(
-        "stabilizer4", 0.0, "depolarizing", "best-case-exact",
-        stabilizer_bisep_bound_numeric(4, 0.0)))
+    deph = threshold_visibility("mermin4", "dephasing", mermin_bisep_bound(4, 0.005).value)
+    white_m = threshold_visibility("mermin4", "depolarizing", mermin_bisep_bound(4, 0.0).value)
+    white_s = threshold_visibility("stabilizer4", "depolarizing",
+                                   stabilizer_bisep_bound_numeric(4, 0.0).value)
     return [
         _check("dephasing-mermin-eps=0.005", 0.783, deph, 0.002),
         _check("di-m=2", 0.8536, di_thresholds(2), 1e-4),

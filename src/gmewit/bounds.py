@@ -12,8 +12,7 @@ from .linalg import assert_hermitian
 from .measurement import ImprecisionBudget, q_of, u_of
 from .states import spoof_state
 from .tolerances import tol
-from .witnesses import (C4_TERMS, D3_TERMS, TILT_PLANES, WitnessSpec, assemble, bloch_table,
-                        mermin_witness, stabilizer_terms)
+from .witnesses import WitnessSpec, assemble, bloch_table, ideal, mermin_witness
 
 #: Regime-switch imprecision (2−√2)/4 where the Mermin bound plateaus and
 #: the stabilizer-family closed forms stop being valid.
@@ -106,32 +105,34 @@ def stabilizer_fully_sep_bound(n: int, eps: float) -> BoundResult:
                        "closed-form", saturating_theta=np.pi / 8)
 
 
-def _reduced_operators(terms, offset, bloch_rest) -> dict:
-    """First-party letter → the parties-2..n operator that multiplies it.
+def _reduced_operators(spec: WitnessSpec, eps: float) -> dict:
+    """First-party letter → the parties-2..n operator that multiplies it, with
+    every letter tilted by the uniform budget ε in ``spec``'s plane.
 
     The constant offset joins the identity letter.
     """
-    firsts = {letters[0] for _, letters in terms} | {"I"}
-    return {a: assemble([(c, letters[1:]) for c, letters in terms if letters[0] == a],
-                        offset if a == "I" else 0.0, bloch_rest) for a in firsts}
+    bloch = bloch_table(spec.tilt_plane, spec.n, ImprecisionBudget.uniform(eps, spec.n))
+    firsts = {letters[0] for _, letters in spec.terms} | {"I"}
+    return {a: assemble([(c, letters[1:]) for c, letters in spec.terms if letters[0] == a],
+                        spec.constant_offset if a == "I" else 0.0, bloch[1:]) for a in firsts}
 
 
-def _reduced_sweep(terms, offset, plane, n, eps):
+def _reduced_sweep(spec: WitnessSpec, eps: float):
     """Max over θ of the top eigenvalue of the party-1-reduced operator.
 
-    Every party's letters a, b are tilted in ``plane``.  Party 1's |χ(θ)⟩,
-    Bloch vector sin 2θ·e_a + cos 2θ·e_b, replaces its tilted letters by their
-    expectations α for ã and β for b̃; parties 2..n keep their tilted ones.
+    Every party's letters a, b are tilted in ``spec``'s plane.  Party 1's
+    |χ(θ)⟩, Bloch vector sin 2θ·e_a + cos 2θ·e_b, replaces its tilted letters
+    by their expectations α for ã and β for b̃; parties 2..n keep theirs.
     """
-    first, second = plane
-    bloch = bloch_table(plane, n, ImprecisionBudget.uniform(eps, n))
-    ops = _reduced_operators(terms, offset, bloch[1:])
+    first, second = spec.tilt_plane
+    ops = _reduced_operators(spec, eps)
     # Real combinations of Hermitian operators stay Hermitian: check once per row.
-    # Letters tilted in the X–Z plane make them real, and then a real θ stack
-    # halves the grid's memory and eigensolver time.
+    # In the X–Z plane they are all real, and a real θ stack halves the grid's
+    # memory and eigensolver time; one complex operator keeps them all complex.
     for op in ops.values():
         assert_hermitian(op)
-    ops = {a: op if op.imag.any() else op.real for a, op in ops.items()}
+    if not any(op.imag.any() for op in ops.values()):
+        ops = {a: op.real for a, op in ops.items()}
     q, u = q_of(eps), u_of(eps)
 
     def best_of(thetas):
@@ -178,7 +179,7 @@ def stabilizer_bisep_bound_numeric(n: int, eps: float) -> BoundResult:
     _check_eps(eps)
     # At ε = 0 the sweep's maximum is the ideal value 2^{n−1} − 1: take it exactly.
     value, theta = ((float(2 ** (n - 1) - 1), None) if eps == 0.0 else
-                    _reduced_sweep(stabilizer_terms(n), -1.0, TILT_PLANES["stabilizer"], n, eps))
+                    _reduced_sweep(ideal(f"stabilizer{n}"), eps))
     numeric = BoundResult(f"stabilizer{n}", n, eps, "biseparable", value,
                           "numeric-theta-sweep", saturating_theta=theta)
     if eps > EPS_STAR:
@@ -201,14 +202,13 @@ def w_witness_bounds(eps: float) -> dict[str, BoundResult]:
     _check_eps(eps, EPS_STAR)
     q, u = q_of(eps), u_of(eps)
     s = np.sqrt(eps * (1 - eps))
-    bloch = bloch_table(TILT_PLANES["wstate"], 3, ImprecisionBudget.uniform(eps, 3))
-    ops = _reduced_operators(D3_TERMS, 0.0, bloch[1:])
-    # Party 1 in |χ(π/4)⟩: both tilted X and Y average to (q+u)/√2.
+    ops = _reduced_operators(ideal("d3"), eps)
+    # Party 1 in |χ(π/8)⟩ (Bloch azimuth π/4): tilted X and Y both average to (q+u)/√2.
     coef = (q + u) / np.sqrt(2)
     numeric = np.linalg.eigvalsh(coef * (ops["X"] + ops["Y"]) + ops["I"])[-1]
     return {
         "biseparable": BoundResult("d3", 3, eps, "biseparable", float(numeric),
-                                   "numeric-theta-sweep", saturating_theta=np.pi / 4),
+                                   "numeric-theta-sweep", saturating_theta=np.pi / 8),
         "single_party": BoundResult("d3", 3, eps, "single-party-imprecise",
                                     float(1 + np.sqrt(5 + 16 * q * s)), "closed-form"),
         "fully_separable": BoundResult("d3", 3, eps, "fully-separable",
@@ -232,7 +232,7 @@ def cluster_witness_bounds(eps: float) -> dict[str, BoundResult]:
     """
     _check_eps(eps, EPS_STAR)
     q, s = q_of(eps), np.sqrt(eps * (1 - eps))
-    value, theta = _reduced_sweep(C4_TERMS, 0.0, TILT_PLANES["cluster"], 4, eps)
+    value, theta = _reduced_sweep(ideal("c4"), eps)
     fully = 1 + 2 * np.sqrt(2) * s + q * (4 * s + 3 * np.sqrt(2)
                                           + 2 * np.sqrt(2) * q * (2 * eps + 2 * s - 1))
     single = BoundResult("c4", 4, eps, "single-party-imprecise",

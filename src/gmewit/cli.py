@@ -9,18 +9,18 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import fixture_path
 from .acceptance import REFERENCE_BUDGET, run_checks
 from .bounds import FAMILY_SIZES, family_bounds, spoofing_curve
 from .linalg import expectation
 from .measurement import CountTable, ImprecisionBudget, fidelity_from_counts
-from .robustness import (ThresholdQuery, DEFAULT_I43_BISEP_BOUND,
-                         default_bisep_bound, di_thresholds, robustness_sweep,
-                         threshold_visibility)
+from .robustness import (DEFAULT_I43_BISEP_BOUND, default_bisep_bound, di_thresholds,
+                         robustness_sweep, threshold_visibility)
 from .states import (NoiseModel, apply_noise, cluster_state_4, ghz_state,
                      spoof_state, w_state)
-from .witnesses import (BUILDERS, eval_from_correlators, inm_value,
+from .witnesses import (BUILDERS, eval_from_correlators, ideal, inm_value,
                         load_correlator_fixture)
 
 
@@ -78,6 +78,15 @@ def _input_path(name: str):
         if path.is_file():
             return path
     raise FileNotFoundError(f"no file {here.resolve()} nor bundled fixture {bundled}")
+
+
+def _reject_given(names, context: str) -> None:
+    """Bad input if a parameter in ``names``, which ``context`` ignores, was given."""
+    ctx = click.get_current_context()
+    given = [p.opts[0] for p in ctx.command.params if p.name in names
+             and ctx.get_parameter_source(p.name) is ParameterSource.COMMANDLINE]
+    if given:
+        raise ValueError(f"{', '.join(given)} cannot be used {context}")
 
 
 class _Main(click.Group):
@@ -157,17 +166,18 @@ STATES = {
 def witness(witness_name, state_name, noise, eps, fixture, out, output_format):
     """Witness expectation on a state or on measured correlators."""
     if fixture is not None:
+        _reject_given({"witness_name", "state_name", "noise", "eps"}, "with --fixture")
         name, records = load_correlator_fixture(_input_path(fixture))
-        spec = BUILDERS[name]()
-        value, std = eval_from_correlators(spec, records)
+        value, std = eval_from_correlators(ideal(name), records)
         rows = [{"witness": name, "source": str(fixture),
                  "value": value, "std": std}]
         emit(rows, ["witness", "source", "value", "std"], out, output_format)
         return
     if witness_name is None or state_name is None:
         raise click.BadParameter("give --fixture, or both --witness and --state")
-    budget = None if eps == 0.0 else ImprecisionBudget.uniform(eps, BUILDERS[witness_name]().n)
-    spec = BUILDERS[witness_name](budget)
+    spec = ideal(witness_name)
+    if eps != 0.0:
+        spec = BUILDERS[witness_name](ImprecisionBudget.uniform(eps, spec.n))
     state = STATES[state_name]()
     if noise is not None:
         state = apply_noise(state, parse_noise(noise))
@@ -203,9 +213,12 @@ def spoof(eps_grid, out, output_format):
 def robustness(witness_name, eps, noise_kind, case, i43_bound, p_grid, out,
                output_format):
     """Noise-visibility thresholds (and optional sweep tables)."""
+    if witness_name != "i43":
+        _reject_given({"i43_bound"}, f"with --witness {witness_name}")
     if noise_kind == "white":
         noise_kind = "depolarizing"
     if witness_name in ("i42", "i43"):
+        _reject_given({"eps", "noise_kind", "case", "p_grid"}, f"with --witness {witness_name}")
         m = 2 if witness_name == "i42" else 3
         p = di_thresholds(m, bisep_bound_i43=i43_bound)
         emit([{"witness": witness_name, "threshold": p}],
@@ -217,11 +230,10 @@ def robustness(witness_name, eps, noise_kind, case, i43_bound, p_grid, out,
         emit(rows, ["p", "witness_value", "normalized_value", "bound",
                     "violation_flag"], out, output_format)
         return
-    bound_result = default_bisep_bound(witness_name, eps)
-    p = threshold_visibility(ThresholdQuery(witness_name, eps, noise_kind,
-                                            case, bound_result))
+    bound = default_bisep_bound(witness_name, eps).value
+    p = threshold_visibility(witness_name, noise_kind, bound, case, eps)
     emit([{"witness": witness_name, "eps": eps, "noise": noise_kind,
-           "case": case, "bound": bound_result.value, "threshold": p}],
+           "case": case, "bound": bound, "threshold": p}],
          ["witness", "eps", "noise", "case", "bound", "threshold"],
          out, output_format)
 
@@ -249,7 +261,7 @@ def fidelity(witness_name, observed, eps_x, eps_y, eps_z, restarts, curve, out,
         budget = REFERENCE_BUDGET
     else:
         budget = ImprecisionBudget.per_basis(eps_x or 0.0, eps_y or 0.0,
-                                             eps_z or 0.0, 4)
+                                             eps_z or 0.0, ideal(witness_name).n)
     if curve is not None:
         rows = fidelity_curve(witness_name, budget, parse_grid(curve),
                               tilt_restarts=restarts, seed=seed)

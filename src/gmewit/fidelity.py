@@ -12,21 +12,13 @@ from scipy.optimize import minimize
 from .measurement import AXIS_VECTORS, ImprecisionBudget, q_of, u_of
 from .states import ghz_state
 from .tolerances import tol
-from .witnesses import (BUILDERS, LETTERS, WitnessSpec, coefficient_tensor, contract, expand,
+from .witnesses import (LETTERS, coefficient_tensor, contract, expand, ideal,
                         letter_map_gradients, pauli_expectations)
 
 
 @functools.cache
-def _ideal_spec(witness: str) -> WitnessSpec:
-    """The untilted witness of that name, built once per process and read-only."""
-    spec = BUILDERS[witness]()
-    spec.matrix.flags.writeable = False
-    return spec
-
-
-@functools.cache
 def _algebraic_range(witness: str) -> tuple[float, float]:
-    evals = np.linalg.eigvalsh(_ideal_spec(witness).matrix)
+    evals = np.linalg.eigvalsh(ideal(witness).matrix)
     return float(evals[0]), float(evals[-1])
 
 
@@ -50,7 +42,7 @@ class FidelityBoundQuery:
     seed: int = 0
 
     def __post_init__(self):
-        n = _ideal_spec(self.witness).n
+        n = ideal(self.witness).n
         if self.budget.n != n:
             raise ValueError(f"the budget has {self.budget.n} parties, {self.witness} has {n}")
         lo, hi = _algebraic_range(self.witness)
@@ -179,7 +171,7 @@ def _tilt_objective(query: FidelityBoundQuery):
     letter map, so it needs the Pauli expectations of ρ* and the
     derivatives of the tilted rows only.
     """
-    spec = _ideal_spec(query.witness)
+    spec = ideal(query.witness)
     ghz = ghz_state(spec.n, +1)
     p_ghz = np.outer(ghz, ghz.conj())
     coeffs = coefficient_tensor(spec.terms, spec.constant_offset, spec.n)
@@ -210,7 +202,7 @@ def numeric_l_eps(query: FidelityBoundQuery) -> float:
     local minimum reports a value that is too high, the unsafe side for a
     certificate.
     """
-    spec = _ideal_spec(query.witness)
+    spec = ideal(query.witness)
     angles = spec.n * len(spec.tilt_plane)
     objective = _tilt_objective(query)
     if query.budget.is_ideal():             # every tilt is then the untilted witness

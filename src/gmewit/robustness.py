@@ -5,7 +5,6 @@ and the normalization used for cross-witness plots."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,7 +13,7 @@ from .bounds import (BoundResult, mermin_bisep_bound, mermin_quantum_bound,
 from .linalg import expectation
 from .measurement import AXIS_VECTORS, tilt_vector
 from .states import NoiseModel, apply_noise, ghz_state
-from .witnesses import BUILDERS, assemble, inm_sign
+from .witnesses import assemble, ideal, inm_sign
 
 _E = AXIS_VECTORS
 
@@ -28,25 +27,6 @@ WORST_CONFIGS = {
 }
 
 
-@dataclass(frozen=True)
-class ThresholdQuery:
-    """Inputs of a visibility-threshold computation."""
-
-    witness: str
-    eps: float
-    noise_kind: str
-    measurement_case: str           # best-case-exact | worst-case-tilted
-    bound: BoundResult | float
-
-    def __post_init__(self):
-        if self.measurement_case not in ("best-case-exact", "worst-case-tilted"):
-            raise ValueError("unknown measurement case")
-
-    @property
-    def bound_value(self) -> float:
-        return self.bound.value if isinstance(self.bound, BoundResult) else float(self.bound)
-
-
 def default_bisep_bound(witness: str, eps: float) -> BoundResult:
     if witness == "mermin4":
         return mermin_bisep_bound(4, eps)
@@ -58,35 +38,32 @@ def default_bisep_bound(witness: str, eps: float) -> BoundResult:
 def noisy_witness_value(witness: str, noise_kind: str, p: float,
                         measurement_case: str = "best-case-exact",
                         eps: float = 0.0) -> float:
-    """Direct trace of the (possibly worst-case-tilted) witness on the noisy state."""
-    spec = BUILDERS[witness]()
+    """Direct trace of the exact (``best-case-exact``) or worst-case-tilted
+    (``worst-case-tilted``, ``WORST_CONFIGS`` at ε) witness on the noisy state."""
+    spec = ideal(witness)
     if measurement_case == "best-case-exact":
         mat = spec.matrix
-    else:
+    elif measurement_case == "worst-case-tilted":
         bloch = [{letter: tilt_vector(letter, eps, d) for letter, d in party.items()}
                  for party in WORST_CONFIGS[witness]]
         mat = assemble(spec.terms, spec.constant_offset, bloch)
-    rho = apply_noise(ghz_state(4, +1), NoiseModel(noise_kind, p))
+    else:
+        raise ValueError(f"unknown measurement case {measurement_case!r}")
+    rho = apply_noise(ghz_state(spec.n, +1), NoiseModel(noise_kind, p))
     return expectation(mat, rho)
 
 
-def _affine_crossing(witness: str, noise_kind: str, measurement_case: str,
-                     eps: float, bound: float) -> float:
-    """Visibility at which the witness value, affine in p, meets ``bound``:
-    (B − v₀)/(v₁ − v₀) from the values at p = 0 and p = 1."""
-    v0 = noisy_witness_value(witness, noise_kind, 0.0, measurement_case, eps)
-    v1 = noisy_witness_value(witness, noise_kind, 1.0, measurement_case, eps)
-    return (bound - v0) / (v1 - v0)
+def threshold_visibility(witness: str, noise_kind: str, bound: float,
+                         measurement_case: str = "best-case-exact", eps: float = 0.0) -> float:
+    """Visibility p at which the witness value meets the biseparable ``bound``.
 
-
-def threshold_visibility(query: ThresholdQuery) -> float:
-    """Visibility p at which the witness value meets the biseparable bound.
-
-    The witness value is affine in p, so the crossing is exact; raises if it
-    lies outside p ∈ [0, 1].
+    The witness value is affine in p, so the crossing (B − v₀)/(v₁ − v₀) from
+    the values at p = 0 and p = 1 is exact; raises if it lies outside
+    p ∈ [0, 1].
     """
-    p = _affine_crossing(query.witness, query.noise_kind, query.measurement_case,
-                         query.eps, query.bound_value)
+    v0, v1 = (noisy_witness_value(witness, noise_kind, p, measurement_case, eps)
+              for p in (0.0, 1.0))
+    p = (bound - v0) / (v1 - v0)
     if not 0.0 <= p <= 1.0:
         raise ValueError("witness value never crosses the bound on p ∈ [0, 1]")
     return p

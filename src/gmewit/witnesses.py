@@ -266,6 +266,14 @@ BUILDERS = {
 }
 
 
+@functools.cache
+def ideal(name: str) -> WitnessSpec:
+    """The untilted witness of that name, built once per process and read-only."""
+    spec = BUILDERS[name]()
+    spec.matrix.flags.writeable = False
+    return spec
+
+
 # ---------------------------------------------------------------------------
 # Evaluation on measured correlators
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ from scipy.optimize import brentq, minimize, minimize_scalar
 from gmewit.bounds import THETA_GRID, BoundResult, PartitionSpec, _reduced_operators
 from gmewit.fidelity import LAMBDA_CAP, _lower_bound_fixed, _tilt_table
 from gmewit.linalg import PAULI, expectation, kron
-from gmewit.measurement import ImprecisionBudget, projectors, q_of, u_of
-from gmewit.robustness import _affine_crossing, default_bisep_bound
+from gmewit.measurement import projectors, q_of, u_of
+from gmewit.robustness import default_bisep_bound, threshold_visibility
 from gmewit.states import ghz_state
-from gmewit.witnesses import (BUILDERS, WitnessSpec, bloch_table, coefficient_tensor,
+from gmewit.witnesses import (BUILDERS, WitnessSpec, coefficient_tensor,
                               contract, expand)
 
 
@@ -181,7 +181,7 @@ def worst_case_thresholds(witness: str, eps: float, noise_kind: str,
         else:
             closed = (bound + 3 * (1 - 12 * q ** 2 + 10 * q ** 4)) / (
                 2 * (3 - 30 * q ** 2 + 31 * q ** 4))
-    oracle = _affine_crossing(witness, noise_kind, "worst-case-tilted", eps, bound)
+    oracle = threshold_visibility(witness, noise_kind, bound, "worst-case-tilted", eps)
     return {"closed_form": float(closed), "oracle": float(oracle),
             "agrees": bool(abs(closed - oracle) <= 1e-6)}
 
@@ -242,12 +242,11 @@ def seesaw_per_restart(spec: WitnessSpec, partition: PartitionSpec,
     return float(best)
 
 
-def reduced_sweep_minimize_scalar(terms, offset, plane, n, eps):
+def reduced_sweep_minimize_scalar(spec: WitnessSpec, eps: float):
     """The θ-sweep's (value, θ) with the grid maximum refined by a bounded
-    ``minimize_scalar`` (xatol 1e-10) over ±one grid spacing.  ``plane`` must
-    be the X–Z plane."""
-    bloch = bloch_table(plane, n, ImprecisionBudget.uniform(eps, n))
-    ops = {a: op.real for a, op in _reduced_operators(terms, offset, bloch[1:]).items()}
+    ``minimize_scalar`` (xatol 1e-10) over ±one grid spacing.  The spec's
+    tilt plane must be the X–Z plane."""
+    ops = {a: op.real for a, op in _reduced_operators(spec, eps).items()}
     q, u = q_of(eps), u_of(eps)
 
     def reduced(theta):

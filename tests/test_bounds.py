@@ -13,8 +13,7 @@ from gmewit.bounds import (EPS_STAR, PartitionSpec, _reduced_sweep, all_bipartit
 from gmewit.linalg import expectation
 from gmewit.measurement import ImprecisionBudget
 from gmewit.states import spoof_state
-from gmewit.witnesses import (C4_TERMS, TILT_PLANES, cluster_witness_c4, mermin_witness,
-                              stabilizer_terms, stabilizer_witness)
+from gmewit.witnesses import cluster_witness_c4, ideal, mermin_witness, stabilizer_witness
 from oracles import mermin_di_bound, reduced_sweep_minimize_scalar, seesaw_per_restart
 
 SEESAW_WITNESSES = {
@@ -23,12 +22,8 @@ SEESAW_WITNESSES = {
     "c4": cluster_witness_c4,
 }
 
-#: (terms, offset, tilt plane, n) of each θ-swept witness.
-SWEEPS = {
-    "stabilizer3": (stabilizer_terms(3), -1.0, TILT_PLANES["stabilizer"], 3),
-    "stabilizer4": (stabilizer_terms(4), -1.0, TILT_PLANES["stabilizer"], 4),
-    "c4": (C4_TERMS, 0.0, TILT_PLANES["cluster"], 4),
-}
+#: The θ-swept witnesses with an X–Z tilt plane, read through ``ideal``.
+SWEEPS = ("c4", "stabilizer3", "stabilizer4")
 
 
 def test_mermin_bisep_closed_form_endpoints():
@@ -233,13 +228,28 @@ def test_batched_seesaw_equals_per_restart_oracle(witness, part, eps, seed, rest
         seesaw_per_restart(spec, part, **kwargs), abs=1e-12)
 
 
-@pytest.mark.parametrize("witness", sorted(SWEEPS))
+@pytest.mark.parametrize("witness", SWEEPS)
 def test_theta_sweep_equals_minimize_scalar_oracle(witness):
-    terms, offset, plane, n = SWEEPS[witness]
+    spec = ideal(witness)
     for eps in np.linspace(EPS_STAR / 20, EPS_STAR, 20):
-        value, _ = _reduced_sweep(terms, offset, plane, n, eps)
-        expected, _ = reduced_sweep_minimize_scalar(terms, offset, plane, n, eps)
+        value, _ = _reduced_sweep(spec, eps)
+        expected, _ = reduced_sweep_minimize_scalar(spec, eps)
         assert value == pytest.approx(expected, abs=1e-12), eps
+
+
+@pytest.mark.parametrize("eps", [0.0, *np.linspace(EPS_STAR / 10, EPS_STAR, 10)])
+def test_d3_sweep_equals_the_fixed_theta_evaluation(eps):
+    # The X–Y plane makes some reduced operators complex (at ε = 0 only
+    # some); the sweep's maximum is the single evaluation at θ = π/8 that
+    # ``w_witness_bounds`` makes.  At ε = 0 every θ attains it: the untilted
+    # D3 is invariant under joint rotations about Z.  Elsewhere the top
+    # eigenvalue is smooth at its maximum, so values equal to rounding fix θ
+    # only to about √(machine ε): 1.2e-8 at worst over 40 ε in (0, ε*].
+    value, theta = _reduced_sweep(ideal("d3"), eps)
+    bisep = w_witness_bounds(eps)["biseparable"]
+    assert value == pytest.approx(bisep.value, abs=1e-12)
+    if eps > 0:
+        assert theta == pytest.approx(bisep.saturating_theta, abs=1e-7)
 
 
 @pytest.fixture

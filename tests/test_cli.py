@@ -132,6 +132,16 @@ def test_removed_options_are_rejected(runner):
      "--eps", "0.3"],
     ["bound", "--witness", "cluster", "--n", "3", "--eps", "0.01"],
     ["bound", "--witness", "wstate", "--n", "4", "--eps", "0.01"],
+    ["witness", "--fixture", "fig4_mermin.json", "--eps", "0.3", "--state", "w"],
+    ["witness", "--fixture", "fig4_mermin.json", "--witness", "mermin4"],
+    ["witness", "--fixture", "fig4_mermin.json", "--noise", "white:0.9"],
+    ["witness", "--fixture", "fig4_mermin.json", "--eps", "0"],
+    ["robustness", "--witness", "i43", "--eps", "0.01"],
+    ["robustness", "--witness", "i42", "--noise", "dephasing"],
+    ["robustness", "--witness", "i43", "--case", "best-case-exact"],
+    ["robustness", "--witness", "i42", "--p-grid", "0:1:3"],
+    ["robustness", "--witness", "i42", "--i43-bound", "70"],
+    ["robustness", "--witness", "mermin4", "--i43-bound", "70"],
 ])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, runner, args):
     two_entries = tmp_path / "probs.json"

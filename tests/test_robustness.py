@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gmewit.bounds import mermin_bisep_bound, stabilizer_bisep_bound_numeric
-from gmewit.robustness import (DEFAULT_I43_BISEP_BOUND, I43_QUANTUM, ThresholdQuery,
+from gmewit.robustness import (DEFAULT_I43_BISEP_BOUND, I43_QUANTUM,
                                di_thresholds, i43_ghz_value, max_i43,
                                noisy_witness_value, normalize_witness_value,
                                robustness_sweep, threshold_visibility)
@@ -28,8 +28,7 @@ def test_best_case_closed_forms_match_bisection():
     ]
     for witness, kind, bound in cases:
         closed = best_case_threshold_closed_form(witness, kind, bound)
-        numeric = threshold_visibility(
-            ThresholdQuery(witness, 0.0, kind, "best-case-exact", bound))
+        numeric = threshold_visibility(witness, kind, bound)
         assert numeric == pytest.approx(closed, abs=1e-12)
 
 
@@ -38,11 +37,9 @@ def test_white_noise_thresholds_are_exact():
     # witness values are exactly 8 and 11 and the crossings exactly 1/2, 7/11.
     assert noisy_witness_value("mermin4", "depolarizing", 1.0) == 8.0
     assert noisy_witness_value("stabilizer4", "depolarizing", 1.0) == 11.0
-    white_m = threshold_visibility(ThresholdQuery(
-        "mermin4", 0.0, "depolarizing", "best-case-exact", mermin_bisep_bound(4, 0.0)))
-    white_s = threshold_visibility(ThresholdQuery(
-        "stabilizer4", 0.0, "depolarizing", "best-case-exact",
-        stabilizer_bisep_bound_numeric(4, 0.0)))
+    white_m = threshold_visibility("mermin4", "depolarizing", mermin_bisep_bound(4, 0.0).value)
+    white_s = threshold_visibility("stabilizer4", "depolarizing",
+                                   stabilizer_bisep_bound_numeric(4, 0.0).value)
     assert white_m == 0.5
     assert white_s == 7 / 11
 
@@ -78,8 +75,15 @@ def test_worst_case_threshold_above_best_case():
 
 def test_threshold_visibility_no_crossing():
     with pytest.raises(ValueError):
-        threshold_visibility(ThresholdQuery(
-            "mermin4", 0.0, "depolarizing", "best-case-exact", 100.0))
+        threshold_visibility("mermin4", "depolarizing", 100.0)
+
+
+@pytest.mark.parametrize("case", ["best-case", "worst-case", ""])
+def test_unknown_measurement_case_is_rejected(case):
+    with pytest.raises(ValueError, match="unknown measurement case"):
+        noisy_witness_value("mermin4", "depolarizing", 0.9, case, 0.01)
+    with pytest.raises(ValueError, match="unknown measurement case"):
+        robustness_sweep("mermin4", 0.01, "depolarizing", [0.9], case)
 
 
 def test_max_i43():

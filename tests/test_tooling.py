@@ -6,17 +6,17 @@ from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("gmewit_bench_tracer", TRACER_PATH)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"gmewit_bench_{name}", BENCH_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACER = _load_tracer()
+TRACER = _load("tracer")
 
 
 @pytest.mark.parametrize("module, attr", [
@@ -33,3 +33,12 @@ def test_seesaw_budget_defaults_stay_integers(name):
     from gmewit.bounds import bisep_brute_force
     default = inspect.signature(bisep_brute_force).parameters[name].default
     assert isinstance(default, int) and not isinstance(default, bool)
+
+
+@pytest.mark.parametrize("workload", ["wl_bounds", "wl_leps"])
+def test_workload_setup_runs_every_op_kind(monkeypatch, workload):
+    # Each setup() warms one op of every kind through the same gmewit calls
+    # that the timed loop makes, so a renamed or re-signatured function
+    # fails here rather than in a benchmark run.
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    assert _load(workload).setup()

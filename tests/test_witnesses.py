@@ -1,3 +1,4 @@
+import collections
 import itertools
 from functools import reduce
 
@@ -7,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmewit import fixture_path
+from gmewit.bounds import cluster_witness_bounds, stabilizer_bisep_bound_numeric
 from gmewit.linalg import PAULI, expectation
 from gmewit.measurement import ImprecisionBudget
+from gmewit.robustness import noisy_witness_value, threshold_visibility
 from gmewit.states import cluster_state_4, ghz_state, w_state
 from gmewit.witnesses import (BUILDERS, CorrelatorRecord, assemble,
                               cluster_witness_c4, contract, eval_from_correlators, expand,
-                              inm_value, letter_map_gradients, load_correlator_fixture,
+                              ideal, inm_value, letter_map_gradients, load_correlator_fixture,
                               mermin_terms, mermin_witness, pauli_expectations,
                               stabilizer_terms, stabilizer_witness, w_witness_d3)
 from oracles import born_probabilities, mermin_recursive, pauli_string
@@ -267,3 +270,34 @@ def test_assemble_makes_no_kron_calls_after_first_build(monkeypatch):
     for build in BUILDERS.values():
         build(budget)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_ideal_is_one_read_only_record(name):
+    spec = ideal(name)
+    assert ideal(name) is spec
+    np.testing.assert_array_equal(spec.matrix, BUILDERS[name]().matrix)
+    with pytest.raises(ValueError):
+        spec.matrix[0, 0] = 1.0
+
+
+def test_ideal_builds_each_witness_once(monkeypatch):
+    builds = collections.Counter()
+    for name, build in list(BUILDERS.items()):
+        def counted(budget=None, _name=name, _build=build):
+            builds[_name, budget is None] += 1
+            return _build(budget)
+        monkeypatch.setitem(BUILDERS, name, counted)
+    ideal.cache_clear()
+    try:
+        for _ in range(3):
+            cluster_witness_bounds(0.05)
+            for n in (3, 4):
+                stabilizer_bisep_bound_numeric(n, 0.05)
+            noisy_witness_value("mermin4", "dephasing", 0.9)
+            noisy_witness_value("stabilizer4", "depolarizing", 0.9, "worst-case-tilted", 0.01)
+            threshold_visibility("stabilizer4", "depolarizing", 7.0)
+        assert builds == {("c4", True): 1, ("stabilizer3", True): 1,
+                          ("stabilizer4", True): 1, ("mermin4", True): 1}
+    finally:
+        ideal.cache_clear()
