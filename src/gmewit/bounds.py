@@ -18,8 +18,9 @@ from .witnesses import WitnessSpec, assemble, bloch_table, ideal, mermin_witness
 #: the stabilizer-family closed forms stop being valid.
 EPS_STAR = (2 - np.sqrt(2)) / 4
 
-#: Points of the θ-sweep's coarse grid over [0, π), before its zoom.
-THETA_GRID = 721
+#: Points of the θ-sweep's coarse grid over [0, π), before its zoom.  The
+#: grid need only land in the maximum's basin: the zoom refines from there.
+THETA_GRID = 181
 
 
 @dataclass(frozen=True)
@@ -169,21 +170,20 @@ def _at_least_single_party(numeric: BoundResult, single: BoundResult) -> BoundRe
 
 
 def stabilizer_bisep_bound_numeric(n: int, eps: float) -> BoundResult:
-    """Conjectured-optimum biseparable bound via the reduced-operator θ-sweep.
+    """Conjectured-optimum biseparable bound via the reduced-operator θ-sweep,
+    for ε ≤ ε*: at ε* it reaches the quantum value, so it bounds no larger ε.
 
-    For ε ≤ ε* it is never below the single-party closed form; ``regime``
-    says which of the two was returned.
+    It is never below the single-party closed form; ``regime`` says which of
+    the two was returned.
     """
     if n not in (3, 4):
         raise ValueError("the numeric sweep covers n = 3, 4 only")
-    _check_eps(eps)
+    _check_eps(eps, EPS_STAR)
     # At ε = 0 the sweep's maximum is the ideal value 2^{n−1} − 1: take it exactly.
     value, theta = ((float(2 ** (n - 1) - 1), None) if eps == 0.0 else
                     _reduced_sweep(ideal(f"stabilizer{n}"), eps))
     numeric = BoundResult(f"stabilizer{n}", n, eps, "biseparable", value,
                           "numeric-theta-sweep", saturating_theta=theta)
-    if eps > EPS_STAR:
-        return numeric
     return _at_least_single_party(numeric, stabilizer_single_party_bound(n, eps))
 
 
@@ -200,15 +200,11 @@ def w_witness_bounds(eps: float) -> dict[str, BoundResult]:
     """Biseparable-numeric, single-party, fully-separable and quantum bounds
     for the D3 witness."""
     _check_eps(eps, EPS_STAR)
-    q, u = q_of(eps), u_of(eps)
-    s = np.sqrt(eps * (1 - eps))
-    ops = _reduced_operators(ideal("d3"), eps)
-    # Party 1 in |χ(π/8)⟩ (Bloch azimuth π/4): tilted X and Y both average to (q+u)/√2.
-    coef = (q + u) / np.sqrt(2)
-    numeric = np.linalg.eigvalsh(coef * (ops["X"] + ops["Y"]) + ops["I"])[-1]
+    q, s = q_of(eps), np.sqrt(eps * (1 - eps))
+    value, theta = _reduced_sweep(ideal("d3"), eps)
     return {
-        "biseparable": BoundResult("d3", 3, eps, "biseparable", float(numeric),
-                                   "numeric-theta-sweep", saturating_theta=np.pi / 8),
+        "biseparable": BoundResult("d3", 3, eps, "biseparable", value,
+                                   "numeric-theta-sweep", saturating_theta=theta),
         "single_party": BoundResult("d3", 3, eps, "single-party-imprecise",
                                     float(1 + np.sqrt(5 + 16 * q * s)), "closed-form"),
         "fully_separable": BoundResult("d3", 3, eps, "fully-separable",

@@ -16,8 +16,8 @@ from .acceptance import REFERENCE_BUDGET, run_checks
 from .bounds import FAMILY_SIZES, family_bounds, spoofing_curve
 from .linalg import expectation
 from .measurement import CountTable, ImprecisionBudget, fidelity_from_counts
-from .robustness import (DEFAULT_I43_BISEP_BOUND, default_bisep_bound, di_thresholds,
-                         robustness_sweep, threshold_visibility)
+from .robustness import (DEFAULT_I43_BISEP_BOUND, di_thresholds, robustness_sweep,
+                         threshold_visibility)
 from .states import (NoiseModel, apply_noise, cluster_state_4, ghz_state,
                      spoof_state, w_state)
 from .witnesses import (BUILDERS, eval_from_correlators, ideal, inm_value,
@@ -230,7 +230,8 @@ def robustness(witness_name, eps, noise_kind, case, i43_bound, p_grid, out,
         emit(rows, ["p", "witness_value", "normalized_value", "bound",
                     "violation_flag"], out, output_format)
         return
-    bound = default_bisep_bound(witness_name, eps).value
+    spec = ideal(witness_name)
+    bound = family_bounds(spec.family, spec.n, eps)["biseparable"].value
     p = threshold_visibility(witness_name, noise_kind, bound, case, eps)
     emit([{"witness": witness_name, "eps": eps, "noise": noise_kind,
            "case": case, "bound": bound, "threshold": p}],
@@ -254,6 +255,8 @@ def robustness(witness_name, eps, noise_kind, case, i43_bound, p_grid, out,
 def fidelity(witness_name, observed, eps_x, eps_y, eps_z, restarts, curve, out,
              output_format, seed):
     """GHZ-fidelity lower bounds L0 and L_ε from a witness value."""
+    if curve is not None:
+        _reject_given({"observed"}, "with --curve")
     # Imported here: the fidelity layer loads scipy, which most commands never need.
     from .fidelity import (FidelityBoundQuery, closed_form_l0, fidelity_curve,
                            numeric_l_eps)

@@ -8,8 +8,7 @@ import itertools
 
 import numpy as np
 
-from .bounds import (BoundResult, mermin_bisep_bound, mermin_quantum_bound,
-                     stabilizer_bisep_bound_numeric, stabilizer_quantum_bound)
+from .bounds import family_bounds
 from .linalg import expectation
 from .measurement import AXIS_VECTORS, tilt_vector
 from .states import NoiseModel, apply_noise, ghz_state
@@ -25,14 +24,6 @@ WORST_CONFIGS = {
     "mermin4": [{"X": _E["Y"], "Y": -_E["X"]}] * 4,
     "stabilizer4": [{"X": _E["Y"], "Z": _E["X"]}] * 3 + [{"X": _E["Y"], "Z": -_E["X"]}],
 }
-
-
-def default_bisep_bound(witness: str, eps: float) -> BoundResult:
-    if witness == "mermin4":
-        return mermin_bisep_bound(4, eps)
-    if witness == "stabilizer4":
-        return stabilizer_bisep_bound_numeric(4, eps)
-    raise ValueError(f"no default bound for {witness!r}")
 
 
 def noisy_witness_value(witness: str, noise_kind: str, p: float,
@@ -157,9 +148,9 @@ def normalize_witness_value(value: float, bisep: float, quantum: float) -> float
 def robustness_sweep(witness: str, eps: float, noise_kind: str, p_grid,
                      measurement_case: str = "best-case-exact") -> list[dict]:
     """Fig.-5-style table of witness values and violation flags over p."""
-    bound = default_bisep_bound(witness, eps).value
-    quantum = (mermin_quantum_bound(4) if witness == "mermin4"
-               else stabilizer_quantum_bound(4)).value
+    spec = ideal(witness)
+    bounds = family_bounds(spec.family, spec.n, eps)
+    bound, quantum = bounds["biseparable"].value, bounds["quantum"].value
     rows = []
     for p in p_grid:
         value = noisy_witness_value(witness, noise_kind, p, measurement_case, eps)

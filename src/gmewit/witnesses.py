@@ -26,19 +26,24 @@ TILT_PLANES = {
 
 @dataclass(frozen=True)
 class WitnessSpec:
-    """A witness: Pauli-letter terms, offset, matrix and tilt plane (letter → partner)."""
+    """A witness: its family, Pauli-letter terms, offset and matrix."""
 
     name: str
+    family: str           # a ``TILT_PLANES`` key
     n: int
     terms: tuple          # ((coefficient, letters), ...)
     constant_offset: float
     matrix: np.ndarray
-    tilt_plane: dict
 
     def __post_init__(self):
         for _, letters in self.terms:
             if len(letters) != self.n:
                 raise ValueError("term letter string has wrong length")
+
+    @property
+    def tilt_plane(self) -> dict:
+        """Letter → the in-plane partner it tilts toward."""
+        return TILT_PLANES[self.family]
 
 
 @dataclass(frozen=True)
@@ -180,9 +185,8 @@ def assemble(terms, offset: float, bloch) -> np.ndarray:
 
 
 def _make_spec(name, family, n, terms, offset, budget) -> WitnessSpec:
-    plane = TILT_PLANES[family]
-    matrix = assemble(terms, offset, bloch_table(plane, n, budget))
-    return WitnessSpec(name, n, tuple(terms), offset, matrix, plane)
+    matrix = assemble(terms, offset, bloch_table(TILT_PLANES[family], n, budget))
+    return WitnessSpec(name, family, n, tuple(terms), offset, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +273,8 @@ BUILDERS = {
 @functools.cache
 def ideal(name: str) -> WitnessSpec:
     """The untilted witness of that name, built once per process and read-only."""
+    if name not in BUILDERS:
+        raise ValueError(f"unknown witness {name!r}; known: {', '.join(sorted(BUILDERS))}")
     spec = BUILDERS[name]()
     spec.matrix.flags.writeable = False
     return spec

@@ -12,14 +12,15 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq, minimize, minimize_scalar
 
-from gmewit.bounds import THETA_GRID, BoundResult, PartitionSpec, _reduced_operators
+from gmewit.bounds import (THETA_GRID, BoundResult, PartitionSpec, _reduced_operators,
+                           family_bounds)
 from gmewit.fidelity import LAMBDA_CAP, _lower_bound_fixed, _tilt_table
 from gmewit.linalg import PAULI, expectation, kron
 from gmewit.measurement import projectors, q_of, u_of
-from gmewit.robustness import default_bisep_bound, threshold_visibility
+from gmewit.robustness import threshold_visibility
 from gmewit.states import ghz_state
 from gmewit.witnesses import (BUILDERS, WitnessSpec, coefficient_tensor,
-                              contract, expand)
+                              contract, expand, ideal)
 
 
 def pauli_string(letters: str) -> np.ndarray:
@@ -167,7 +168,8 @@ def worst_case_thresholds(witness: str, eps: float, noise_kind: str,
     flagged in the returned dict rather than silently patched.
     """
     if bound is None:
-        bound = default_bisep_bound(witness, eps).value
+        spec = ideal(witness)
+        bound = family_bounds(spec.family, spec.n, eps)["biseparable"].value
     q = q_of(eps)
     if witness == "mermin4":
         factor = 1 - 8 * q ** 2 + 8 * q ** 4

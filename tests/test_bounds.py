@@ -3,15 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmewit.bounds import (EPS_STAR, PartitionSpec, _reduced_sweep, all_bipartitions,
-                           bisep_brute_force, cluster_witness_bounds,
+from gmewit import bounds
+from gmewit.bounds import (EPS_STAR, PartitionSpec, _reduced_operators, _reduced_sweep,
+                           all_bipartitions, bisep_brute_force, cluster_witness_bounds,
+                           family_bounds,
                            mermin_bisep_bound, mermin_quantum_bound,
                            multi_qubit_partition_bound, spoofing_curve,
                            stabilizer_bisep_bound_numeric,
                            stabilizer_fully_sep_bound, stabilizer_quantum_bound,
                            stabilizer_single_party_bound, w_witness_bounds)
 from gmewit.linalg import expectation
-from gmewit.measurement import ImprecisionBudget
+from gmewit.measurement import ImprecisionBudget, q_of, u_of
 from gmewit.states import spoof_state
 from gmewit.witnesses import cluster_witness_c4, ideal, mermin_witness, stabilizer_witness
 from oracles import mermin_di_bound, reduced_sweep_minimize_scalar, seesaw_per_restart
@@ -24,6 +26,10 @@ SEESAW_WITNESSES = {
 
 #: The θ-swept witnesses with an X–Z tilt plane, read through ``ideal``.
 SWEEPS = ("c4", "stabilizer3", "stabilizer4")
+
+#: Every θ-swept witness → its ``family_bounds`` family and n.
+NUMERIC_ROWS = {"stabilizer3": ("stabilizer", 3), "stabilizer4": ("stabilizer", 4),
+                "c4": ("cluster", None), "d3": ("wstate", None)}
 
 
 def test_mermin_bisep_closed_form_endpoints():
@@ -147,11 +153,25 @@ def test_cluster_bisep_reaches_quantum_at_eps_star():
     assert b["biseparable"].value == pytest.approx(6.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("witness", sorted(NUMERIC_ROWS))
+def test_numeric_bisep_rises_to_the_quantum_value_at_eps_star(witness):
+    # Each numeric row grows with ε and meets its quantum bound at ε*: a
+    # budget beyond ε* holds that tilt, so no smaller bound is sound there.
+    family, n = NUMERIC_ROWS[witness]
+    values = [family_bounds(family, n, eps)["biseparable"].value
+              for eps in np.linspace(0.0, EPS_STAR, 41)]
+    assert min(np.diff(values)) >= 0.0
+    top = family_bounds(family, n, EPS_STAR)
+    assert top["biseparable"].value == pytest.approx(top["quantum"].value, abs=1e-9)
+
+
 def test_eps_validation():
     with pytest.raises(ValueError):
         mermin_bisep_bound(4, -0.01)
     with pytest.raises(ValueError):
         stabilizer_single_party_bound(4, EPS_STAR + 0.01)
+    with pytest.raises(ValueError):
+        stabilizer_bisep_bound_numeric(4, EPS_STAR + 0.01)
     with pytest.raises(ValueError):
         stabilizer_fully_sep_bound(5, 0.0)
 
@@ -237,19 +257,35 @@ def test_theta_sweep_equals_minimize_scalar_oracle(witness):
         assert value == pytest.approx(expected, abs=1e-12), eps
 
 
+@pytest.mark.parametrize("witness", sorted(NUMERIC_ROWS))
+def test_theta_grid_finds_the_721_point_maximum(monkeypatch, witness):
+    spec = ideal(witness)
+    grid = np.linspace(0.0, EPS_STAR, 41)
+    values = [_reduced_sweep(spec, eps)[0] for eps in grid]
+    monkeypatch.setattr(bounds, "THETA_GRID", 721)
+    for eps, value in zip(grid, values):
+        assert value == pytest.approx(_reduced_sweep(spec, eps)[0], abs=1e-12), eps
+
+
 @pytest.mark.parametrize("eps", [0.0, *np.linspace(EPS_STAR / 10, EPS_STAR, 10)])
 def test_d3_sweep_equals_the_fixed_theta_evaluation(eps):
     # The X–Y plane makes some reduced operators complex (at ε = 0 only
-    # some); the sweep's maximum is the single evaluation at θ = π/8 that
-    # ``w_witness_bounds`` makes.  At ε = 0 every θ attains it: the untilted
-    # D3 is invariant under joint rotations about Z.  Elsewhere the top
+    # some); the sweep's maximum is the single evaluation with party 1 in
+    # |χ(π/8)⟩ (Bloch azimuth π/4), where tilted X and Y both average to
+    # (q+u)/√2.  At ε = 0 every θ attains it: the untilted D3 is invariant
+    # under joint rotations about Z.  Elsewhere Z on every party maps the
+    # witness to itself and party 1's Bloch vector to its opposite, so θ and
+    # θ + π/2 tie and the grid picks one (5π/8 with 181 points).  The top
     # eigenvalue is smooth at its maximum, so values equal to rounding fix θ
     # only to about √(machine ε): 1.2e-8 at worst over 40 ε in (0, ε*].
-    value, theta = _reduced_sweep(ideal("d3"), eps)
+    ops = _reduced_operators(ideal("d3"), eps)
+    coef = (q_of(eps) + u_of(eps)) / np.sqrt(2)
+    expected = np.linalg.eigvalsh(coef * (ops["X"] + ops["Y"]) + ops["I"])[-1]
     bisep = w_witness_bounds(eps)["biseparable"]
-    assert value == pytest.approx(bisep.value, abs=1e-12)
+    assert bisep.value == pytest.approx(expected, abs=1e-12)
     if eps > 0:
-        assert theta == pytest.approx(bisep.saturating_theta, abs=1e-7)
+        offset = (bisep.saturating_theta - np.pi / 8 + np.pi / 4) % (np.pi / 2) - np.pi / 4
+        assert abs(offset) <= 1e-7
 
 
 @pytest.fixture
@@ -274,11 +310,12 @@ def test_seesaw_makes_one_stacked_eigensolve_per_half_step(eigensolves, iteratio
 
 
 def test_theta_sweep_row_eigensolve_count(eigensolves):
-    # One 721-point grid plus seven 33-point zoom levels.
+    # One 181-point grid plus seven 33-point zoom levels.
     for eps in (0.01, 0.1):
         for row in (lambda: stabilizer_bisep_bound_numeric(3, eps),
                     lambda: stabilizer_bisep_bound_numeric(4, eps),
-                    lambda: cluster_witness_bounds(eps)):
+                    lambda: cluster_witness_bounds(eps),
+                    lambda: w_witness_bounds(eps)):
             eigensolves[0] = 0
             row()
             assert eigensolves[0] <= 8

@@ -142,11 +142,18 @@ def test_removed_options_are_rejected(runner):
     ["robustness", "--witness", "i42", "--p-grid", "0:1:3"],
     ["robustness", "--witness", "i42", "--i43-bound", "70"],
     ["robustness", "--witness", "mermin4", "--i43-bound", "70"],
+    ["witness", "--fixture", "{renamed}"],
+    ["fidelity", "--witness", "mermin4", "--curve", "0.8:1:2", "--value", "3"],
+    ["robustness", "--witness", "stabilizer4", "--eps", "0.15"],
 ])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, runner, args):
     two_entries = tmp_path / "probs.json"
     two_entries.write_text("[0.5, 0.5]")
-    paths = {"two_entries": str(two_entries), "missing": str(tmp_path / "missing.csv")}
+    renamed = tmp_path / "mermin5.json"
+    fixture = json.loads(fixture_path("fig4_mermin.json").read_text())
+    renamed.write_text(json.dumps({**fixture, "witness": "mermin5"}))
+    paths = {"two_entries": str(two_entries), "missing": str(tmp_path / "missing.csv"),
+             "renamed": str(renamed)}
     result = runner.invoke(main, [a.format(**paths) for a in args])
     assert result.exit_code == 2, result.output
     lines = result.output.strip().split("\n")

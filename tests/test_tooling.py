@@ -42,3 +42,27 @@ def test_workload_setup_runs_every_op_kind(monkeypatch, workload):
     # fails here rather than in a benchmark run.
     monkeypatch.syspath_prepend(str(BENCH_DIR))
     assert _load(workload).setup()
+
+
+def test_cli_workload_commands_pass_its_checks(monkeypatch, tmp_path):
+    # The cli workload's commands, four rounds of them, run in-process
+    # through click and judged by the workload's own output checks.
+    from click.testing import CliRunner
+
+    from gmewit.cli import main
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    monkeypatch.chdir(tmp_path)
+    wl_cli = _load("wl_cli")
+    from common import Op
+    ctx = {"work": tmp_path, "traced": False}
+    round_ops = wl_cli.make_round(0)
+    ops = [Op(i, r, kind, params) for r in range(4)
+           for i, (kind, params) in enumerate(round_ops(r), start=r * len(wl_cli.KINDS))]
+    runner = CliRunner()
+    for op in ops:
+        wl_cli.before_op(ctx, op)
+        result = runner.invoke(main, op.extra["argv"])
+        op.value = {"returncode": result.exit_code, "stdout": result.stdout,
+                    "stderr": result.stderr}
+    wl_cli.check(ctx, ops)
+    assert [(op.kind, op.reason, op.error) for op in ops if op.reason is not None] == []
