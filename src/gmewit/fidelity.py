@@ -4,6 +4,7 @@ L0 and the imprecision-corrected numeric bound L_ε."""
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,8 @@ class FidelityBoundQuery:
         lo, hi = _algebraic_range(self.witness)
         if not lo - 1e-9 <= self.observed_value <= hi + 1e-9:
             raise ValueError("observed value outside the witness's range")
+        if self.tilt_restarts < 1:
+            raise ValueError(f"the tilt search needs at least 1 restart, got {self.tilt_restarts}")
 
 
 #: Largest |λ| the dual search reaches.  A slope still signed at the cap means
@@ -56,70 +59,125 @@ class FidelityBoundQuery:
 LAMBDA_CAP = 16.0
 
 
-def _lower_bound_fixed(w_matrix: np.ndarray, p_ghz: np.ndarray, w: float,
-                       start: float | None = None) -> tuple[float, float, np.ndarray]:
+def _lower_bound_fixed(w_matrix: np.ndarray, ghz: np.ndarray,
+                       w: float) -> tuple[float, float, np.ndarray]:
     """Exact fidelity lower bound for a fixed tilted witness matrix, λ*, and a
     factor F of the primal optimum ρ* = F·F†.
 
     L(w) = max_λ g(λ), g(λ) = λ_min(P_ghz − λ·W_ε) + λ·w, the Lagrange dual of
     min ⟨ghz|ρ|ghz⟩ subject to tr(W_ε ρ) = w; by weak duality every g(λ) is a
-    lower bound, and the largest one evaluated is returned.  g is concave.
-    One full eigensolve of P_ghz − λ·W_ε gives g(λ), the supergradient
-    g′ = w − ⟨u₀|W_ε|u₀⟩ (Hellmann–Feynman) and, where the ground level is
-    isolated, g″ = 2·Σ_{k≥1} |⟨u_k|W_ε|u₀⟩|²/(E₀ − E_k).  The search starts
-    at ``start`` (the λ* of a nearby tilt) or at 0 and keeps a sign-checked
-    bracket of λ* within ±LAMBDA_CAP.  It takes the Newton step on g′ when
-    that lands inside the bracket and is at most half the step before last,
-    and stops once that step is below ``tol("dual_lambda")``.  Otherwise (a
-    degenerate ground level, as at a kink or at λ = 0, or a poor step) it
-    goes to the bracket's unvisited end, or to where the tangents at its two
-    ends cross: the kink itself where two linear branches meet.  It stops
-    there once those tangents, which bound g from above, leave no gain
-    beyond ``tol("dual_kink")``.  ρ* mixes the ground vectors at the
-    bracket's ends so that tr(W_ε ρ*) = w: the two branches at a kink, one
-    vector in effect on a smooth branch.  A value floored at 0 has F = 0.
+    lower bound.  g is concave and g(0) = 0, the floor of the result.
+    P_ghz = |ghz⟩⟨ghz| has rank one, so one eigensolve W_ε = Σ μᵢ|mᵢ⟩⟨mᵢ|
+    serves every λ: the ground energy of P_ghz − λ·W_ε solves the secular
+    equation of a rank-one update (Bunch, Nielsen & Sorensen, Numer. Math. 31,
+    31 (1978)).  ``_dual_half`` maximizes g over each sign of λ.
     """
-    solved = {}
-    lo, hi = -LAMBDA_CAP, LAMBDA_CAP
-    lam = 0.0 if start is None else min(max(start, lo), hi)
-    before_last = last = hi - lo
+    evals, evecs = np.linalg.eigh(w_matrix)
+    amps = evecs.conj().T @ ghz                                  # ⟨mᵢ|ghz⟩
+    width = evals[-1] - evals[0]
+    for s, order in ((1.0, slice(None, None, -1)), (-1.0, slice(None))):
+        value, lam, factor = _dual_half(s * evals[order], amps[order], evecs[:, order],
+                                        s * w, width)
+        if value > 0:                   # g is concave and g(0) = 0: no other sign gives g > 0
+            return value, s * lam, factor
+    return 0.0, 0.0, np.zeros((len(ghz), 1))
+
+
+def _dual_half(m: np.ndarray, amps: np.ndarray, vecs: np.ndarray, sw: float,
+               width: float) -> tuple[float, float, np.ndarray | None]:
+    """max g(s·λ′) over 0 < λ′ ≤ LAMBDA_CAP as (value, λ′, F), for m the
+    eigenvalues of s·W_ε in descending order, ``amps`` the GHZ amplitudes on
+    their eigenvectors ``vecs`` and ``sw`` = s·w; a value ≤ 0 means that
+    this sign of λ gives nothing.
+
+    With pᵢ = |⟨mᵢ|ghz⟩|² and x = t + m₀, the ground energy of P_ghz − λ′·s·W_ε
+    is λ′·t for x in (0, m₀ − m₁], where λ′ = S(x) = Σ pᵢ/(x + mᵢ − m₀).  So
+    g = h(x) = S(x)·(x − m₀ + s·w), unimodal with h′(x) = Σ pcᵢ/(x + mᵢ − m₀)²,
+    pcᵢ = pᵢ·(mᵢ − s·w).  A top level of zero weight (``tol("dual_weight")``)
+    or degenerate to ``tol("dual_gap")`` of the spectral width holds a ground
+    vector orthogonal to ghz, so g = λ′·(s·w − m₀).  A next level of zero
+    weight gives a kink at x = m₀ − m₁, where ρ* mixes the secular vector with
+    that level's vector to tr(W_ε ρ*) = w.  h′ = pc₀/x² + R(x) vanishes where
+    x = √(pc₀/−R(x)), whose right side is linear in x when one weighted
+    level lies below the top: ``_newton`` solves that from mid-interval,
+    and where λ′ would pass the cap it solves S(x) = LAMBDA_CAP as
+    x = p₀/(LAMBDA_CAP − T(x)), T = S − p₀/x.
+    """
+    p = np.abs(amps) ** 2
+    if p[0] <= tol("dual_weight"):      # the top vector is orthogonal to ghz
+        return LAMBDA_CAP * (sw - m[0]), LAMBDA_CAP, vecs[:, :1]
+    if m[0] - m[1] <= tol("dual_gap") * width:      # and so is a mix of a degenerate pair
+        top = vecs[:, :2] @ np.conj([[amps[1]], [-amps[0]]]) / math.sqrt(p[0] + p[1])
+        return LAMBDA_CAP * (sw - m[0]), LAMBDA_CAP, top
+    # A level without weight drops out of every sum: its pole moves to x = ∞.
+    d = np.where(p > tol("dual_weight"), m - m[0], -np.inf)
+    p0, p1, d1 = p[0], p[1:], d[1:]
+    pc0, pc1 = p0 * (m[0] - sw), p1 * (m[1:] - sw)
+    x_hi, delta = m[0] - m[1], -d1.max()
+    deflated = delta - x_hi > tol("dual_gap") * width
+    if deflated and p @ (1 / (x_hi + d)) > LAMBDA_CAP:
+        # Every λ′ ≤ LAMBDA_CAP lies on the branch g = λ′·(s·w − m₁).
+        return LAMBDA_CAP * (sw - m[1]), LAMBDA_CAP, vecs[:, 1:2]
+    if not deflated:
+        x_hi = delta
+
+    def slope(x):       # √(pc₀/−R(x)) − x, zero where h′ = pc₀/x² + R(x) is
+        r = 1 / (x + d1)
+        r2 = r * r
+        rest = pc1 @ r2
+        if rest >= 0:                   # h′ > 0: left of the root
+            return math.inf, -1.0
+        root = math.sqrt(pc0 / -rest)
+        return root - x, root * (pc1 @ (r2 * r)) / rest - 1
+
+    def excess(x):      # p₀/(LAMBDA_CAP − T(x)) − x, zero where S = p₀/x + T = LAMBDA_CAP
+        r = 1 / (x + d1)
+        room = LAMBDA_CAP - p1 @ r
+        return p0 / room - x, -p0 * (p1 @ (r * r)) / room ** 2 - 1
+
+    if pc0 <= 0:                        # h falls from the pole on: λ′ is capped
+        x = 0.0
+    elif not deflated and m[0] - delta >= sw:
+        return 0.0, 0.0, None           # h rises up to the pole where λ′ = −∞: nothing
+    elif deflated and slope(x_hi)[0] >= 0:
+        x = x_hi                        # h rises up to the kink
+    else:
+        x = _newton(slope, 0.0, x_hi, x_hi / 2)
+    lam = math.inf if x == 0 else p @ (1 / (x + d))
+    if lam <= 0:
+        return 0.0, 0.0, None
+    if lam > LAMBDA_CAP:
+        x, lam = _newton(excess, x, x_hi, p0 / LAMBDA_CAP), LAMBDA_CAP
+    value = lam * (x - m[0] + sw)
+    if value <= 0:
+        return 0.0, 0.0, None
+    coef = amps / (x + d)
+    norm2 = np.vdot(coef, coef).real
+    factor = (vecs @ coef)[:, None] / math.sqrt(norm2)
+    if deflated and x == x_hi:          # the kink: mix in the next level's vector
+        mean = (coef.real ** 2 + coef.imag ** 2) @ m / norm2
+        q = min(1.0, (sw - m[1]) / (mean - m[1]))
+        factor = np.hstack([math.sqrt(q) * factor, math.sqrt(1 - q) * vecs[:, 1:2]])
+    return value, lam, factor
+
+
+def _newton(fn, lo: float, hi: float, x: float) -> float:
+    """Root of ``fn`` in (lo, hi), from ``x`` (or the midpoint): ``fn`` returns
+    its value, positive left of the root, and derivative.  The search ends
+    on a Newton step below ``tol("dual_root")``·x, tested before the bracket,
+    or on a bracket down to rounding; it bisects where a step would leave
+    the bracket."""
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
     while True:
-        evals, evecs = np.linalg.eigh(p_ghz - lam * w_matrix)
-        coupling = (w_matrix @ evecs[:, 0]).conj() @ evecs       # conj ⟨u_k|W_ε|u₀⟩
-        slope = w - coupling[0].real
-        solved[lam] = (evals[0] + lam * w, slope, evecs[:, :1].copy())
-        lo, hi = (lam, hi) if slope >= 0 else (lo, lam)
-        if lo == hi:                    # the slope points past ±LAMBDA_CAP
-            break
-        gaps, nxt = evals[1:] - evals[0], None
-        if gaps[0] > tol("dual_lambda") * (evals[-1] - evals[0]):
-            curvature = 2 * np.sum(np.abs(coupling[1:]) ** 2 / gaps)     # −g″
-            if abs(slope) <= tol("dual_lambda") * curvature:
-                break
-            if curvature > 0:
-                nxt = lam + slope / curvature
-        if nxt is None or not (lo < nxt < hi and abs(nxt - lam) <= before_last / 2):
-            if lo not in solved or hi not in solved:
-                nxt = hi if lo == lam else lo
-            else:
-                (g_lo, s_lo, _), (g_hi, s_hi, _) = solved[lo], solved[hi]
-                nxt = (g_hi - g_lo + s_lo * lo - s_hi * hi) / (s_lo - s_hi)
-                best = max(0.0, *(g for g, _, _ in solved.values()))
-                if not lo < nxt < hi or g_lo + s_lo * (nxt - lo) <= best + tol("dual_kink"):
-                    break
-        before_last, last = last, abs(nxt - lam)
-        lam = nxt
-    value = max(g for g, _, _ in solved.values())
-    # g(0) = λ_min(P_ghz) = 0 exactly: the kink at λ = 0 needs no eigensolve.
-    if value <= 0.0:
-        return 0.0, lam, np.zeros((len(w_matrix), 1))
-    if hi not in solved or lo == hi:
-        return value, lam, solved[lo][2]
-    if lo not in solved:
-        return value, lam, solved[hi][2]
-    (_, s_lo, v_lo), (_, s_hi, v_hi) = solved[lo], solved[hi]
-    p = s_hi / (s_hi - s_lo)
-    return value, lam, np.hstack([np.sqrt(p) * v_lo, np.sqrt(1 - p) * v_hi])
+        f, df = fn(x)
+        step = -f / df if df else math.inf
+        if abs(step) <= tol("dual_root") * x:
+            return x + step
+        lo, hi = (x, hi) if f > 0 else (lo, x)
+        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+        if not lo < x < hi:             # the bracket is down to rounding
+            return x
 
 
 def _tilt_table(bases, budget: ImprecisionBudget):
@@ -166,23 +224,20 @@ def _tilt_objective(query: FidelityBoundQuery):
     """The outer search's objective: flattened tilt angles ω ↦ (L, ∂L/∂ω).
 
     L is the exact dual of ``_lower_bound_fixed`` for the witness tilted by
-    ω, its Newton search started at the previous call's λ*.  ∂L/∂ω is the
-    envelope gradient −λ*·tr(ρ*·∂W_ε/∂ω): W_ε is linear in each party's
-    letter map, so it needs the Pauli expectations of ρ* and the
-    derivatives of the tilted rows only.
+    ω, one eigensolve per call.  ∂L/∂ω is the envelope gradient
+    −λ*·tr(ρ*·∂W_ε/∂ω): W_ε is linear in each party's letter map, so it
+    needs the Pauli expectations of ρ* and the derivatives of the tilted
+    rows only.
     """
     spec = ideal(query.witness)
     ghz = ghz_state(spec.n, +1)
-    p_ghz = np.outer(ghz, ghz.conj())
     coeffs = coefficient_tensor(spec.terms, spec.constant_offset, spec.n)
     table = _tilt_table(spec.tilt_plane, query.budget)
-    lam = None
 
     def objective(x):
-        nonlocal lam
         maps, d_maps = table(x.reshape(spec.n, len(spec.tilt_plane)))
         stages = contract(coeffs, maps)
-        value, lam, factor = _lower_bound_fixed(expand(stages), p_ghz, query.observed_value, lam)
+        value, lam, factor = _lower_bound_fixed(expand(stages), ghz, query.observed_value)
         grads = letter_map_gradients(stages, maps, pauli_expectations(factor, spec.n))
         return value, -lam * np.einsum("jab,jkab->jk", grads, d_maps).ravel()
 
@@ -193,14 +248,13 @@ def numeric_l_eps(query: FidelityBoundQuery) -> float:
     """Smallest GHZ fidelity compatible with the observed witness value.
 
     Inner step: the exact λ-dual of ``_lower_bound_fixed``, a valid lower
-    bound for each tilt configuration it is given: a safeguarded Newton
-    search for λ* on one full eigensolve per λ (about 4 per evaluation),
-    started at the previous evaluation's λ* (a cheaper search, the same value).
-    Outer step: L-BFGS-B over the continuous perpendicular tilt directions of
-    every party/basis, from random starts, on the envelope gradient of the
-    dual (``_tilt_objective``).  The outer minimum is a local heuristic: a
-    local minimum reports a value that is too high, the unsafe side for a
-    certificate.
+    bound for each tilt configuration it is given, from one eigensolve of
+    the tilted witness per evaluation (a rank-one secular equation in its
+    eigenbasis serves every λ).  Outer step: L-BFGS-B over the continuous
+    perpendicular tilt directions of every party/basis, from random starts,
+    on the envelope gradient of the dual (``_tilt_objective``).  The outer
+    minimum is a local heuristic: a local minimum reports a value that is
+    too high, the unsafe side for a certificate.
     """
     spec = ideal(query.witness)
     angles = spec.n * len(spec.tilt_plane)

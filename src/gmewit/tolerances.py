@@ -13,8 +13,9 @@ _TOLERANCES = {
     "povm_completeness": 1e-10,
     "prob_norm": 1e-9,
     "regime_tie": 1e-12,
-    "dual_kink": 1e-15,
-    "dual_lambda": 1e-12,
+    "dual_gap": 1e-15,
+    "dual_weight": 1e-20,
+    "dual_root": 1e-12,
 }
 
 

@@ -1,8 +1,8 @@
 """Reference constructions used only by the tests: explicit Pauli strings,
 the recursive Mermin pair, Born-rule probability tables, the visibility-
 threshold closed forms, the GHZ fidelity, the device-independent Mermin
-value, the earlier Nelder–Mead L_ε search, the bracket-and-Brent λ-dual,
-the per-restart see-saw and the ``minimize_scalar`` θ-sweep."""
+value, the earlier Nelder–Mead L_ε search, the Newton and the
+bracket-and-Brent λ-duals, the per-restart see-saw and the ``minimize_scalar`` θ-sweep."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from scipy.optimize import brentq, minimize, minimize_scalar
 
 from gmewit.bounds import (THETA_GRID, BoundResult, PartitionSpec, _reduced_operators,
                            family_bounds)
-from gmewit.fidelity import LAMBDA_CAP, _lower_bound_fixed, _tilt_table
+from gmewit.fidelity import LAMBDA_CAP, _tilt_table
 from gmewit.linalg import PAULI, expectation, kron
 from gmewit.measurement import projectors, q_of, u_of
 from gmewit.robustness import threshold_visibility
@@ -82,7 +82,8 @@ def best_case_threshold_closed_form(witness: str, noise_kind: str, bound: float)
 
 def nelder_mead_l_eps(query) -> float:
     """L_ε by the earlier outer search: Nelder–Mead (``maxfev`` 400) over the
-    tilt angles from the same seeded starts, on the same exact dual."""
+    tilt angles from the same seeded starts, on ``dual_newton`` warm-started
+    at the previous evaluation's λ*."""
     spec = BUILDERS[query.witness]()
     bases = spec.tilt_plane
     ghz = ghz_state(spec.n, +1)
@@ -95,7 +96,7 @@ def nelder_mead_l_eps(query) -> float:
     def objective(x):
         nonlocal lam
         maps, _ = table(x.reshape(spec.n, len(bases)))
-        value, lam, _ = _lower_bound_fixed(expand(contract(coeffs, maps)), p_ghz, w, lam)
+        value, lam, _ = dual_newton(expand(contract(coeffs, maps)), p_ghz, w, lam)
         return value
 
     rng = np.random.default_rng(query.seed)
@@ -106,6 +107,61 @@ def nelder_mead_l_eps(query) -> float:
                        options={"maxfev": 400, "xatol": 1e-3, "fatol": 1e-6})
         best = min(best, float(res.fun))
     return best
+
+
+def dual_newton(w_matrix: np.ndarray, p_ghz: np.ndarray, w: float,
+                start: float | None = None) -> tuple[float, float, np.ndarray]:
+    """max_λ [λ_min(P_ghz − λ·W_ε) + λ·w] by the earlier Newton search, with
+    λ* and a factor F of the primal optimum ρ* = F·F†: one full ``eigh`` of
+    P_ghz − λ·W_ε per λ gives g, the Hellmann–Feynman slope and the exact
+    curvature.  From ``start`` (or 0) it keeps a sign-checked bracket within
+    ±LAMBDA_CAP, takes the Newton step when it lands inside the bracket and
+    is at most half the step before last, and stops once that step is below
+    1e-12.  At a degenerate ground level (a kink, or λ = 0) or a poor step it
+    goes to the bracket's unvisited end or to where the tangents at its ends
+    cross, and stops once those tangents leave no gain beyond 1e-15.  ρ*
+    mixes the ground vectors at the bracket's ends to tr(W_ε ρ*) = w."""
+    solved = {}
+    lo, hi = -LAMBDA_CAP, LAMBDA_CAP
+    lam = 0.0 if start is None else min(max(start, lo), hi)
+    before_last = last = hi - lo
+    while True:
+        evals, evecs = np.linalg.eigh(p_ghz - lam * w_matrix)
+        coupling = (w_matrix @ evecs[:, 0]).conj() @ evecs       # conj ⟨u_k|W_ε|u₀⟩
+        slope = w - coupling[0].real
+        solved[lam] = (evals[0] + lam * w, slope, evecs[:, :1].copy())
+        lo, hi = (lam, hi) if slope >= 0 else (lo, lam)
+        if lo == hi:                    # the slope points past ±LAMBDA_CAP
+            break
+        gaps, nxt = evals[1:] - evals[0], None
+        if gaps[0] > 1e-12 * (evals[-1] - evals[0]):
+            curvature = 2 * np.sum(np.abs(coupling[1:]) ** 2 / gaps)     # −g″
+            if abs(slope) <= 1e-12 * curvature:
+                break
+            if curvature > 0:
+                nxt = lam + slope / curvature
+        if nxt is None or not (lo < nxt < hi and abs(nxt - lam) <= before_last / 2):
+            if lo not in solved or hi not in solved:
+                nxt = hi if lo == lam else lo
+            else:
+                (g_lo, s_lo, _), (g_hi, s_hi, _) = solved[lo], solved[hi]
+                nxt = (g_hi - g_lo + s_lo * lo - s_hi * hi) / (s_lo - s_hi)
+                best = max(0.0, *(g for g, _, _ in solved.values()))
+                if not lo < nxt < hi or g_lo + s_lo * (nxt - lo) <= best + 1e-15:
+                    break
+        before_last, last = last, abs(nxt - lam)
+        lam = nxt
+    value = max(g for g, _, _ in solved.values())
+    # g(0) = λ_min(P_ghz) = 0 exactly: the kink at λ = 0 needs no eigensolve.
+    if value <= 0.0:
+        return 0.0, lam, np.zeros((len(w_matrix), 1))
+    if hi not in solved or lo == hi:
+        return value, lam, solved[lo][2]
+    if lo not in solved:
+        return value, lam, solved[hi][2]
+    (_, s_lo, v_lo), (_, s_hi, v_hi) = solved[lo], solved[hi]
+    p = s_hi / (s_hi - s_lo)
+    return value, lam, np.hstack([np.sqrt(p) * v_lo, np.sqrt(1 - p) * v_hi])
 
 
 def dual_brentq(w_matrix: np.ndarray, p_ghz: np.ndarray, w: float,

@@ -145,6 +145,9 @@ def test_removed_options_are_rejected(runner):
     ["witness", "--fixture", "{renamed}"],
     ["fidelity", "--witness", "mermin4", "--curve", "0.8:1:2", "--value", "3"],
     ["robustness", "--witness", "stabilizer4", "--eps", "0.15"],
+    ["fidelity", "--witness", "mermin4", "--value", "7.4665", "--restarts", "0"],
+    ["fidelity", "--witness", "stabilizer4", "--value", "10.5", "--restarts", "-1"],
+    ["fidelity", "--witness", "mermin4", "--curve", "0.8:1:2", "--restarts", "0"],
 ])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, runner, args):
     two_entries = tmp_path / "probs.json"
