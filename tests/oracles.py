@@ -1,7 +1,7 @@
 """Reference constructions used only by the tests: explicit Pauli strings,
 the recursive Mermin pair, Born-rule probability tables, the visibility-
 threshold closed forms, the GHZ fidelity, the device-independent Mermin
-value, the earlier Nelder–Mead L_ε search, the Newton and the
+value, the earlier Nelder–Mead and L-BFGS-B L_ε searches, the Newton and the
 bracket-and-Brent λ-duals, the per-restart see-saw and the ``minimize_scalar`` θ-sweep."""
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from scipy.optimize import brentq, minimize, minimize_scalar
 
 from gmewit.bounds import (THETA_GRID, BoundResult, PartitionSpec, _reduced_operators,
                            family_bounds)
-from gmewit.fidelity import LAMBDA_CAP, _tilt_table
+from gmewit.fidelity import LAMBDA_CAP, _tilt_objective, _tilt_table
 from gmewit.linalg import PAULI, expectation, kron
 from gmewit.measurement import projectors, q_of, u_of
 from gmewit.robustness import threshold_visibility
@@ -105,6 +105,23 @@ def nelder_mead_l_eps(query) -> float:
         x0 = rng.uniform(0, 2 * np.pi, spec.n * len(bases))
         res = minimize(objective, x0, method="Nelder-Mead",
                        options={"maxfev": 400, "xatol": 1e-3, "fatol": 1e-6})
+        best = min(best, float(res.fun))
+    return best
+
+
+def lbfgsb_l_eps(query) -> float:
+    """L_ε by the earlier outer search: scipy's L-BFGS-B on
+    ``fidelity._tilt_objective`` from the same seeded starts; ``maxfun`` is
+    checked only between iterations, and an iteration makes at most two line
+    searches of ``maxls`` evaluations, so a restart makes at most 400."""
+    spec = ideal(query.witness)
+    objective = _tilt_objective(query)
+    rng = np.random.default_rng(query.seed)
+    best = np.inf
+    for _ in range(query.tilt_restarts):
+        x0 = rng.uniform(0, 2 * np.pi, spec.n * len(spec.tilt_plane))
+        res = minimize(objective, x0, jac=True, method="L-BFGS-B",
+                       options={"maxfun": 400 - 2 * 20, "maxls": 20, "gtol": 1e-12})
         best = min(best, float(res.fun))
     return best
 

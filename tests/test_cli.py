@@ -148,6 +148,8 @@ def test_removed_options_are_rejected(runner):
     ["fidelity", "--witness", "mermin4", "--value", "7.4665", "--restarts", "0"],
     ["fidelity", "--witness", "stabilizer4", "--value", "10.5", "--restarts", "-1"],
     ["fidelity", "--witness", "mermin4", "--curve", "0.8:1:2", "--restarts", "0"],
+    ["fidelity", "--witness", "mermin4", "--value", "7.4665", "--seed", "-1"],
+    ["fidelity", "--witness", "stabilizer4", "--curve", "0.8:1:2", "--seed", "-1"],
 ])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, runner, args):
     two_entries = tmp_path / "probs.json"
@@ -255,7 +257,7 @@ def test_missing_input_names_both_places_tried(runner):
         assert str(fixture_path("nothere.csv")) in result.output
 
 
-#: Commands that must run without loading scipy.
+#: Commands that must run without loading scipy: every command.
 SCIPY_FREE = {
     "bound-mermin": ["bound", "--witness", "mermin", "--eps-grid", "0:0.1:5"],
     "bound-stabilizer": ["bound", "--witness", "stabilizer", "--eps", "0.05"],
@@ -271,26 +273,34 @@ SCIPY_FREE = {
     "robustness-i43": ["robustness", "--witness", "i43"],
     "tomo": ["tomo", "--counts", "table_a1.csv"],
     "inm": ["inm", "--probs", "probs.json"],
+    "fidelity-value": ["fidelity", "--witness", "mermin4", "--value", "7.4665",
+                       "--restarts", "1"],
+    "fidelity-curve": ["fidelity", "--witness", "stabilizer4", "--curve", "0.8:1:3",
+                       "--restarts", "1"],
+    "verify": ["verify"],
 }
 
 #: Imports gmewit.cli, runs the command given in argv in-process, and prints
-#: the scipy modules then loaded.
+#: the scipy modules then loaded, also when the command exits non-zero.
 _CHILD = """
 import json, sys
 import gmewit.cli
-if len(sys.argv) > 1:
-    gmewit.cli.main(args=sys.argv[1:], standalone_mode=False)
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+try:
+    if len(sys.argv) > 1:
+        gmewit.cli.main(args=sys.argv[1:], standalone_mode=False)
+finally:
+    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def _scipy_loaded_by(args, cwd) -> list[str]:
+def _scipy_loaded_by(args, cwd, prelude="") -> list[str]:
     src = str(Path(gmewit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = ["--out", "out.txt"] if args else []
-    proc = subprocess.run([sys.executable, "-c", _CHILD, *args, *out], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, "-c", prelude + _CHILD, *args, *out], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+    # ``verify`` exits 1 by design: the two 2|2 partition checks fail.
+    assert proc.returncode == (1 if args[:1] == ["verify"] else 0), proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -301,6 +311,17 @@ def test_command_loads_no_scipy(tmp_path, name):
 
 
 def test_scipy_guard_sees_the_fidelity_bound(tmp_path):
+    # The fidelity bound no longer loads scipy, so the guard is shown a child
+    # whose ``fidelity`` command imports scipy.optimize while it runs.
+    prelude = """
+import gmewit.cli
+command = gmewit.cli.main.commands["fidelity"]
+run = command.callback
+def importing(**params):
+    import scipy.optimize
+    return run(**params)
+command.callback = importing
+"""
     loaded = _scipy_loaded_by(["fidelity", "--witness", "mermin4", "--value", "7.4665",
-                               "--restarts", "1"], tmp_path)
+                               "--restarts", "1"], tmp_path, prelude)
     assert "scipy.optimize" in loaded

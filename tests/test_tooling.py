@@ -1,12 +1,17 @@
-"""The benchmark reads gmewit names by string; each must still resolve."""
+"""The benchmark reads gmewit names by string; each must still resolve.
+The package imports no third-party module beyond its declared dependencies."""
 
+import ast
 import importlib.util
 import inspect
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_DIR = ROOT / "benchmarks"
 
 
 def _load(name: str):
@@ -66,3 +71,20 @@ def test_cli_workload_commands_pass_its_checks(monkeypatch, tmp_path):
                     "stderr": result.stderr}
     wl_cli.check(ctx, ops)
     assert [(op.kind, op.reason, op.error) for op in ops if op.reason is not None] == []
+
+
+def test_package_imports_only_its_runtime_dependencies():
+    # Every import under src/gmewit, read with ast, against [project].dependencies:
+    # a third-party module used by the package but declared only for tests
+    # (scipy) fails here.
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]}
+    imported = set()
+    for path in (ROOT / "src" / "gmewit").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) - {"gmewit"} == declared == {"numpy", "click"}
