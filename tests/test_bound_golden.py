@@ -1,5 +1,6 @@
 """Golden rows of ``gmewit bound`` for every witness family at its default
-party count, on a 6-point ε grid over [0, ε*].
+party count, and for the stabilizer family at n = 3, on a 6-point ε grid over
+[0, ε*].
 
 The fixture holds the JSON rows the command printed before the bound rows
 were built by one generic mapping; a column that moves or swaps shows here.
@@ -18,20 +19,25 @@ from gmewit.bounds import EPS_STAR
 from gmewit.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_bound_rows.json")
-FAMILIES = ("mermin", "stabilizer", "wstate", "cluster")
+#: Fixture key → the family and party count (``None``: the family's own) it holds.
+CASES = {"mermin": ("mermin", None), "stabilizer": ("stabilizer", None),
+         "stabilizer3": ("stabilizer", 3), "wstate": ("wstate", None),
+         "cluster": ("cluster", None)}
 
 
-def bound_rows(family: str) -> list[dict]:
-    result = CliRunner().invoke(main, ["bound", "--witness", family, "--format", "json",
+def bound_rows(family: str, n: int | None) -> list[dict]:
+    party_count = [] if n is None else ["--n", str(n)]
+    result = CliRunner().invoke(main, ["bound", "--witness", family, *party_count,
+                                       "--format", "json",
                                        "--eps-grid", f"0:{float(EPS_STAR)!r}:6"])
     assert result.exit_code == 0, result.output
     return json.loads(result.output)
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_bound_rows_match_golden(family):
-    want = json.loads(GOLDEN.read_text())[family]
-    got = bound_rows(family)
+@pytest.mark.parametrize("key", CASES)
+def test_bound_rows_match_golden(key):
+    want = json.loads(GOLDEN.read_text())[key]
+    got = bound_rows(*CASES[key])
     assert [list(row) for row in got] == [list(row) for row in want]
     for got_row, want_row in zip(got, want):
         for column, expected in want_row.items():
@@ -44,4 +50,4 @@ def test_bound_rows_match_golden(family):
 
 
 if __name__ == "__main__":
-    print(json.dumps({family: bound_rows(family) for family in FAMILIES}, indent=1))
+    print(json.dumps({key: bound_rows(*case) for key, case in CASES.items()}, indent=1))
