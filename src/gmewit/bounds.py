@@ -4,7 +4,7 @@ operator θ-sweeps, the see-saw biseparable oracle and the spoofing curve."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -12,7 +12,7 @@ from .linalg import assert_hermitian
 from .measurement import ImprecisionBudget, q_of, u_of
 from .states import spoof_state
 from .tolerances import tol
-from .witnesses import WitnessSpec, assemble, bloch_table, ideal, mermin_witness
+from .witnesses import BUILDERS, WitnessSpec, assemble, bloch_table, ideal, mermin_witness
 
 #: Regime-switch imprecision (2−√2)/4 where the Mermin bound plateaus and
 #: the stabilizer-family closed forms stop being valid.
@@ -76,35 +76,95 @@ def multi_qubit_partition_bound(n: int) -> BoundResult:
                        float(9 * 2 ** (n - 4) - 1), "closed-form")
 
 
+def _stabilizer_closed_forms(n: int, eps: float) -> dict[str, BoundResult]:
+    """Single-party, fully-separable and quantum closed forms of the n-party
+    stabilizer witness.
+
+    The single-party form confines the imprecision to the split-off party.
+    The fully-separable one is the value on |χ(π/8)⟩^⊗n with all parties
+    tilted: a symmetric-ansatz strategy curve, which product states outside
+    the ansatz can exceed (e.g. |0000⟩ gives 7 at ε=0 for n=4).
+    """
+    name = _witness_name("stabilizer", n)
+    _check_eps(eps, EPS_STAR)
+    q, s = q_of(eps), np.sqrt(eps * (1 - eps))
+    root = np.sqrt(1 + 4 * q * s)
+    if n == 4:
+        single = 3 + 4 * root
+        fully = 17 / 4 + 20 * eps * (1 - eps) * q ** 2 + 22 * q * s
+    else:
+        single = 1 + 2 * root
+        fully = (1.5 * (1 + np.sqrt(2)) - 3 * np.sqrt(2) * eps - np.sqrt(2) * q ** 3
+                 + 2 * (3 + np.sqrt(2) / 2 - 6 * eps + np.sqrt(2) * q ** 2) * s)
+    return {"single_party": BoundResult(name, n, eps, "single-party-imprecise",
+                                        float(single), "closed-form"),
+            "fully_separable": BoundResult(name, n, eps, "fully-separable", float(fully),
+                                           "closed-form", saturating_theta=np.pi / 8),
+            "quantum": stabilizer_quantum_bound(n)}
+
+
 def stabilizer_single_party_bound(n: int, eps: float) -> BoundResult:
     """Biseparable bound with imprecision confined to the split-off party."""
-    if n not in (3, 4):
-        raise ValueError("closed forms exist for n = 3, 4 only")
-    _check_eps(eps, EPS_STAR)
-    t = 4 * q_of(eps) * np.sqrt(eps * (1 - eps))
-    value = {3: 1 + 2 * np.sqrt(1 + t), 4: 3 + 4 * np.sqrt(1 + t)}[n]
-    return BoundResult(f"stabilizer{n}", n, eps, "single-party-imprecise",
-                       float(value), "closed-form")
+    return _stabilizer_closed_forms(n, eps)["single_party"]
 
 
 def stabilizer_fully_sep_bound(n: int, eps: float) -> BoundResult:
-    """Fully-separable value on |χ(π/8)⟩^⊗n with all parties tilted.
+    """Fully-separable value on |χ(π/8)⟩^⊗n with all parties tilted."""
+    return _stabilizer_closed_forms(n, eps)["fully_separable"]
 
-    These are the symmetric-ansatz strategy curves; product states outside
-    the ansatz can exceed them (e.g. |0000⟩ gives 7 at ε=0 for n=4).
-    """
-    if n not in (3, 4):
-        raise ValueError("closed forms exist for n = 3, 4 only")
-    _check_eps(eps, EPS_STAR)
+
+def stabilizer_quantum_bound(n: int) -> BoundResult:
+    return BoundResult(f"stabilizer{n}", n, 0.0, "quantum",
+                       float(3 * 2 ** (n - 2) - 1), "closed-form")
+
+
+def stabilizer_bisep_bound_numeric(n: int, eps: float) -> BoundResult:
+    """The n-party stabilizer row of ``family_bounds``' biseparable bound."""
+    return family_bounds("stabilizer", n, eps)["biseparable"]
+
+
+# ---------------------------------------------------------------------------
+# W-state witness (Appendix-F style bounds) and cluster witness
+# ---------------------------------------------------------------------------
+
+def _w_closed_forms(eps: float) -> dict[str, BoundResult]:
+    """Single-party, fully-separable and quantum closed forms of D3."""
     q, s = q_of(eps), np.sqrt(eps * (1 - eps))
-    if n == 4:
-        value = 17 / 4 + 20 * eps * (1 - eps) * q ** 2 + 22 * q * s
-    else:
-        value = (1.5 * (1 + np.sqrt(2)) - 3 * np.sqrt(2) * eps - np.sqrt(2) * q ** 3
-                 + 2 * (3 + np.sqrt(2) / 2 - 6 * eps + np.sqrt(2) * q ** 2) * s)
-    return BoundResult(f"stabilizer{n}", n, eps, "fully-separable", float(value),
-                       "closed-form", saturating_theta=np.pi / 8)
+    quantum = 2 * (1 + np.sqrt(1 + 48 * eps * (1 - eps) * q ** 2))
+    return {"single_party": BoundResult("d3", 3, eps, "single-party-imprecise",
+                                        float(1 + np.sqrt(5 + 16 * q * s)), "closed-form"),
+            "fully_separable": BoundResult("d3", 3, eps, "fully-separable",
+                                           float(3 * (1 + 4 * q * s)), "closed-form"),
+            "quantum": BoundResult("d3", 3, eps, "quantum", float(quantum), "closed-form")}
 
+
+def _cluster_closed_forms(eps: float) -> dict[str, BoundResult]:
+    """Single-party, fully-separable and quantum closed forms of C4.  The
+    quantum value is the untilted witness's maximum, 6."""
+    q, s = q_of(eps), np.sqrt(eps * (1 - eps))
+    fully = 1 + 2 * np.sqrt(2) * s + q * (4 * s + 3 * np.sqrt(2)
+                                          + 2 * np.sqrt(2) * q * (2 * eps + 2 * s - 1))
+    return {"single_party": BoundResult("c4", 4, eps, "single-party-imprecise",
+                                        float(2 * (1 + np.sqrt(1 + 4 * q * s))),
+                                        "closed-form", saturating_theta=np.pi / 8),
+            "fully_separable": BoundResult("c4", 4, eps, "fully-separable", float(fully),
+                                           "closed-form", saturating_theta=np.pi / 8),
+            "quantum": BoundResult("c4", 4, eps, "quantum", 6.0, "closed-form")}
+
+
+def w_witness_bounds(eps: float) -> dict[str, BoundResult]:
+    """``family_bounds``' row of the D3 witness."""
+    return family_bounds("wstate", None, eps)
+
+
+def cluster_witness_bounds(eps: float) -> dict[str, BoundResult]:
+    """``family_bounds``' row of the C4 witness."""
+    return family_bounds("cluster", None, eps)
+
+
+# ---------------------------------------------------------------------------
+# One row of bounds per witness family
+# ---------------------------------------------------------------------------
 
 def _reduced_operators(spec: WitnessSpec, eps: float) -> dict:
     """First-party letter → the parties-2..n operator that multiplies it, with
@@ -157,120 +217,58 @@ def _reduced_sweep(spec: WitnessSpec, eps: float):
     return float(value), float(theta)
 
 
-def _at_least_single_party(numeric: BoundResult, single: BoundResult) -> BoundResult:
-    """The larger of the numeric θ-sweep bound and the single-party closed
-    form, which is within every budget (only party 1 is tilted), so the sweep
-    must not report less.  ``regime`` names the sweep only where it beats the
-    closed form by more than ``tol("regime_tie")``; a tie is the closed form's."""
-    if numeric.value - single.value > tol("regime_tie"):
-        return numeric
-    return BoundResult(numeric.witness, numeric.n, numeric.eps, numeric.bound_kind,
-                       max(numeric.value, single.value), "single-party-closed-form",
-                       saturating_theta=single.saturating_theta)
+#: Each family's witness when no party count is given: a ``BUILDERS`` name.
+FAMILY_WITNESS = {"mermin": "mermin4", "stabilizer": "stabilizer4", "wstate": "d3",
+                  "cluster": "c4"}
+
+#: Each θ-swept witness → its single-party, fully-separable and quantum closed forms.
+CLOSED_FORMS = {
+    "stabilizer3": lambda eps: _stabilizer_closed_forms(3, eps),
+    "stabilizer4": lambda eps: _stabilizer_closed_forms(4, eps),
+    "d3": _w_closed_forms,
+    "c4": _cluster_closed_forms,
+}
 
 
-def stabilizer_bisep_bound_numeric(n: int, eps: float) -> BoundResult:
-    """Conjectured-optimum biseparable bound via the reduced-operator θ-sweep,
-    for ε ≤ ε*: at ε* it reaches the quantum value, so it bounds no larger ε.
-
-    It is never below the single-party closed form; ``regime`` says which of
-    the two was returned.
-    """
-    if n not in (3, 4):
-        raise ValueError("the numeric sweep covers n = 3, 4 only")
-    _check_eps(eps, EPS_STAR)
-    # At ε = 0 the sweep's maximum is the ideal value 2^{n−1} − 1: take it exactly.
-    value, theta = ((float(2 ** (n - 1) - 1), None) if eps == 0.0 else
-                    _reduced_sweep(ideal(f"stabilizer{n}"), eps))
-    numeric = BoundResult(f"stabilizer{n}", n, eps, "biseparable", value,
-                          "numeric-theta-sweep", saturating_theta=theta)
-    return _at_least_single_party(numeric, stabilizer_single_party_bound(n, eps))
-
-
-def stabilizer_quantum_bound(n: int) -> BoundResult:
-    return BoundResult(f"stabilizer{n}", n, 0.0, "quantum",
-                       float(3 * 2 ** (n - 2) - 1), "closed-form")
-
-
-# ---------------------------------------------------------------------------
-# W-state witness (Appendix-F style bounds)
-# ---------------------------------------------------------------------------
-
-def w_witness_bounds(eps: float) -> dict[str, BoundResult]:
-    """Biseparable-numeric, single-party, fully-separable and quantum bounds
-    for the D3 witness."""
-    _check_eps(eps, EPS_STAR)
-    q, s = q_of(eps), np.sqrt(eps * (1 - eps))
-    value, theta = _reduced_sweep(ideal("d3"), eps)
-    return {
-        "biseparable": BoundResult("d3", 3, eps, "biseparable", value,
-                                   "numeric-theta-sweep", saturating_theta=theta),
-        "single_party": BoundResult("d3", 3, eps, "single-party-imprecise",
-                                    float(1 + np.sqrt(5 + 16 * q * s)), "closed-form"),
-        "fully_separable": BoundResult("d3", 3, eps, "fully-separable",
-                                       float(3 * (1 + 4 * q * s)), "closed-form"),
-        "quantum": BoundResult("d3", 3, eps, "quantum",
-                               float(2 * (1 + np.sqrt(1 + 48 * eps * (1 - eps) * q ** 2))),
-                               "closed-form"),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Cluster witness
-# ---------------------------------------------------------------------------
-
-def cluster_witness_bounds(eps: float) -> dict[str, BoundResult]:
-    """Biseparable-numeric, single-party, fully-separable and quantum bounds
-    for C4.  The quantum value is the untilted witness's maximum, 6.
-
-    The biseparable bound is never below the single-party closed form;
-    its ``regime`` says which of the two was returned.
-    """
-    _check_eps(eps, EPS_STAR)
-    q, s = q_of(eps), np.sqrt(eps * (1 - eps))
-    value, theta = _reduced_sweep(ideal("c4"), eps)
-    fully = 1 + 2 * np.sqrt(2) * s + q * (4 * s + 3 * np.sqrt(2)
-                                          + 2 * np.sqrt(2) * q * (2 * eps + 2 * s - 1))
-    single = BoundResult("c4", 4, eps, "single-party-imprecise",
-                         float(2 * (1 + np.sqrt(1 + 4 * q * s))),
-                         "closed-form", saturating_theta=np.pi / 8)
-    numeric = BoundResult("c4", 4, eps, "biseparable", value,
-                          "numeric-theta-sweep", saturating_theta=theta)
-    return {
-        "biseparable": _at_least_single_party(numeric, single),
-        "single_party": single,
-        "fully_separable": BoundResult("c4", 4, eps, "fully-separable", float(fully),
-                                       "closed-form", saturating_theta=np.pi / 8),
-        "quantum": BoundResult("c4", 4, eps, "quantum", 6.0, "closed-form"),
-    }
-
-
-# ---------------------------------------------------------------------------
-# One row of bounds per witness family
-# ---------------------------------------------------------------------------
-
-#: Party count of each family's witness; the D3 and C4 witnesses have no other.
-FAMILY_SIZES = {"mermin": 4, "stabilizer": 4, "wstate": 3, "cluster": 4}
+def _witness_name(family: str, n: int | None) -> str:
+    """The ``BUILDERS`` name of the family's n-party witness: the stem of its
+    default one followed by n (``n=None``: the default one)."""
+    default = FAMILY_WITNESS[family]
+    name = default if n is None else f"{default.rstrip('0123456789')}{n}"
+    if name not in BUILDERS:
+        sizes = sorted(ideal(other).n for other in BUILDERS if ideal(other).family == family)
+        raise ValueError(f"the {family} family has n = {', '.join(map(str, sizes))} only")
+    return name
 
 
 def family_bounds(family: str, n: int | None, eps: float) -> dict[str, BoundResult | None]:
-    """Biseparable, single-party, fully-separable and quantum bounds of a family
-    at ε, ``None`` where it has no such bound; ``n=None`` is the family's own size."""
-    size = FAMILY_SIZES[family]
-    n = size if n is None else n
+    """Biseparable, single-party, fully-separable and quantum bounds of the
+    family's n-party witness at ε, ``None`` where it has no such bound;
+    ``n=None`` is the family's default witness.
+
+    Outside the Mermin family the biseparable bound is the conjectured
+    optimum of the reduced-operator θ-sweep, for ε ≤ ε*: at ε* it reaches the
+    quantum value, so it bounds no larger ε.  It is never below the
+    single-party closed form, which is within every budget (only party 1 is
+    tilted).  ``regime`` names the sweep only where it beats the closed form
+    by more than ``tol("regime_tie")``; a tie is the closed form's.  At ε = 0
+    the closed form is exact, and is returned without a sweep.
+    """
     if family == "mermin":
-        bisep = mermin_bisep_bound(n, eps)
+        bisep = mermin_bisep_bound(ideal(FAMILY_WITNESS[family]).n if n is None else n, eps)
         # Theorem 1: a spoof state with only the split-off party tilted reaches it.
         return {"biseparable": bisep, "single_party": bisep, "fully_separable": None,
-                "quantum": mermin_quantum_bound(n)}
-    if family == "stabilizer":
-        return {"biseparable": stabilizer_bisep_bound_numeric(n, eps),
-                "single_party": stabilizer_single_party_bound(n, eps),
-                "fully_separable": stabilizer_fully_sep_bound(n, eps),
-                "quantum": stabilizer_quantum_bound(n)}
-    if n != size:
-        raise ValueError(f"the {family} witness has n = {size} only")
-    return {"wstate": w_witness_bounds, "cluster": cluster_witness_bounds}[family](eps)
+                "quantum": mermin_quantum_bound(bisep.n)}
+    name = _witness_name(family, n)
+    _check_eps(eps, EPS_STAR)
+    rows = CLOSED_FORMS[name](eps)
+    single = rows["single_party"]
+    value, theta = (single.value, None) if eps == 0.0 else _reduced_sweep(ideal(name), eps)
+    bisep = replace(single, bound_kind="biseparable", value=max(value, single.value),
+                    regime="single-party-closed-form")
+    if value - single.value > tol("regime_tie"):
+        bisep = replace(bisep, regime="numeric-theta-sweep", saturating_theta=theta)
+    return {"biseparable": bisep, **rows}
 
 
 # ---------------------------------------------------------------------------

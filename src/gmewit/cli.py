@@ -13,7 +13,7 @@ from click.core import ParameterSource
 
 from . import fixture_path
 from .acceptance import REFERENCE_BUDGET, run_checks
-from .bounds import FAMILY_SIZES, family_bounds, spoofing_curve
+from .bounds import FAMILY_WITNESS, family_bounds, spoofing_curve
 from .linalg import expectation
 from .measurement import CountTable, ImprecisionBudget, fidelity_from_counts
 from .robustness import (DEFAULT_I43_BISEP_BOUND, di_thresholds, robustness_sweep,
@@ -128,7 +128,7 @@ def _bound_row(witness: str, n: int | None, eps: float) -> dict:
 
 @main.command()
 @click.option("--witness", required=True,
-              type=click.Choice(list(FAMILY_SIZES)))
+              type=click.Choice(list(FAMILY_WITNESS)))
 @click.option("--n", type=int, help="Party count [default: 4, or 3 for wstate].")
 @click.option("--eps", default=None, type=float)
 @click.option("--eps-grid", default=None, help="start:stop:count grid of ε values.")

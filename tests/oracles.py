@@ -280,10 +280,14 @@ def mermin_di_bound(n: int) -> BoundResult:
 
 def seesaw_per_restart(spec: WitnessSpec, partition: PartitionSpec,
                        restarts: int = 20, iterations: int = 100,
-                       seed: int = 42) -> float:
+                       seed: int = 42) -> tuple[float, float]:
     """The see-saw run one restart at a time, with ``einsum`` half-steps:
     the same start vectors, stopping test and best-of-restarts value as
-    ``bounds.bisep_brute_force``."""
+    ``bounds.bisep_brute_force``.
+
+    Returns that value and the smallest gap between the top two eigenvalues
+    of any effective operator met on the way: where it is about zero, the
+    top vector was not unique and rounding chose it."""
     n = partition.n
     rng = np.random.default_rng(seed)
     w = spec.matrix
@@ -295,7 +299,7 @@ def seesaw_per_restart(spec: WitnessSpec, partition: PartitionSpec,
     w_perm[np.ix_(perm, perm)] = w
     da, db = 2 ** len(partition.block_a), 2 ** len(partition.block_b)
     w4 = w_perm.reshape(da, db, da, db)
-    best = -np.inf
+    best, gap = -np.inf, np.inf
     for _ in range(restarts):
         vb = rng.normal(size=db) + 1j * rng.normal(size=db)
         vb /= np.linalg.norm(vb)
@@ -303,10 +307,12 @@ def seesaw_per_restart(spec: WitnessSpec, partition: PartitionSpec,
         for _ in range(iterations):
             rho_b = np.outer(vb, vb.conj())
             eff_a = np.einsum("ikjl,kl->ij", w4, rho_b.conj())
-            va = np.linalg.eigh(eff_a)[1][:, -1]
+            evals_a, evecs_a = np.linalg.eigh(eff_a)
+            va = evecs_a[:, -1]
             rho_a = np.outer(va, va.conj())
             eff_b = np.einsum("ikjl,ij->kl", w4, rho_a.conj())
             evals, evecs = np.linalg.eigh(eff_b)
+            gap = min(gap, evals_a[-1] - evals_a[-2], evals[-1] - evals[-2])
             vb = evecs[:, -1]
             new = float(evals[-1])
             if abs(new - value) < 1e-12:
@@ -314,7 +320,7 @@ def seesaw_per_restart(spec: WitnessSpec, partition: PartitionSpec,
                 break
             value = new
         best = max(best, value)
-    return float(best)
+    return float(best), float(gap)
 
 
 def reduced_sweep_minimize_scalar(spec: WitnessSpec, eps: float):

@@ -2,9 +2,8 @@
 party count, and for the stabilizer family at n = 3, on a 6-point ε grid over
 [0, ε*].
 
-The fixture holds the JSON rows the command printed before the bound rows
-were built by one generic mapping; a column that moves or swaps shows here.
-Regenerate it only for an intended change of the numbers:
+The fixture holds the command's JSON rows; a column that moves or swaps
+shows here.  Regenerate it only for an intended change of the numbers:
 
     PYTHONPATH=src python tests/test_bound_golden.py > tests/golden_bound_rows.json
 """

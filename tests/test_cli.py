@@ -122,6 +122,14 @@ def test_removed_options_are_rejected(runner):
     assert result.exit_code == 0, result.output
 
 
+#: A party count its family lacks: the message names the family and its sizes.
+BAD_INPUT_MESSAGES = {
+    "bound --witness stabilizer --n 5": "the stabilizer family has n = 3, 4 only",
+    "bound --witness cluster --n 3": "the cluster family has n = 4 only",
+    "bound --witness wstate --n 4": "the wstate family has n = 3 only",
+}
+
+
 @pytest.mark.parametrize("args", [
     ["bound", "--witness", "stabilizer", "--n", "5", "--eps", "0.01"],
     ["bound", "--witness", "stabilizer", "--eps", "0.2"],
@@ -163,6 +171,9 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, runner, args):
     assert result.exit_code == 2, result.output
     lines = result.output.strip().split("\n")
     assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+    message = BAD_INPUT_MESSAGES.get(" ".join(args[:5]))
+    if message is not None:
+        assert lines[0] == f"Error: {message}"
 
 
 def test_robustness_command_threshold(runner):

@@ -1,5 +1,6 @@
-"""The benchmark reads gmewit names by string; each must still resolve.
-The package imports no third-party module beyond its declared dependencies."""
+"""The benchmark reads gmewit names by string; each must still resolve, and
+so must the witness names of the bounds' family table.  The package imports
+no third-party module beyond its declared dependencies."""
 
 import ast
 import importlib.util
@@ -29,6 +30,18 @@ TRACER = _load("tracer")
 def test_tracer_targets_resolve(module, attr):
     _, _, target = TRACER._resolve(module, attr)
     assert callable(target)
+
+
+def test_family_table_points_into_the_witness_registry():
+    # Each family's default witness is a registry name of that family, and
+    # every registered witness is found from its family and party count.
+    from gmewit.bounds import FAMILY_WITNESS, _witness_name
+    from gmewit.witnesses import BUILDERS, ideal
+    for family, name in FAMILY_WITNESS.items():
+        assert name in BUILDERS and ideal(name).family == family
+    for name in BUILDERS:
+        spec = ideal(name)
+        assert _witness_name(spec.family, spec.n) == name
 
 
 @pytest.mark.parametrize("name", ["restarts", "iterations"])
