@@ -12,7 +12,8 @@ from .linalg import assert_hermitian
 from .measurement import ImprecisionBudget, q_of, u_of
 from .states import spoof_state
 from .tolerances import tol
-from .witnesses import BUILDERS, WitnessSpec, assemble, bloch_table, ideal, mermin_witness
+from .witnesses import (BUILDERS, LETTERS, WitnessSpec, coefficient_tensor, contract, expand,
+                        ideal, mermin_witness, partner_maps)
 
 #: Regime-switch imprecision (2−√2)/4 where the Mermin bound plateaus and
 #: the stabilizer-family closed forms stop being valid.
@@ -170,12 +171,16 @@ def _reduced_operators(spec: WitnessSpec, eps: float) -> dict:
     """First-party letter → the parties-2..n operator that multiplies it, with
     every letter tilted by the uniform budget ε in ``spec``'s plane.
 
-    The constant offset joins the identity letter.
+    Party 1 is exact, so its letter map is the identity and its axis of the
+    mapped coefficient tensor indexes the operators; the constant offset
+    joins the identity letter.
     """
-    bloch = bloch_table(spec.tilt_plane, spec.n, ImprecisionBudget.uniform(eps, spec.n))
+    exact_first = ImprecisionBudget(((0.0, 0.0, 0.0),)
+                                    + ImprecisionBudget.uniform(eps, spec.n - 1).per_party)
+    mapped = contract(coefficient_tensor(spec.terms, spec.constant_offset, spec.n),
+                      partner_maps(spec.tilt_plane, exact_first))[-1]
     firsts = {letters[0] for _, letters in spec.terms} | {"I"}
-    return {a: assemble([(c, letters[1:]) for c, letters in spec.terms if letters[0] == a],
-                        spec.constant_offset if a == "I" else 0.0, bloch[1:]) for a in firsts}
+    return {a: expand(mapped[LETTERS.index(a)]) for a in firsts}
 
 
 def _reduced_sweep(spec: WitnessSpec, eps: float):

@@ -10,11 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import AXIS_VECTORS, ImprecisionBudget, q_of, u_of
+from .measurement import ImprecisionBudget
 from .states import ghz_state
 from .tolerances import tol
-from .witnesses import (LETTERS, coefficient_tensor, contract, expand, ideal,
-                        letter_map_gradients, pauli_expectations)
+from .witnesses import (coefficient_tensor, contract, expand, ideal, letter_map_gradients,
+                        pauli_expectations, tilt_table)
 
 
 @functools.cache
@@ -182,37 +182,6 @@ def _newton(fn, lo: float, hi: float, x: float) -> float:
             return x
 
 
-def _tilt_table(bases, budget: ImprecisionBudget):
-    """Letter maps of every party as a function of the tilt angles of ``bases``.
-
-    ``omegas[j, k]`` rotates party j's basis-k tilt direction within the plane
-    perpendicular to the intended axis e: that letter's row is (0, q·e + u·d)
-    with d = cos ω·e₁ + sin ω·e₂.  The returned function maps ``omegas`` to the
-    (n, 4, 4) letter maps M and their derivatives ∂Mⱼ/∂ω_jk, shape
-    (n, len(bases), 4, 4), whose only non-zero row is (0, u·d′),
-    d′ = −sin ω·e₁ + cos ω·e₂.
-    """
-    rows = [LETTERS.index(b) for b in bases]
-    eps = np.array([[budget.eps(j, b) for b in bases] for j in range(budget.n)])
-    q, u = q_of(eps)[..., None], u_of(eps)[..., None]
-    # (n, len(bases), 3): q·e and u·e₁, u·e₂ of every party's tilted letters.
-    aligned = q * np.array([AXIS_VECTORS[b] for b in bases])
-    perp = np.array([[AXIS_VECTORS[c] for c in "XYZ" if c != b] for b in bases])
-    u1, u2 = (u * perp[:, i] for i in (0, 1))
-    identity = np.tile(np.eye(4), (budget.n, 1, 1))
-    parties, k = np.arange(budget.n)[:, None], np.arange(len(bases))
-
-    def table(omegas):
-        cos, sin = np.cos(omegas)[..., None], np.sin(omegas)[..., None]
-        maps = identity.copy()
-        maps[:, rows, 1:] = aligned + cos * u1 + sin * u2
-        d_maps = np.zeros((budget.n, len(bases), 4, 4))
-        d_maps[parties, k, rows, 1:] = cos * u2 - sin * u1
-        return maps, d_maps
-
-    return table
-
-
 #: The outer search's settings, fixed at those of the L-BFGS-B search it
 #: replaced (c1, c2 are ``dcsrch``'s).  The gradient stop lies far below the
 #: gradient's scale u = 2√(ε(1−ε)), so a restart stops on ``_FTOL`` even at small ε.
@@ -323,12 +292,13 @@ def _tilt_objective(query: FidelityBoundQuery):
     spec = ideal(query.witness)
     ghz = ghz_state(spec.n, +1)
     coeffs = coefficient_tensor(spec.terms, spec.constant_offset, spec.n)
-    table = _tilt_table(spec.tilt_plane, query.budget)
+    table = tilt_table(spec.tilt_plane, query.budget)
 
     def objective(x):
-        maps, d_maps = table(x.reshape(spec.n, len(spec.tilt_plane)))
+        omegas = x.reshape(spec.n, len(spec.tilt_plane))
+        maps, d_maps = table(np.cos(omegas), np.sin(omegas))
         stages = contract(coeffs, maps)
-        value, lam, factor = _lower_bound_fixed(expand(stages), ghz, query.observed_value)
+        value, lam, factor = _lower_bound_fixed(expand(stages[-1]), ghz, query.observed_value)
         grads = letter_map_gradients(stages, maps, pauli_expectations(factor, spec.n))
         return value, -lam * np.einsum("jab,jkab->jk", grads, d_maps).ravel()
 

@@ -62,15 +62,6 @@ def assert_state(psi: np.ndarray) -> None:
         raise ValueError("state vector is not normalized")
 
 
-def assert_density_matrix(rho: np.ndarray) -> None:
-    assert_hermitian(rho)
-    if abs(np.trace(rho).real - 1.0) > tol("density_trace"):
-        raise ValueError("density matrix trace differs from 1")
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < tol("density_psd"):
-        raise ValueError(f"density matrix has eigenvalue {evals.min():.3e} < 0")
-
-
 # ---------------------------------------------------------------------------
 # Expectation values
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Measurement models: tilted Bloch vectors, imprecision budgets, the
+"""Measurement models: the tilt coefficients q and u, imprecision budgets, the
 waveplate/PBS POVM error model, and tomography-based fidelity estimation."""
 
 from __future__ import annotations
@@ -25,12 +25,6 @@ def q_of(eps: float) -> float:
 def u_of(eps: float) -> float:
     """Transverse coefficient √(1−q²) = 2√(ε(1−ε))."""
     return 2.0 * np.sqrt(eps * (1.0 - eps))
-
-
-def tilt_vector(intended: str, eps: float, direction) -> np.ndarray:
-    """Bloch vector q·e_intended + u·d of the extremal imprecise observable,
-    tilted toward the unit direction d ⊥ e_intended."""
-    return q_of(eps) * AXIS_VECTORS[intended] + u_of(eps) * direction
 
 
 @dataclass(frozen=True)
@@ -82,14 +76,6 @@ def bloch_states(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenstates |±n⟩ of n·σ for a unit Bloch vector n."""
     vecs = np.linalg.eigh(bloch_observable(axis / np.linalg.norm(axis)))[1]
     return vecs[:, 1], vecs[:, 0]
-
-
-def projectors(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral ± projectors of a dichotomic 2×2 Hermitian observable."""
-    assert_hermitian(obs)
-    vecs = np.linalg.eigh(obs)[1]
-    plus, minus = vecs[:, 1], vecs[:, 0]
-    return np.outer(plus, plus.conj()), np.outer(minus, minus.conj())
 
 
 def measurement_fidelity(povm_plus: np.ndarray, povm_minus: np.ndarray,

@@ -10,19 +10,20 @@ import numpy as np
 
 from .bounds import family_bounds
 from .linalg import expectation
-from .measurement import AXIS_VECTORS, tilt_vector
+from .measurement import ImprecisionBudget
 from .states import NoiseModel, apply_noise, ghz_state
-from .witnesses import assemble, ideal, inm_sign
+from .witnesses import assemble, ideal, inm_sign, tilt_table
 
-_E = AXIS_VECTORS
-
-#: Explicit worst-case tilt configurations: per party, letter → signed unit
-#: partner d of the tilted observable q·σ + u·(d·σ).  These reproduce the
-#: printed worst-case trace formulas exactly and are used as the
-#: direct-computation oracle.
+#: Explicit worst-case tilt configurations: per party and tilt-plane letter,
+#: the (cos, sin) of the direction d = ±e₁ of the tilted observable
+#: q·σ + u·(d·σ), with e₁ the first other axis in XYZ order (``tilt_table``).
+#: Mermin tilts X toward +Y and Y toward −X; the stabilizer tilts X toward +Y
+#: and Z toward +X, −X on the last party.  These reproduce the printed
+#: worst-case trace formulas exactly and are used as the direct-computation
+#: oracle.
 WORST_CONFIGS = {
-    "mermin4": [{"X": _E["Y"], "Y": -_E["X"]}] * 4,
-    "stabilizer4": [{"X": _E["Y"], "Z": _E["X"]}] * 3 + [{"X": _E["Y"], "Z": -_E["X"]}],
+    "mermin4": [[(1, 0), (-1, 0)]] * 4,
+    "stabilizer4": [[(1, 0), (1, 0)]] * 3 + [[(1, 0), (-1, 0)]],
 }
 
 
@@ -35,9 +36,9 @@ def noisy_witness_value(witness: str, noise_kind: str, p: float,
     if measurement_case == "best-case-exact":
         mat = spec.matrix
     elif measurement_case == "worst-case-tilted":
-        bloch = [{letter: tilt_vector(letter, eps, d) for letter, d in party.items()}
-                 for party in WORST_CONFIGS[witness]]
-        mat = assemble(spec.terms, spec.constant_offset, bloch)
+        cos, sin = np.moveaxis(np.array(WORST_CONFIGS[witness], dtype=float), -1, 0)
+        maps, _ = tilt_table(spec.tilt_plane, ImprecisionBudget.uniform(eps, spec.n))(cos, sin)
+        mat = assemble(spec.terms, spec.constant_offset, maps)
     else:
         raise ValueError(f"unknown measurement case {measurement_case!r}")
     rho = apply_noise(ghz_state(spec.n, +1), NoiseModel(noise_kind, p))

@@ -7,8 +7,6 @@ inspected in one place.
 _TOLERANCES = {
     "hermitian": 1e-12,
     "state_norm": 1e-12,
-    "density_trace": 1e-12,
-    "density_psd": -1e-10,
     "expectation_imag": 1e-10,
     "povm_completeness": 1e-10,
     "prob_norm": 1e-9,

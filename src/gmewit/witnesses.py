@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import PAULI
-from .measurement import AXIS_VECTORS, ImprecisionBudget, tilt_vector
+from .measurement import AXIS_VECTORS, ImprecisionBudget, q_of, u_of
 from .tolerances import tol
 
 #: In-plane tilt partner for each witness family.
@@ -65,20 +65,49 @@ class CorrelatorRecord:
 # Assembly helpers
 # ---------------------------------------------------------------------------
 
-def bloch_table(plane: dict, n: int, budget: ImprecisionBudget | None):
-    """Per-party letter → Bloch vector table of a tilt plane.
-
-    With a budget, each letter of the plane is tilted toward its in-plane
-    partner; without one every party measures the exact Paulis.
-    """
-    if budget is None:
-        return [{}] * n
-    return [{letter: tilt_vector(letter, budget.eps(party, letter), AXIS_VECTORS[partner])
-             for letter, partner in plane.items()} for party in range(n)]
-
-
 #: Pauli letters in the order of the coefficient tensor's axes.
 LETTERS = "IXYZ"
+
+
+def tilt_table(plane: dict, budget: ImprecisionBudget):
+    """Letter maps of every party as a function of the tilt directions of the
+    ``plane`` letters, each tilted by its party's ε of the budget.
+
+    The returned function maps (cos, sin), arrays over (party, plane letter)
+    or broadcast to them, to the (n, 4, 4) letter maps M: party j's k-th
+    plane letter, of axis e, has row (0, q·e + u·d) with
+    d = cos[j, k]·e₁ + sin[j, k]·e₂ and e₁, e₂ the other two axes in XYZ
+    order.  It also returns their derivatives ∂Mⱼ/∂ω_jk at
+    (cos, sin) = (cos ω, sin ω), shape (n, len(plane), 4, 4), whose only
+    non-zero row is (0, u·d′), d′ = −sin ω·e₁ + cos ω·e₂.
+    """
+    rows = [LETTERS.index(b) for b in plane]
+    eps = np.array([[budget.eps(j, b) for b in plane] for j in range(budget.n)])
+    q, u = q_of(eps)[..., None], u_of(eps)[..., None]
+    # (n, len(plane), 3): q·e and u·e₁, u·e₂ of every party's tilted letters.
+    aligned = q * np.array([AXIS_VECTORS[b] for b in plane])
+    perp = np.array([[AXIS_VECTORS[c] for c in "XYZ" if c != b] for b in plane])
+    u1, u2 = (u * perp[:, i] for i in (0, 1))
+    identity = np.tile(np.eye(4), (budget.n, 1, 1))
+    parties, k = np.arange(budget.n)[:, None], np.arange(len(plane))
+
+    def table(cos, sin):
+        cos, sin = cos[..., None], sin[..., None]
+        maps = identity.copy()
+        maps[:, rows, 1:] = aligned + cos * u1 + sin * u2
+        d_maps = np.zeros((budget.n, len(plane), 4, 4))
+        d_maps[parties, k, rows, 1:] = cos * u2 - sin * u1
+        return maps, d_maps
+
+    return table
+
+
+def partner_maps(plane: dict, budget: ImprecisionBudget) -> np.ndarray:
+    """``tilt_table``'s letter maps with every plane letter tilted toward its
+    in-plane partner: d is e₁ or e₂ exactly, a (cos, sin) of (1, 0) or (0, 1)."""
+    first = np.array([[c for c in "XYZ" if c != b][0] == partner
+                      for b, partner in plane.items()], dtype=float)
+    return tilt_table(plane, budget)(first, 1.0 - first)[0]
 
 
 @functools.cache
@@ -121,17 +150,18 @@ def _halves(n: int) -> tuple[int, int, int]:
     return k, 2 ** k, 2 ** (n - k)
 
 
-def expand(stages) -> np.ndarray:
+def expand(mapped: np.ndarray) -> np.ndarray:
     """The matrix Σ_a C[a]·⊗ⱼ(Σ_b Mⱼ[aⱼ, b]·σ_b) of a coefficient tensor C
-    under per-party letter maps M, from the stages ``contract(C, M)``.
+    under per-party letter maps M, from the mapped tensor
+    ``contract(C, M)[-1]`` of 4ⁿ entries.
 
     After the contraction the tensor is in exact Paulis, which the cached
     Pauli tables of parties 1..⌊n/2⌋ and of the rest then expand.
     """
-    n = len(stages) - 1
+    n = (mapped.size.bit_length() - 1) // 2
     k, a, b = _halves(n)
     # Rows: the (r, c) entry of parties 1..k; columns: that of parties k+1..n.
-    mat = _pauli_basis(k).T @ stages[-1].reshape(a * a, b * b) @ _pauli_basis(n - k)
+    mat = _pauli_basis(k).T @ mapped.reshape(a * a, b * b) @ _pauli_basis(n - k)
     return mat.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(a * b, a * b)
 
 
@@ -148,7 +178,7 @@ def pauli_expectations(factor: np.ndarray, n: int) -> np.ndarray:
 
 
 def letter_map_gradients(stages, maps, expect: np.ndarray) -> np.ndarray:
-    """∂tr(ρ·W)/∂Mⱼ for W = ``expand(stages)``, ``stages = contract(C, maps)``,
+    """∂tr(ρ·W)/∂Mⱼ for W = ``expand(stages[-1])``, ``stages = contract(C, maps)``,
     and every party j, with ``expect`` the Pauli expectations of ρ: an
     (n, 4, 4) array.
 
@@ -168,24 +198,18 @@ def letter_map_gradients(stages, maps, expect: np.ndarray) -> np.ndarray:
     return grads
 
 
-def assemble(terms, offset: float, bloch) -> np.ndarray:
-    """offset·𝟙 + Σ c·⊗ⱼ(nⱼ·σ) over the (coefficient, letters) terms.
-
-    ``bloch[j]`` maps a letter to party j's real 3-vector n; a letter absent
-    from it is the exact Pauli, and ``I`` is the identity.  The terms form a
-    real coefficient tensor over {I,X,Y,Z}ⁿ, expanded under each party's
-    letter map: identity rows, except that a letter in ``bloch[j]`` has
-    row (0, n).
-    """
-    maps = np.tile(np.eye(4), (len(bloch), 1, 1))
-    for j, row in enumerate(bloch):
-        for letter, v in row.items():
-            maps[j, LETTERS.index(letter)] = (0.0, *v)
-    return expand(contract(coefficient_tensor(terms, offset, len(bloch)), maps))
+def assemble(terms, offset: float, maps) -> np.ndarray:
+    """offset·𝟙 + Σ c·⊗ⱼ(Σ_b Mⱼ[letter, b]·σ_b) over the (coefficient,
+    letters) terms, for the (n, 4, 4) letter maps M of ``tilt_table``."""
+    return expand(contract(coefficient_tensor(terms, offset, len(maps)), maps)[-1])
 
 
 def _make_spec(name, family, n, terms, offset, budget) -> WitnessSpec:
-    matrix = assemble(terms, offset, bloch_table(TILT_PLANES[family], n, budget))
+    if budget is None:
+        budget = ImprecisionBudget.ideal(n)
+    elif budget.n != n:
+        raise ValueError(f"the budget has {budget.n} parties, {name} has {n}")
+    matrix = assemble(terms, offset, partner_maps(TILT_PLANES[family], budget))
     return WitnessSpec(name, family, n, tuple(terms), offset, matrix)
 
 

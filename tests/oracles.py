@@ -1,12 +1,14 @@
 """Reference constructions used only by the tests: explicit Pauli strings,
-the recursive Mermin pair, Born-rule probability tables, the visibility-
-threshold closed forms, the GHZ fidelity, the device-independent Mermin
-value, the earlier Nelder–Mead and L-BFGS-B L_ε searches, the Newton and the
-bracket-and-Brent λ-duals, the per-restart see-saw and the ``minimize_scalar`` θ-sweep."""
+the recursive Mermin pair, spectral projectors, Born-rule probability
+tables, the visibility-threshold closed forms, the GHZ fidelity, the
+device-independent Mermin value, the earlier Nelder–Mead and L-BFGS-B L_ε
+searches, the Newton and the bracket-and-Brent λ-duals, the per-restart
+see-saw and the ``minimize_scalar`` θ-sweep."""
 
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 
 import numpy as np
 import scipy.linalg
@@ -14,13 +16,13 @@ from scipy.optimize import brentq, minimize, minimize_scalar
 
 from gmewit.bounds import (THETA_GRID, BoundResult, PartitionSpec, _reduced_operators,
                            family_bounds)
-from gmewit.fidelity import LAMBDA_CAP, _tilt_objective, _tilt_table
-from gmewit.linalg import PAULI, expectation, kron
-from gmewit.measurement import projectors, q_of, u_of
+from gmewit.fidelity import LAMBDA_CAP, _tilt_objective
+from gmewit.linalg import PAULI, assert_hermitian, expectation, kron
+from gmewit.measurement import q_of, u_of
 from gmewit.robustness import threshold_visibility
 from gmewit.states import ghz_state
 from gmewit.witnesses import (BUILDERS, WitnessSpec, coefficient_tensor,
-                              contract, expand, ideal)
+                              contract, expand, ideal, tilt_table)
 
 
 def pauli_string(letters: str) -> np.ndarray:
@@ -46,6 +48,30 @@ def mermin_recursive(n: int, observables) -> tuple[np.ndarray, np.ndarray]:
     for a0, a1 in observables[1:]:
         m, nn = np.kron(m, a0) - np.kron(nn, a1), np.kron(m, a1) + np.kron(nn, a0)
     return m, nn
+
+
+def tilted_kron(spec: WitnessSpec, budget) -> np.ndarray:
+    """offset·𝟙 + Σ c·⊗ⱼ(q·σ_b + u·σ_partner(b)) of a witness tilted in its
+    plane by the per-party ``budget``, with (q, u) of party j's ε_b, summed
+    term by term with ``np.kron``; letters outside the plane stay exact."""
+    def observable(j, b):
+        if b not in spec.tilt_plane:
+            return PAULI[b]
+        eps = budget.eps(j, b)
+        return q_of(eps) * PAULI[b] + u_of(eps) * PAULI[spec.tilt_plane[b]]
+
+    mat = spec.constant_offset * np.eye(2 ** spec.n, dtype=complex)
+    for c, letters in spec.terms:
+        mat = mat + c * reduce(np.kron, [observable(j, b) for j, b in enumerate(letters)])
+    return mat
+
+
+def projectors(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral ± projectors of a dichotomic 2×2 Hermitian observable."""
+    assert_hermitian(obs)
+    vecs = np.linalg.eigh(obs)[1]
+    plus, minus = vecs[:, 1], vecs[:, 0]
+    return np.outer(plus, plus.conj()), np.outer(minus, minus.conj())
 
 
 def born_probabilities(state: np.ndarray, settings) -> np.ndarray:
@@ -90,13 +116,14 @@ def nelder_mead_l_eps(query) -> float:
     p_ghz = np.outer(ghz, ghz.conj())
     w = query.observed_value
     coeffs = coefficient_tensor(spec.terms, spec.constant_offset, spec.n)
-    table = _tilt_table(bases, query.budget)
+    table = tilt_table(bases, query.budget)
     lam = None
 
     def objective(x):
         nonlocal lam
-        maps, _ = table(x.reshape(spec.n, len(bases)))
-        value, lam, _ = dual_newton(expand(contract(coeffs, maps)), p_ghz, w, lam)
+        omegas = x.reshape(spec.n, len(bases))
+        maps, _ = table(np.cos(omegas), np.sin(omegas))
+        value, lam, _ = dual_newton(expand(contract(coeffs, maps)[-1]), p_ghz, w, lam)
         return value
 
     rng = np.random.default_rng(query.seed)

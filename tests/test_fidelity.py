@@ -11,12 +11,12 @@ from scipy.optimize import minimize_scalar
 from gmewit import fidelity
 from gmewit.acceptance import REFERENCE_BUDGET
 from gmewit.fidelity import (LAMBDA_CAP, FidelityBoundQuery, _lower_bound_fixed,
-                             _tilt_objective, _tilt_table, closed_form_l0, fidelity_curve,
+                             _tilt_objective, closed_form_l0, fidelity_curve,
                              numeric_l_eps)
 from gmewit.linalg import expectation
 from gmewit.measurement import ImprecisionBudget
 from gmewit.states import ghz_state
-from gmewit.witnesses import BUILDERS, coefficient_tensor, contract, expand
+from gmewit.witnesses import BUILDERS, coefficient_tensor, contract, expand, tilt_table
 import oracles
 from oracles import dual_brentq, dual_newton, ghz_fidelity, lbfgsb_l_eps, nelder_mead_l_eps
 
@@ -47,8 +47,8 @@ def _grid_scan_lower_bound(w_matrix, p_ghz, w, grid=80):
 def _tilted_witness(witness, eps, omegas):
     spec = BUILDERS[witness]()
     budget = ImprecisionBudget.uniform(eps, 4)
-    maps, _ = _tilt_table(spec.tilt_plane, budget)(omegas)
-    return expand(contract(coefficient_tensor(spec.terms, spec.constant_offset, 4), maps))
+    maps, _ = tilt_table(spec.tilt_plane, budget)(np.cos(omegas), np.sin(omegas))
+    return expand(contract(coefficient_tensor(spec.terms, spec.constant_offset, 4), maps)[-1])
 
 
 _tilts = st.tuples(

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from gmewit.linalg import (I2, X, Y, Z, assert_density_matrix, assert_state,
-                           expectation, is_hermitian, kron)
-from gmewit.measurement import AXIS_VECTORS, measurement_fidelity, projectors
+from gmewit.linalg import I2, X, Y, Z, assert_state, expectation, is_hermitian, kron
+from gmewit.measurement import AXIS_VECTORS, measurement_fidelity
 from gmewit.states import ghz_state
-from oracles import born_probabilities, pauli_string
+from oracles import born_probabilities, pauli_string, projectors
 
 NOT_HERMITIAN = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -70,8 +69,3 @@ def test_assert_state():
     with pytest.raises(ValueError):
         assert_state(np.array([1, 0, 0], dtype=complex) / 1.0)
 
-
-def test_assert_density_matrix():
-    assert_density_matrix(np.eye(2, dtype=complex) / 2)
-    with pytest.raises(ValueError):
-        assert_density_matrix(np.diag([1.5, -0.5]).astype(complex))

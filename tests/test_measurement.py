@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 from gmewit import fixture_path
-from gmewit.linalg import I2, PAULI, bloch_observable
+from gmewit.linalg import I2, PAULI
 from gmewit.measurement import (AXIS_VECTORS, CountTable, ImprecisionBudget,
                                 WaveplateErrorSpec, fidelity_from_counts,
-                                measurement_fidelity, projectors, q_of,
-                                tilt_vector, u_of, waveplate, waveplate_povm)
+                                measurement_fidelity, q_of, u_of, waveplate,
+                                waveplate_povm)
+from gmewit.witnesses import assemble, partner_maps
+from oracles import projectors
 
 
 def _tilted(intended, partner, eps):
     """Extremal imprecise observable for ``intended``, tilted toward ``partner``."""
-    return bloch_observable(tilt_vector(intended, eps, AXIS_VECTORS[partner]))
+    maps = partner_maps({intended: partner}, ImprecisionBudget.uniform(eps, 1))
+    return assemble([(1.0, intended)], 0.0, maps)
 
 
 def test_q_u_unit_circle():

@@ -8,17 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmewit import fixture_path
-from gmewit.bounds import cluster_witness_bounds, stabilizer_bisep_bound_numeric
+from gmewit.bounds import _reduced_operators, cluster_witness_bounds, stabilizer_bisep_bound_numeric
 from gmewit.linalg import PAULI, expectation
 from gmewit.measurement import ImprecisionBudget
 from gmewit.robustness import noisy_witness_value, threshold_visibility
 from gmewit.states import cluster_state_4, ghz_state, w_state
-from gmewit.witnesses import (BUILDERS, CorrelatorRecord, assemble,
+from gmewit.witnesses import (BUILDERS, LETTERS, CorrelatorRecord, assemble,
                               cluster_witness_c4, contract, eval_from_correlators, expand,
                               ideal, inm_value, letter_map_gradients, load_correlator_fixture,
                               mermin_terms, mermin_witness, pauli_expectations,
                               stabilizer_terms, stabilizer_witness, w_witness_d3)
-from oracles import born_probabilities, mermin_recursive, pauli_string
+from oracles import born_probabilities, mermin_recursive, pauli_string, tilted_kron
 
 
 def test_mermin_terms_structure():
@@ -178,7 +178,7 @@ def test_inm_validation():
 
 
 # ---------------------------------------------------------------------------
-# Properties of the Bloch-vector builder
+# Properties of the letter-map builder
 # ---------------------------------------------------------------------------
 
 unit_vectors = (st.tuples(*[st.floats(-1, 1)] * 3)
@@ -187,9 +187,19 @@ unit_vectors = (st.tuples(*[st.floats(-1, 1)] * 3)
                 .map(lambda v: v / np.linalg.norm(v)))
 
 
-def bloch_tables(n):
+def as_maps(table):
+    """(n, 4, 4) letter maps from per-party letter → Bloch vector dicts: the
+    identity, except that a letter in the dict has row (0, v)."""
+    maps = np.tile(np.eye(4), (len(table), 1, 1))
+    for j, row in enumerate(table):
+        for letter, v in row.items():
+            maps[j, LETTERS.index(letter)] = (0.0, *v)
+    return maps
+
+
+def letter_maps(n):
     return st.lists(st.dictionaries(st.sampled_from("XYZ"), unit_vectors),
-                    min_size=n, max_size=n)
+                    min_size=n, max_size=n).map(as_maps)
 
 
 def term_lists(n):
@@ -197,32 +207,62 @@ def term_lists(n):
                     max_size=6)
 
 
-def explicit_2x2(row, letter):
-    if letter not in row:
-        return PAULI[letter]
-    x, y, z = row[letter]
-    return x * PAULI["X"] + y * PAULI["Y"] + z * PAULI["Z"]
+def explicit_2x2(letter_map, letter):
+    row = letter_map[LETTERS.index(letter)]
+    return sum(c * PAULI[b] for c, b in zip(row, LETTERS))
 
 
 @settings(deadline=None)
-@given(st.integers(1, 4).flatmap(bloch_tables))
-def test_assembled_single_party_observables_have_spectrum_pm1(table):
-    for row in table:
+@given(st.integers(1, 4).flatmap(letter_maps))
+def test_assembled_single_party_observables_have_spectrum_pm1(maps):
+    for letter_map in maps:
         for letter in "XYZ":
-            evals = np.linalg.eigvalsh(assemble([(1.0, letter)], 0.0, [row]))
+            evals = np.linalg.eigvalsh(assemble([(1.0, letter)], 0.0, letter_map[None]))
             assert np.allclose(evals, [-1.0, 1.0], atol=1e-12)
 
 
 @settings(deadline=None)
 @given(st.integers(1, 4).flatmap(
-    lambda n: st.tuples(bloch_tables(n), term_lists(n), st.floats(-4, 4))))
+    lambda n: st.tuples(letter_maps(n), term_lists(n), st.floats(-4, 4))))
 def test_assemble_equals_explicit_kron_sum(case):
-    table, terms, offset = case
-    expected = offset * np.eye(2 ** len(table), dtype=complex)
+    maps, terms, offset = case
+    expected = offset * np.eye(2 ** len(maps), dtype=complex)
     for coeff, letters in terms:
         expected = expected + coeff * reduce(
-            np.kron, [explicit_2x2(row, c) for row, c in zip(table, letters)])
-    assert np.allclose(assemble(terms, offset, table), expected, rtol=0, atol=1e-12)
+            np.kron, [explicit_2x2(m, c) for m, c in zip(maps, letters)])
+    assert np.allclose(assemble(terms, offset, maps), expected, rtol=0, atol=1e-12)
+
+
+def budgets(n):
+    """Per-party (ε_X, ε_Y, ε_Z) budgets of n parties."""
+    eps = st.floats(0.0, 0.5)
+    return st.tuples(*[st.tuples(eps, eps, eps)] * n).map(ImprecisionBudget)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(sorted(BUILDERS)).flatmap(
+    lambda name: st.tuples(st.just(name), budgets(ideal(name).n))))
+def test_family_tilts_equal_kron_oracle(case):
+    # Every plane letter is tilted toward its in-plane partner by its party's ε.
+    name, budget = case
+    got = BUILDERS[name](budget).matrix
+    assert np.allclose(got, tilted_kron(ideal(name), budget), rtol=0, atol=1e-12)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(sorted(BUILDERS)), st.floats(0.0, 0.5))
+def test_reduced_operators_equal_kron_oracle(name, eps):
+    # Party 1 exact, parties 2..n tilted by ε: letter a's operator is
+    # ½·tr₁((σ_a ⊗ 𝟙)·W), which vanishes for a letter absent from the rows.
+    spec = ideal(name)
+    budget = ImprecisionBudget(((0.0, 0.0, 0.0),)
+                               + ImprecisionBudget.uniform(eps, spec.n - 1).per_party)
+    full = tilted_kron(spec, budget).reshape(2, 2 ** (spec.n - 1), 2, 2 ** (spec.n - 1))
+    ops = _reduced_operators(spec, eps)
+    for a in LETTERS:
+        want = 0.5 * np.einsum("ji,ikjl->kl", PAULI[a], full)
+        got = ops.get(a, np.zeros_like(want))
+        assert np.allclose(got, want, rtol=0, atol=1e-12), a
 
 
 @settings(deadline=None)
@@ -235,7 +275,7 @@ def test_letter_map_gradients_are_the_adjoint_of_expand(n, rank, seed):
     maps = rng.normal(size=(n, 4, 4))
     factor = rng.normal(size=(2 ** n, rank)) + 1j * rng.normal(size=(2 ** n, rank))
     stages = contract(coeffs, maps)
-    value = np.trace(factor.conj().T @ expand(stages) @ factor).real
+    value = np.trace(factor.conj().T @ expand(stages[-1]) @ factor).real
     grads = letter_map_gradients(stages, maps, pauli_expectations(factor, n))
     assert np.allclose(np.einsum("jab,jab->j", grads, maps), value, rtol=1e-12, atol=1e-10)
 
@@ -254,22 +294,32 @@ def test_letter_map_gradient_entries_match_unit_map_expansions(n, seed):
         unit = maps.copy()
         unit[j] = 0.0
         unit[j, a, b] = 1.0
-        want = np.trace(factor.conj().T @ expand(contract(coeffs, unit)) @ factor).real
+        want = np.trace(factor.conj().T @ expand(contract(coeffs, unit)[-1]) @ factor).real
         assert grads[j, a, b] == pytest.approx(want, rel=1e-10, abs=1e-9)
 
 
 def test_assemble_makes_no_kron_calls_after_first_build(monkeypatch):
     # The Pauli tables are built once per size; a witness matrix is then a
     # tensor contraction, without a Kronecker product.
-    budget = ImprecisionBudget.uniform(0.01, 4)
-    for build in BUILDERS.values():
-        build(budget)
+    budgets = {name: ImprecisionBudget.uniform(0.01, ideal(name).n) for name in BUILDERS}
+    for name, build in BUILDERS.items():
+        build(budgets[name])
     calls = []
     kron = np.kron
     monkeypatch.setattr(np, "kron", lambda *args: calls.append(1) or kron(*args))
-    for build in BUILDERS.values():
-        build(budget)
+    for name, build in BUILDERS.items():
+        build(budgets[name])
     assert calls == []
+
+
+@pytest.mark.parametrize("name, n", [("stabilizer3", 4), ("stabilizer4", 3),
+                                     ("mermin4", 5), ("d3", 2), ("c4", 3)])
+def test_budget_of_another_party_count_is_rejected(name, n):
+    # More parties would silently tilt by the first ones' ε, fewer would fail
+    # on an index: both are a one-line error that names both counts.
+    message = f"the budget has {n} parties, {name} has {ideal(name).n}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BUILDERS[name](ImprecisionBudget.uniform(0.01, n))
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
