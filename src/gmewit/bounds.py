@@ -77,46 +77,14 @@ def multi_qubit_partition_bound(n: int) -> BoundResult:
                        float(9 * 2 ** (n - 4) - 1), "closed-form")
 
 
-def _stabilizer_closed_forms(n: int, eps: float) -> dict[str, BoundResult]:
-    """Single-party, fully-separable and quantum closed forms of the n-party
-    stabilizer witness.
-
-    The single-party form confines the imprecision to the split-off party.
-    The fully-separable one is the value on |χ(π/8)⟩^⊗n with all parties
-    tilted: a symmetric-ansatz strategy curve, which product states outside
-    the ansatz can exceed (e.g. |0000⟩ gives 7 at ε=0 for n=4).
-    """
-    name = _witness_name("stabilizer", n)
-    _check_eps(eps, EPS_STAR)
-    q, s = q_of(eps), np.sqrt(eps * (1 - eps))
-    root = np.sqrt(1 + 4 * q * s)
-    if n == 4:
-        single = 3 + 4 * root
-        fully = 17 / 4 + 20 * eps * (1 - eps) * q ** 2 + 22 * q * s
-    else:
-        single = 1 + 2 * root
-        fully = (1.5 * (1 + np.sqrt(2)) - 3 * np.sqrt(2) * eps - np.sqrt(2) * q ** 3
-                 + 2 * (3 + np.sqrt(2) / 2 - 6 * eps + np.sqrt(2) * q ** 2) * s)
-    return {"single_party": BoundResult(name, n, eps, "single-party-imprecise",
-                                        float(single), "closed-form"),
-            "fully_separable": BoundResult(name, n, eps, "fully-separable", float(fully),
-                                           "closed-form", saturating_theta=np.pi / 8),
-            "quantum": stabilizer_quantum_bound(n)}
-
-
 def stabilizer_single_party_bound(n: int, eps: float) -> BoundResult:
     """Biseparable bound with imprecision confined to the split-off party."""
-    return _stabilizer_closed_forms(n, eps)["single_party"]
+    return _closed_forms(_witness_name("stabilizer", n), eps)["single_party"]
 
 
 def stabilizer_fully_sep_bound(n: int, eps: float) -> BoundResult:
     """Fully-separable value on |χ(π/8)⟩^⊗n with all parties tilted."""
-    return _stabilizer_closed_forms(n, eps)["fully_separable"]
-
-
-def stabilizer_quantum_bound(n: int) -> BoundResult:
-    return BoundResult(f"stabilizer{n}", n, 0.0, "quantum",
-                       float(3 * 2 ** (n - 2) - 1), "closed-form")
+    return _closed_forms(_witness_name("stabilizer", n), eps)["fully_separable"]
 
 
 def stabilizer_bisep_bound_numeric(n: int, eps: float) -> BoundResult:
@@ -127,31 +95,6 @@ def stabilizer_bisep_bound_numeric(n: int, eps: float) -> BoundResult:
 # ---------------------------------------------------------------------------
 # W-state witness (Appendix-F style bounds) and cluster witness
 # ---------------------------------------------------------------------------
-
-def _w_closed_forms(eps: float) -> dict[str, BoundResult]:
-    """Single-party, fully-separable and quantum closed forms of D3."""
-    q, s = q_of(eps), np.sqrt(eps * (1 - eps))
-    quantum = 2 * (1 + np.sqrt(1 + 48 * eps * (1 - eps) * q ** 2))
-    return {"single_party": BoundResult("d3", 3, eps, "single-party-imprecise",
-                                        float(1 + np.sqrt(5 + 16 * q * s)), "closed-form"),
-            "fully_separable": BoundResult("d3", 3, eps, "fully-separable",
-                                           float(3 * (1 + 4 * q * s)), "closed-form"),
-            "quantum": BoundResult("d3", 3, eps, "quantum", float(quantum), "closed-form")}
-
-
-def _cluster_closed_forms(eps: float) -> dict[str, BoundResult]:
-    """Single-party, fully-separable and quantum closed forms of C4.  The
-    quantum value is the untilted witness's maximum, 6."""
-    q, s = q_of(eps), np.sqrt(eps * (1 - eps))
-    fully = 1 + 2 * np.sqrt(2) * s + q * (4 * s + 3 * np.sqrt(2)
-                                          + 2 * np.sqrt(2) * q * (2 * eps + 2 * s - 1))
-    return {"single_party": BoundResult("c4", 4, eps, "single-party-imprecise",
-                                        float(2 * (1 + np.sqrt(1 + 4 * q * s))),
-                                        "closed-form", saturating_theta=np.pi / 8),
-            "fully_separable": BoundResult("c4", 4, eps, "fully-separable", float(fully),
-                                           "closed-form", saturating_theta=np.pi / 8),
-            "quantum": BoundResult("c4", 4, eps, "quantum", 6.0, "closed-form")}
-
 
 def w_witness_bounds(eps: float) -> dict[str, BoundResult]:
     """``family_bounds``' row of the D3 witness."""
@@ -226,12 +169,17 @@ def _reduced_sweep(spec: WitnessSpec, eps: float):
 FAMILY_WITNESS = {"mermin": "mermin4", "stabilizer": "stabilizer4", "wstate": "d3",
                   "cluster": "c4"}
 
-#: Each θ-swept witness → its single-party, fully-separable and quantum closed forms.
+#: Each θ-swept family → its (single-party, quantum) closed forms, functions
+#: of the party count n, q = 1 − 2ε and s = √(ε(1−ε)).  The single-party form
+#: tilts only the split-off party; the stabilizer pair holds for every n (Tóth
+#: & Gühne, PRL 94, 060501 (2005)); C4's quantum value is the untilted maximum.
 CLOSED_FORMS = {
-    "stabilizer3": lambda eps: _stabilizer_closed_forms(3, eps),
-    "stabilizer4": lambda eps: _stabilizer_closed_forms(4, eps),
-    "d3": _w_closed_forms,
-    "c4": _cluster_closed_forms,
+    "stabilizer": (lambda n, q, s: 2 ** (n - 2) * (1 + np.sqrt(1 + 4 * q * s)) - 1,
+                   lambda n, q, s: 3 * 2 ** (n - 2) - 1),
+    "wstate": (lambda n, q, s: 1 + np.sqrt(5 + 16 * q * s),
+               lambda n, q, s: 2 * (1 + np.sqrt(1 + 48 * (q * s) ** 2))),
+    "cluster": (lambda n, q, s: 2 * (1 + np.sqrt(1 + 4 * q * s)),
+                lambda n, q, s: 6.0),
 }
 
 
@@ -244,6 +192,32 @@ def _witness_name(family: str, n: int | None) -> str:
         sizes = sorted(ideal(other).n for other in BUILDERS if ideal(other).family == family)
         raise ValueError(f"the {family} family has n = {', '.join(map(str, sizes))} only")
     return name
+
+
+def _closed_forms(name: str, eps: float) -> dict[str, BoundResult]:
+    """Single-party, fully-separable and quantum closed forms of the θ-swept
+    witness ``name`` at ε ≤ ε*.
+
+    The fully-separable value is the witness on |χ(π/8)⟩^⊗n with every
+    party tilted in its plane: each tilted letter then reads
+    a = (q + u)/√2, so the value is offset + Σ c·a^{weight}.  It is a
+    symmetric-ansatz strategy value, which product states outside the
+    ansatz can exceed (|0000⟩ gives 7 for stabilizer4 at ε = 0).
+    """
+    _check_eps(eps, EPS_STAR)
+    spec = ideal(name)
+    q, s = q_of(eps), np.sqrt(eps * (1 - eps))
+    a = (q + u_of(eps)) / np.sqrt(2)
+    fully = spec.constant_offset + sum(c * a ** (spec.n - letters.count("I"))
+                                       for c, letters in spec.terms)
+    single, quantum = CLOSED_FORMS[spec.family]
+
+    def row(kind, value, theta=None):
+        return BoundResult(name, spec.n, eps, kind, float(value), "closed-form", theta)
+
+    return {"single_party": row("single-party-imprecise", single(spec.n, q, s)),
+            "fully_separable": row("fully-separable", fully, np.pi / 8),
+            "quantum": row("quantum", quantum(spec.n, q, s))}
 
 
 def family_bounds(family: str, n: int | None, eps: float) -> dict[str, BoundResult | None]:
@@ -265,8 +239,7 @@ def family_bounds(family: str, n: int | None, eps: float) -> dict[str, BoundResu
         return {"biseparable": bisep, "single_party": bisep, "fully_separable": None,
                 "quantum": mermin_quantum_bound(bisep.n)}
     name = _witness_name(family, n)
-    _check_eps(eps, EPS_STAR)
-    rows = CLOSED_FORMS[name](eps)
+    rows = _closed_forms(name, eps)
     single = rows["single_party"]
     value, theta = (single.value, None) if eps == 0.0 else _reduced_sweep(ideal(name), eps)
     bisep = replace(single, bound_kind="biseparable", value=max(value, single.value),

@@ -35,6 +35,8 @@ class ImprecisionBudget:
 
     def __post_init__(self):
         for trip in self.per_party:
+            if len(trip) != len(AXES):
+                raise ValueError("each party needs exactly three ε: (ε_X, ε_Y, ε_Z)")
             for eps in trip:
                 if not 0.0 <= eps <= 0.5:
                     raise ValueError("each ε must lie in [0, 1/2]")
@@ -72,25 +74,19 @@ class ImprecisionBudget:
 # Measurement fidelity
 # ---------------------------------------------------------------------------
 
-def bloch_states(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenstates |±n⟩ of n·σ for a unit Bloch vector n."""
-    vecs = np.linalg.eigh(bloch_observable(axis / np.linalg.norm(axis)))[1]
-    return vecs[:, 1], vecs[:, 0]
-
-
 def measurement_fidelity(povm_plus: np.ndarray, povm_minus: np.ndarray,
                          axis: np.ndarray) -> float:
-    """Average fidelity ½⟨n|P̃₊|n⟩ + ½⟨−n|P̃₋|−n⟩ against the axis n."""
+    """Average fidelity ½⟨n|P̃₊|n⟩ + ½⟨−n|P̃₋|−n⟩ against the axis n, as
+    ¼·tr(P̃₊(𝟙 + n·σ) + P̃₋(𝟙 − n·σ))."""
     if np.max(np.abs(povm_plus + povm_minus - I2)) > tol("povm_completeness"):
         raise ValueError("POVM elements do not sum to the identity")
     for p in (povm_plus, povm_minus):
         assert_hermitian(p)
         if np.linalg.eigvalsh(p).min() < -1e-12:
             raise ValueError("POVM element is not positive semidefinite")
-    plus, minus = bloch_states(np.asarray(axis, dtype=float))
-    f = 0.5 * np.vdot(plus, povm_plus @ plus).real \
-        + 0.5 * np.vdot(minus, povm_minus @ minus).real
-    return float(f)
+    axis = np.asarray(axis, dtype=float)
+    n_sigma = bloch_observable(axis / np.linalg.norm(axis))
+    return float(0.25 * np.trace(povm_plus @ (I2 + n_sigma) + povm_minus @ (I2 - n_sigma)).real)
 
 
 # ---------------------------------------------------------------------------
@@ -141,36 +137,23 @@ def _povm_plus(alpha, beta, eta_q, eta_h, gamma):
 def waveplate_povm(basis: str, spec: WaveplateErrorSpec):
     """POVM pair implemented by the imperfect QWP–HWP–PBS chain.
 
-    Returns ``(P_plus, P_minus, info)`` where ``info`` carries the worst-case
-    fidelity over all error-sign combinations (authoritative), the
-    quadrature-propagated first-order estimate, and the worst sign tuple.
+    Returns ``(P_plus, P_minus, info)``: the POVM of the error-sign
+    combination with the lowest fidelity, and ``info["fidelity"]``, that
+    worst-case fidelity.
     """
     if basis not in WAVEPLATE_SETTINGS:
         raise ValueError(f"unknown basis {basis!r}")
     alpha, beta = WAVEPLATE_SETTINGS[basis]
     axis = AXIS_VECTORS[basis]
-    worst_f, worst_signs, worst_povm = np.inf, None, None
-    for signs in itertools.product((1, -1), repeat=4):
-        sa, sb, sq, sh = signs
+    worst_f, worst_povm = np.inf, None
+    for sa, sb, sq, sh in itertools.product((1, -1), repeat=4):
         p_plus = _povm_plus(alpha + sa * spec.d_alpha, beta + sb * spec.d_beta,
                             np.pi / 2 + sq * spec.d_eta_q, np.pi + sh * spec.d_eta_h,
                             spec.gamma)
         f = measurement_fidelity(p_plus, I2 - p_plus, axis)
         if f < worst_f:
-            worst_f, worst_signs, worst_povm = f, signs, p_plus
-    # First-order estimate: per-parameter Bloch-angle deviations in quadrature.
-    delta_sq = 0.0
-    deltas = [(spec.d_alpha, 0, 0, 0), (0, spec.d_beta, 0, 0),
-              (0, 0, spec.d_eta_q, 0), (0, 0, 0, spec.d_eta_h)]
-    for da, db, dq, dh in deltas:
-        p_plus = _povm_plus(alpha + da, beta + db, np.pi / 2 + dq, np.pi + dh, 1.0)
-        f = measurement_fidelity(p_plus, I2 - p_plus, axis)
-        delta_sq += (2 * np.arccos(np.sqrt(np.clip(f, 0, 1)))) ** 2
-    delta = np.sqrt(delta_sq)
-    f_prop = spec.gamma * np.cos(delta / 2) ** 2 + (1 - spec.gamma) * np.sin(delta / 2) ** 2
-    info = {"fidelity": float(worst_f), "fidelity_propagated": float(f_prop),
-            "worst_signs": worst_signs}
-    return worst_povm, I2 - worst_povm, info
+            worst_f, worst_povm = f, p_plus
+    return worst_povm, I2 - worst_povm, {"fidelity": float(worst_f)}
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +186,8 @@ class CountTable:
     def from_csv(cls, path) -> "CountTable":
         with open(path, newline="") as fh:
             rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+        if not rows:
+            raise ValueError(f"{path}: no header row of prep_ columns")
         header = rows[0]
         preps = [h.removeprefix("prep_") for h in header[1:]]
         counts = {}

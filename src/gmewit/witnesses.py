@@ -338,8 +338,19 @@ def load_correlator_fixture(path) -> tuple[str, list[CorrelatorRecord]]:
     """Load a correlator fixture JSON: witness name plus its records."""
     with open(path) as fh:
         data = json.load(fh)
-    records = [CorrelatorRecord(r["letters"], float(r["value"]), float(r["std"]))
-               for r in data["records"]]
+    missing = [key for key in ("witness", "records")
+               if not isinstance(data, dict) or key not in data]
+    if missing:
+        raise ValueError(f"{path}: no {' or '.join(missing)} key")
+    if not isinstance(data["records"], list):
+        raise ValueError(f"{path}: records is not a list")
+    records = []
+    for i, r in enumerate(data["records"]):
+        missing = [key for key in ("letters", "value", "std")
+                   if not isinstance(r, dict) or key not in r]
+        if missing:
+            raise ValueError(f"{path}: record {i} has no {', '.join(missing)}")
+        records.append(CorrelatorRecord(r["letters"], float(r["value"]), float(r["std"])))
     return data["witness"], records
 
 

@@ -1,9 +1,9 @@
 """Reference constructions used only by the tests: explicit Pauli strings,
-the recursive Mermin pair, spectral projectors, Born-rule probability
-tables, the visibility-threshold closed forms, the GHZ fidelity, the
-device-independent Mermin value, the earlier Nelder–Mead and L-BFGS-B L_ε
-searches, the Newton and the bracket-and-Brent λ-duals, the per-restart
-see-saw and the ``minimize_scalar`` θ-sweep."""
+the recursive Mermin pair, the product state |χ(θ)⟩^⊗n, spectral
+projectors, Born-rule probability tables, the visibility-threshold closed
+forms, the GHZ fidelity, the device-independent Mermin value, the earlier
+Nelder–Mead and L-BFGS-B L_ε searches, the Newton and the bracket-and-Brent
+λ-duals, the per-restart see-saw and the ``minimize_scalar`` θ-sweep."""
 
 from __future__ import annotations
 
@@ -64,6 +64,16 @@ def tilted_kron(spec: WitnessSpec, budget) -> np.ndarray:
     for c, letters in spec.terms:
         mat = mat + c * reduce(np.kron, [observable(j, b) for j, b in enumerate(letters)])
     return mat
+
+
+def chi_product_state(plane: dict, theta: float, n: int) -> np.ndarray:
+    """|χ(θ)⟩^⊗n by ``np.kron``, for the qubit whose Bloch vector is
+    sin 2θ·e_a + cos 2θ·e_b, with (a, b) the plane's letters in order."""
+    a, b = (np.eye(3)["XYZ".index(c)] for c in plane)
+    bloch = np.sin(2 * theta) * a + np.cos(2 * theta) * b
+    polar, azimuth = np.arccos(np.clip(bloch[2], -1, 1)), np.arctan2(bloch[1], bloch[0])
+    qubit = np.array([np.cos(polar / 2), np.exp(1j * azimuth) * np.sin(polar / 2)])
+    return reduce(np.kron, [qubit] * n)
 
 
 def projectors(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

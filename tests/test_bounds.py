@@ -10,14 +10,16 @@ from gmewit.bounds import (EPS_STAR, PartitionSpec, _reduced_operators, _reduced
                            mermin_bisep_bound, mermin_quantum_bound,
                            multi_qubit_partition_bound, spoofing_curve,
                            stabilizer_bisep_bound_numeric,
-                           stabilizer_fully_sep_bound, stabilizer_quantum_bound,
-                           stabilizer_single_party_bound, w_witness_bounds)
+                           stabilizer_fully_sep_bound, stabilizer_single_party_bound,
+                           w_witness_bounds)
 from gmewit.linalg import expectation
 from gmewit.measurement import ImprecisionBudget, q_of, u_of
 from gmewit.states import spoof_state
 from gmewit.tolerances import tol
-from gmewit.witnesses import cluster_witness_c4, ideal, mermin_witness, stabilizer_witness
-from oracles import mermin_di_bound, reduced_sweep_minimize_scalar, seesaw_per_restart
+from gmewit.witnesses import (BUILDERS, cluster_witness_c4, ideal, mermin_witness,
+                              stabilizer_witness)
+from oracles import (chi_product_state, mermin_di_bound, reduced_sweep_minimize_scalar,
+                     seesaw_per_restart)
 
 SEESAW_WITNESSES = {
     "stabilizer4": lambda budget: stabilizer_witness(4, budget),
@@ -81,7 +83,7 @@ def test_stabilizer_closed_forms_at_zero():
     assert stabilizer_single_party_bound(4, 0.0).value == pytest.approx(7.0)
     assert stabilizer_single_party_bound(3, 0.0).value == pytest.approx(3.0)
     assert stabilizer_fully_sep_bound(4, 0.0).value == pytest.approx(17 / 4)
-    assert stabilizer_quantum_bound(4).value == pytest.approx(11.0)
+    assert family_bounds("stabilizer", 4, 0.0)["quantum"].value == pytest.approx(11.0)
     assert multi_qubit_partition_bound(4).value == pytest.approx(8.0)
 
 
@@ -191,6 +193,25 @@ def test_family_bounds_is_the_one_bound_path(witness, eps):
     assert bisep.value >= single.value
     swept = bisep.value - single.value > tol("regime_tie")
     assert (bisep.regime == "numeric-theta-sweep") == swept
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(NUMERIC_ROWS)), st.floats(0.0, EPS_STAR))
+@example("stabilizer3", EPS_STAR)
+def test_closed_forms_equal_the_product_state_oracle(witness, eps):
+    # The fully-separable value is the tilted witness on |χ(π/8)⟩^⊗n; the
+    # stabilizer single-party form is 2^{n−2}(1 + √(1+4qs)) − 1, written out.
+    family, n = NUMERIC_ROWS[witness]
+    spec = ideal(witness)
+    rows = family_bounds(family, n, eps)
+    tilted = BUILDERS[witness](ImprecisionBudget.uniform(eps, spec.n)).matrix
+    chi = chi_product_state(spec.tilt_plane, np.pi / 8, spec.n)
+    assert rows["fully_separable"].value == pytest.approx(np.vdot(chi, tilted @ chi).real,
+                                                          abs=1e-12)
+    if family == "stabilizer":
+        root = np.sqrt(1 + 4 * q_of(eps) * np.sqrt(eps * (1 - eps)))
+        literal = {3: 1 + 2 * root, 4: 3 + 4 * root}[spec.n]
+        assert rows["single_party"].value == pytest.approx(literal, abs=1e-12)
 
 
 def test_eps_validation():

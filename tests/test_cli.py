@@ -176,6 +176,32 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, runner, args):
         assert lines[0] == f"Error: {message}"
 
 
+#: Malformed input files → (contents, command, what the error says is missing).
+MALFORMED_INPUTS = {
+    "empty.csv": ("", ["tomo", "--counts"], "no header row of prep_ columns"),
+    "comments.csv": ("# no table\n", ["tomo", "--counts"], "no header row of prep_ columns"),
+    "nowitness.json": ('{"records": []}', ["witness", "--fixture"], "no witness key"),
+    "norecords.json": ('{"witness": "mermin4"}', ["witness", "--fixture"], "no records key"),
+    "nostd.json": ('{"witness": "mermin4", "records": [{"letters": "XXXX", "value": 0.9}]}',
+                   ["witness", "--fixture"], "record 0 has no std"),
+    "number.json": ("5", ["witness", "--fixture"], "no witness or records key"),
+    "recordsdict.json": ('{"witness": "mermin4", "records": {}}', ["witness", "--fixture"],
+                         "records is not a list"),
+    "numberrecord.json": ('{"witness": "mermin4", "records": [5]}', ["witness", "--fixture"],
+                          "record 0 has no letters, value, std"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_INPUTS)
+def test_malformed_input_file_names_the_file_and_what_is_missing(runner, name):
+    text, command, missing = MALFORMED_INPUTS[name]
+    with runner.isolated_filesystem():
+        Path(name).write_text(text)
+        result = runner.invoke(main, [*command, name])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip().split("\n") == [f"Error: {name}: {missing}"]
+
+
 def test_robustness_command_threshold(runner):
     result = runner.invoke(main, ["robustness", "--witness", "mermin4",
                                   "--noise", "white"])

@@ -1,13 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from gmewit import fixture_path
 from gmewit.linalg import I2, PAULI
-from gmewit.measurement import (AXIS_VECTORS, CountTable, ImprecisionBudget,
-                                WaveplateErrorSpec, fidelity_from_counts,
+from gmewit.measurement import (AXIS_VECTORS, WAVEPLATE_SETTINGS, CountTable,
+                                ImprecisionBudget, WaveplateErrorSpec, _povm_plus,
+                                fidelity_from_counts,
                                 measurement_fidelity, q_of, u_of, waveplate,
                                 waveplate_povm)
-from gmewit.witnesses import assemble, partner_maps
+from gmewit.witnesses import assemble, partner_maps, stabilizer_witness
 from oracles import projectors
 
 
@@ -48,6 +51,16 @@ def test_imprecision_budget_constructors():
         ImprecisionBudget.uniform(0.7, 2)
 
 
+@pytest.mark.parametrize("triple", [(0.1, 0.1), (0.1, 0.1, 0.1, 0.1)])
+def test_imprecision_budget_needs_three_eps_per_party(triple):
+    # Two ε per party once ended in an IndexError inside a witness build; a
+    # fourth ε was silently ignored.
+    with pytest.raises(ValueError, match="exactly three"):
+        ImprecisionBudget((triple,) * 3)
+    with pytest.raises(ValueError, match="exactly three"):
+        stabilizer_witness(3, ImprecisionBudget(((0.1, 0.1, 0.1), triple, (0.1, 0.1, 0.1))))
+
+
 def test_tilted_projector_fidelity_equals_one_minus_eps():
     # The ± projectors of the tilted observable form a projective POVM with
     # average fidelity exactly 1 − ε against the intended axis.
@@ -78,13 +91,27 @@ def test_waveplate_povm_ideal_spec():
         assert np.max(np.abs(p_plus + p_minus - I2)) <= 1e-12
 
 
-def test_waveplate_povm_worst_case_below_propagated():
+def test_waveplate_povm_is_the_worst_sign_combination():
+    # The returned POVM and fidelity are those of the error-sign combination
+    # with the lowest fidelity, scored here by the spectral projectors of
+    # the intended Pauli.
     spec = WaveplateErrorSpec(d_alpha=0.01, d_beta=0.01,
                               d_eta_q=0.02, d_eta_h=0.02, gamma=0.999)
     for basis in ("X", "Y", "Z"):
-        _, _, info = waveplate_povm(basis, spec)
-        assert info["fidelity"] <= info["fidelity_propagated"] + 1e-6
-        assert len(info["worst_signs"]) == 4
+        plus, minus = projectors(PAULI[basis])
+        alpha, beta = WAVEPLATE_SETTINGS[basis]
+        every = [_povm_plus(alpha + sa * spec.d_alpha, beta + sb * spec.d_beta,
+                            np.pi / 2 + sq * spec.d_eta_q, np.pi + sh * spec.d_eta_h,
+                            spec.gamma)
+                 for sa, sb, sq, sh in itertools.product((1, -1), repeat=4)]
+        scores = [0.5 * np.trace(p @ plus).real + 0.5 * np.trace((I2 - p) @ minus).real
+                  for p in every]
+        p_plus, p_minus, info = waveplate_povm(basis, spec)
+        assert info["fidelity"] == pytest.approx(min(scores), abs=1e-12)
+        assert info["fidelity"] < max(scores)
+        returned = 0.5 * np.trace(p_plus @ plus).real + 0.5 * np.trace(p_minus @ minus).real
+        assert returned == pytest.approx(min(scores), abs=1e-12)
+        assert np.max(np.abs(p_plus + p_minus - I2)) <= 1e-12
 
 
 def test_waveplate_spec_validation():

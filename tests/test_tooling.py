@@ -5,6 +5,7 @@ no third-party module beyond its declared dependencies."""
 import ast
 import importlib.util
 import inspect
+import math
 import re
 import sys
 from pathlib import Path
@@ -35,13 +36,20 @@ def test_tracer_targets_resolve(module, attr):
 def test_family_table_points_into_the_witness_registry():
     # Each family's default witness is a registry name of that family, and
     # every registered witness is found from its family and party count.
-    from gmewit.bounds import FAMILY_WITNESS, _witness_name
+    # Every θ-swept family has its closed forms, and each of its witnesses
+    # a full row of four finite bounds.
+    from gmewit.bounds import CLOSED_FORMS, FAMILY_WITNESS, _witness_name, family_bounds
     from gmewit.witnesses import BUILDERS, ideal
     for family, name in FAMILY_WITNESS.items():
         assert name in BUILDERS and ideal(name).family == family
+    swept = set(FAMILY_WITNESS) - {"mermin"}
+    assert swept <= set(CLOSED_FORMS)
     for name in BUILDERS:
         spec = ideal(name)
         assert _witness_name(spec.family, spec.n) == name
+        if spec.family in swept:
+            row = family_bounds(spec.family, spec.n, 0.01)
+            assert all(b is not None and math.isfinite(b.value) for b in row.values()), name
 
 
 @pytest.mark.parametrize("name", ["restarts", "iterations"])
