@@ -101,9 +101,12 @@ def _dual_half(m: np.ndarray, amps: np.ndarray, vecs: np.ndarray, sw: float,
     weight gives a kink at x = m₀ − m₁, where ρ* mixes the secular vector with
     that level's vector to tr(W_ε ρ*) = w.  h′ = pc₀/x² + R(x) vanishes where
     x = √(pc₀/−R(x)), whose right side is linear in x when one weighted
-    level lies below the top: ``_newton`` solves that from mid-interval,
-    and where λ′ would pass the cap it solves S(x) = LAMBDA_CAP as
-    x = p₀/(LAMBDA_CAP − T(x)), T = S − p₀/x.
+    level lies below the top: ``_newton`` solves that in y = x − c, c the
+    pole at x = 0 or at the next weighted level that the root lies nearer
+    to, so that x + mᵢ − m₀ = y + (c + mᵢ − m₀) keeps y's relative precision
+    next to either pole (rounded to the spacing of x, a root just below the
+    upper pole moves tr(W_ε ρ*) by far more than rounding).  Where λ′ would pass the cap it
+    solves S(x) = LAMBDA_CAP as x = p₀/(LAMBDA_CAP − T(x)), T = S − p₀/x.
     """
     p = np.abs(amps) ** 2
     if p[0] <= tol("dual_weight"):      # the top vector is orthogonal to ghz
@@ -123,37 +126,49 @@ def _dual_half(m: np.ndarray, amps: np.ndarray, vecs: np.ndarray, sw: float,
     if not deflated:
         x_hi = delta
 
-    def slope(x):       # √(pc₀/−R(x)) − x, zero where h′ = pc₀/x² + R(x) is
-        r = 1 / (x + d1)
-        r2 = r * r
-        rest = pc1 @ r2
-        if rest >= 0:                   # h′ > 0: left of the root
-            return math.inf, -1.0
-        root = math.sqrt(pc0 / -rest)
-        return root - x, root * (pc1 @ (r2 * r)) / rest - 1
+    def slope(c):       # in y = x − c: √(pc₀/−R(x)) − x, zero where h′ = pc₀/x² + R(x) is
+        e1 = c + d1
+
+        def at(y):
+            r = 1 / (y + e1)
+            r2 = r * r
+            rest = pc1 @ r2
+            if rest >= 0:               # h′ > 0: left of the root
+                return math.inf, -1.0
+            root = math.sqrt(pc0 / -rest)
+            return root - (y + c), root * (pc1 @ (r2 * r)) / rest - 1
+
+        return at
 
     def excess(x):      # p₀/(LAMBDA_CAP − T(x)) − x, zero where S = p₀/x + T = LAMBDA_CAP
         r = 1 / (x + d1)
         room = LAMBDA_CAP - p1 @ r
         return p0 / room - x, -p0 * (p1 @ (r * r)) / room ** 2 - 1
 
+    c, lower = 0.0, slope(0.0)
     if pc0 <= 0:                        # h falls from the pole on: λ′ is capped
-        x = 0.0
+        y = 0.0
     elif not deflated and m[0] - delta >= sw:
         return 0.0, 0.0, None           # h rises up to the pole where λ′ = −∞: nothing
-    elif deflated and slope(x_hi)[0] >= 0:
-        x = x_hi                        # h rises up to the kink
+    elif deflated and lower(x_hi)[0] >= 0:
+        y = x_hi                        # h rises up to the kink
+    elif not deflated and lower(x_hi / 2)[0] > 0:
+        c = x_hi                        # the root lies nearer the pole at x_hi
+        y = _newton(slope(c), -x_hi / 2, 0.0, -x_hi / 4)
     else:
-        x = _newton(slope, 0.0, x_hi, x_hi / 2)
-    lam = math.inf if x == 0 else p @ (1 / (x + d))
+        y = _newton(lower, 0.0, x_hi, x_hi / 2)
+    x = y + c
+    lam = math.inf if x == 0 else p @ (1 / (y + (c + d)))
     if lam <= 0:
         return 0.0, 0.0, None
     if lam > LAMBDA_CAP:
-        x, lam = _newton(excess, x, x_hi, p0 / LAMBDA_CAP), LAMBDA_CAP
+        c = 0.0
+        x = y = _newton(excess, x, x_hi, p0 / LAMBDA_CAP)
+        lam = LAMBDA_CAP
     value = lam * (x - m[0] + sw)
     if value <= 0:
         return 0.0, 0.0, None
-    coef = amps / (x + d)
+    coef = amps / (y + (c + d))
     norm2 = np.vdot(coef, coef).real
     factor = (vecs @ coef)[:, None] / math.sqrt(norm2)
     if deflated and x == x_hi:          # the kink: mix in the next level's vector
@@ -166,7 +181,7 @@ def _dual_half(m: np.ndarray, amps: np.ndarray, vecs: np.ndarray, sw: float,
 def _newton(fn, lo: float, hi: float, x: float) -> float:
     """Root of ``fn`` in (lo, hi), from ``x`` (or the midpoint): ``fn`` returns
     its value, positive left of the root, and derivative.  The search ends
-    on a Newton step below ``tol("dual_root")``·x, tested before the bracket,
+    on a Newton step below ``tol("dual_root")``·|x|, tested before the bracket,
     or on a bracket down to rounding; it bisects where a step would leave
     the bracket."""
     if not lo < x < hi:
@@ -174,7 +189,7 @@ def _newton(fn, lo: float, hi: float, x: float) -> float:
     while True:
         f, df = fn(x)
         step = -f / df if df else math.inf
-        if abs(step) <= tol("dual_root") * x:
+        if abs(step) <= tol("dual_root") * abs(x):
             return x + step
         lo, hi = (x, hi) if f > 0 else (lo, x)
         x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
