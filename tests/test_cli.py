@@ -238,6 +238,17 @@ def test_tomo_command(runner):
         assert 0.99 <= float(line.split(",")[2]) <= 1.0
 
 
+def test_tomo_rows_match_golden(runner):
+    # All six rows of the bundled Table A.1, every cell as printed. Regenerate
+    # only for an intended change of the estimators:
+    #   PYTHONPATH=src python -m gmewit.cli tomo --counts table_a1.csv --format json \
+    #       > tests/golden_tomo.json
+    result = runner.invoke(main, ["tomo", "--counts", "table_a1.csv", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    golden = Path(__file__).with_name("golden_tomo.json")
+    assert json.loads(result.output) == json.loads(golden.read_text())
+
+
 def test_inm_command(tmp_path, runner):
     table = np.zeros((2,) * 4 + (2,) * 4)
     table[..., 0, 0, 0, 0] = 1.0
