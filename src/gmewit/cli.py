@@ -286,12 +286,13 @@ def fidelity(witness_name, observed, eps_x, eps_y, eps_z, restarts, curve, out,
 @common_options
 def tomo(counts, out, output_format):
     """Detector-tomography fidelities from a coincidence count table."""
-    table = CountTable.from_csv(_input_path(counts))
-    fids = fidelity_from_counts(table)
-    rows = [{"projector": label, "axis": d["axis"],
-             "fidelity": d["symmetric"], "pass_fail": d["pass_fail"],
-             "tomography": d["tomography"]}
-            for label, d in fids.items()]
+    path = _input_path(counts)
+    table = CountTable.from_csv(path)
+    try:
+        fids = fidelity_from_counts(table)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    rows = [{"projector": label, "fidelity": d["symmetric"], **d} for label, d in fids.items()]
     emit(rows, ["projector", "axis", "fidelity", "pass_fail", "tomography"],
          out, output_format)
 
@@ -304,11 +305,13 @@ def tomo(counts, out, output_format):
 @common_options
 def inm(n, m, probs, out, output_format):
     """Evaluate the I_nm correlator functional on a probability table."""
-    with open(probs) as fh:
-        data = np.asarray(json.load(fh), dtype=float)
-    table = data.reshape((m,) * n + (2,) * n)
-    emit([{"n": n, "m": m, "value": inm_value(n, m, table)}],
-         ["n", "m", "value"], out, output_format)
+    try:
+        with open(probs) as fh:
+            table = np.asarray(json.load(fh), dtype=float).reshape((m,) * n + (2,) * n)
+        value = inm_value(n, m, table)
+    except (TypeError, ValueError) as exc:  # TypeError: a JSON object where a number belongs
+        raise ValueError(f"{probs}: {exc}") from exc
+    emit([{"n": n, "m": m, "value": value}], ["n", "m", "value"], out, output_format)
 
 
 @main.command()

@@ -4,13 +4,12 @@ waveplate/PBS POVM error model, and tomography-based fidelity estimation."""
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import I2, PAULI, assert_hermitian, bloch_observable
+from .linalg import I2, assert_hermitian, bloch_observable
 from .tolerances import tol
 
 AXES = ("X", "Y", "Z")
@@ -54,10 +53,8 @@ class ImprecisionBudget:
         return cls(tuple((eps_x, eps_y, eps_z) for _ in range(n)))
 
     @classmethod
-    def single_party(cls, eps: float, n: int, party: int = 0) -> "ImprecisionBudget":
-        trips = [(0.0, 0.0, 0.0)] * n
-        trips[party] = (eps, eps, eps)
-        return cls(tuple(trips))
+    def single_party(cls, eps: float, n: int) -> "ImprecisionBudget":
+        return cls(((eps, eps, eps),) + ((0.0, 0.0, 0.0),) * (n - 1))
 
     @property
     def n(self) -> int:
@@ -129,9 +126,7 @@ def waveplate(t: float, eta: float) -> np.ndarray:
 
 def _povm_plus(alpha, beta, eta_q, eta_h, gamma):
     u = waveplate(beta, eta_h) @ waveplate(alpha, eta_q)
-    psi = u.conj().T @ np.array([1, 0], dtype=complex)
-    psi_perp = u.conj().T @ np.array([0, 1], dtype=complex)
-    return gamma * np.outer(psi, psi.conj()) + (1 - gamma) * np.outer(psi_perp, psi_perp.conj())
+    return u.conj().T @ np.diag([gamma, 1 - gamma]) @ u
 
 
 def waveplate_povm(basis: str, spec: WaveplateErrorSpec):
@@ -194,74 +189,43 @@ class CountTable:
         for row in rows[1:]:
             proj = row[0].removeprefix("proj_")
             for prep, cell in zip(preps, row[1:]):
+                if not cell.strip().isdecimal():
+                    raise ValueError(f"{path}: proj_{proj}/prep_{prep} is not a count: {cell!r}")
                 counts[(proj, prep)] = int(cell)
         return cls(counts)
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["projector"] + [f"prep_{p}" for p in PREP_LABELS])
-        for proj in PROJ_LABELS:
-            w.writerow([f"proj_{proj}"] + [self.counts[(proj, p)] for p in PREP_LABELS])
-        return buf.getvalue()
-
-
-def _reconstruct_povm(table: CountTable, proj: str, partner: str) -> np.ndarray:
-    """Linear-inversion detector tomography of one POVM element.
-
-    Probabilities are normalized per preparation against the projector's
-    partner port; probe states are assumed ideal.
-    """
-    c0, cx, cy, cz = 0.0, 0.0, 0.0, 0.0
-    probs = {}
-    for prep in PREP_LABELS:
-        n_plus = table.counts[(proj, prep)]
-        n_minus = table.counts[(partner, prep)]
-        total = n_plus + n_minus
-        if total == 0:
-            raise ValueError(f"zero total counts for preparation {prep}")
-        probs[prep] = n_plus / total
-    # p(prep) = ½(c0 + c·s(prep)) with s the probe Bloch vector; the six
-    # probes are ±x, ±y, ±z so the inversion is direct.
-    c0 = sum(probs.values()) / 3.0
-    cx = probs["D"] - probs["A"]
-    cy = probs["R"] - probs["L"]
-    cz = probs["H"] - probs["V"]
-    povm = 0.5 * (c0 * I2 + cx * PAULI["X"] + cy * PAULI["Y"] + cz * PAULI["Z"])
-    # Clip to the PSD cone if sampling noise pushed an eigenvalue negative.
-    evals, vecs = np.linalg.eigh(povm)
-    evals = np.clip(evals, 0.0, 1.0)
-    return (vecs * evals) @ vecs.conj().T
-
 
 def fidelity_from_counts(table: CountTable) -> dict:
-    """Per-projector fidelity estimates from a tomography count table.
+    """Per-projector fidelity estimates from a tomography count table, all three
+    from one pass probability p(prep) = N[proj, prep] / (N[proj, prep] + N[partner, prep]):
 
-    For each projector pair three estimators are returned:
-
-    - ``pass_fail``: ½(N_pass(+n)/N_tot(+n) + N_pass(−n)/N_tot(−n));
-    - ``tomography``: linear-inversion POVM reconstruction scored by
-      ``measurement_fidelity`` against the ideal axis;
-    - ``symmetric``: (1 + p̄)/2 with p̄ the pass_fail estimate — attributes
-      half of the observed infidelity to probe preparation (primary column).
+    - ``pass_fail``: p at the projector's own eigenstate;
+    - ``symmetric``: (1 + pass_fail)/2 — attributes half of the observed
+      infidelity to probe preparation (primary column);
+    - ``tomography``: the linear-inversion POVM ½(c₀·𝟙 + c·σ), probe states
+      assumed ideal, scored by ``measurement_fidelity`` against the axis.
     """
     out = {}
-    for axis, (plus_label, minus_label) in PROJECTOR_PAIRS.items():
-        p_plus = table.counts[(plus_label, plus_label)] / (
-            table.counts[(plus_label, plus_label)] + table.counts[(minus_label, plus_label)])
-        p_minus = table.counts[(minus_label, minus_label)] / (
-            table.counts[(plus_label, minus_label)] + table.counts[(minus_label, minus_label)])
-        for label, p in ((plus_label, p_plus), (minus_label, p_minus)):
-            pass_fail = p
-            povm_plus = _reconstruct_povm(
-                table, label, minus_label if label == plus_label else plus_label)
-            sign = +1 if label == plus_label else -1
-            tomo = measurement_fidelity(povm_plus, I2 - povm_plus,
-                                        sign * AXIS_VECTORS[axis])
+    for axis, (plus, minus) in PROJECTOR_PAIRS.items():
+        for label, partner, sign in ((plus, minus, +1), (minus, plus, -1)):
+            p = {}
+            for prep in PREP_LABELS:
+                total = table.counts[(label, prep)] + table.counts[(partner, prep)]
+                if total == 0:
+                    raise ValueError(f"proj_{label} and proj_{partner} both count 0 "
+                                     f"under prep_{prep}")
+                p[prep] = table.counts[(label, prep)] / total
+            # p(prep) = ½(c₀ + c·s(prep)) with s the probe Bloch vector; the
+            # six probes are ±x, ±y, ±z, so the inversion is direct.
+            c = [p[a] - p[b] for a, b in PROJECTOR_PAIRS.values()]
+            povm = 0.5 * (sum(p.values()) / 3.0 * I2 + bloch_observable(c))
+            # Clip to [0, 𝟙] if sampling noise pushed an eigenvalue outside.
+            evals, vecs = np.linalg.eigh(povm)
+            povm = (vecs * np.clip(evals, 0.0, 1.0)) @ vecs.conj().T
             out[label] = {
                 "axis": axis,
-                "pass_fail": float(pass_fail),
-                "tomography": float(tomo),
-                "symmetric": float((1.0 + pass_fail) / 2.0),
+                "pass_fail": p[label],
+                "tomography": measurement_fidelity(povm, I2 - povm, sign * AXIS_VECTORS[axis]),
+                "symmetric": (1.0 + p[label]) / 2.0,
             }
     return out

@@ -350,6 +350,9 @@ def load_correlator_fixture(path) -> tuple[str, list[CorrelatorRecord]]:
                    if not isinstance(r, dict) or key not in r]
         if missing:
             raise ValueError(f"{path}: record {i} has no {', '.join(missing)}")
+        for key in ("value", "std"):
+            if type(r[key]) not in (int, float):
+                raise ValueError(f"{path}: record {i} {key} is not a number")
         records.append(CorrelatorRecord(r["letters"], float(r["value"]), float(r["std"])))
     return data["witness"], records
 
@@ -375,6 +378,8 @@ def inm_value(n: int, m: int, probabilities: np.ndarray) -> float:
     probabilities = np.asarray(probabilities, dtype=float)
     if probabilities.shape != (m,) * n + (2,) * n:
         raise ValueError("probability table has wrong shape")
+    if not np.all(np.isfinite(probabilities)) or probabilities.min() < -tol("prob_norm"):
+        raise ValueError("probabilities must be finite and non-negative")
     flat = probabilities.reshape((m ** n, 2 ** n))
     sums = flat.sum(axis=1)
     if np.max(np.abs(sums - 1.0)) > tol("prob_norm"):

@@ -176,6 +176,11 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, runner, args):
         assert lines[0] == f"Error: {message}"
 
 
+#: Table A.1 with proj_D and proj_A both 0 under prep_D.
+_ZERO_TOTAL = fixture_path("table_a1.csv").read_text().replace(
+    "proj_D,183295,156835,346731", "proj_D,183295,156835,0").replace(
+    "proj_A,166765,191123,180", "proj_A,166765,191123,0")
+
 #: Malformed input files → (contents, command, what the error says is missing).
 MALFORMED_INPUTS = {
     "empty.csv": ("", ["tomo", "--counts"], "no header row of prep_ columns"),
@@ -189,6 +194,19 @@ MALFORMED_INPUTS = {
                          "records is not a list"),
     "numberrecord.json": ('{"witness": "mermin4", "records": [5]}', ["witness", "--fixture"],
                           "record 0 has no letters, value, std"),
+    "nullvalue.json": ('{"witness": "mermin4", "records": '
+                       '[{"letters": "XXXX", "value": null, "std": 0.1}]}',
+                       ["witness", "--fixture"], "record 0 value is not a number"),
+    "notcount.csv": ("projector,prep_H\nproj_D,abc\n", ["tomo", "--counts"],
+                     "proj_D/prep_H is not a count: 'abc'"),
+    "zerototal.csv": (_ZERO_TOTAL, ["tomo", "--counts"],
+                      "proj_D and proj_A both count 0 under prep_D"),
+    "object.json": ('{"p": 0.5}', ["inm", "--probs"],
+                    "float() argument must be a string or a real number, not 'dict'"),
+    "nullentry.json": (json.dumps([None] + [1 / 16] * 255), ["inm", "--probs"],
+                       "probabilities must be finite and non-negative"),
+    "negative.json": (json.dumps([-0.5, 1.5] + [1 / 16] * 254), ["inm", "--probs"],
+                      "probabilities must be finite and non-negative"),
 }
 
 

@@ -121,17 +121,6 @@ def test_waveplate_spec_validation():
         WaveplateErrorSpec(gamma=0.3)
 
 
-def test_count_table_roundtrip():
-    table = CountTable.from_csv(fixture_path("table_a1.csv"))
-    text = table.to_csv()
-    assert text.endswith("\n")
-    import io
-    import csv
-    rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0][0] == "projector"
-    assert len(rows) == 7
-
-
 def test_count_table_missing_entry():
     with pytest.raises(ValueError):
         CountTable({("D", "H"): 5})

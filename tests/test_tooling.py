@@ -109,3 +109,43 @@ def test_package_imports_only_its_runtime_dependencies():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported - set(sys.stdlib_module_names) - {"gmewit"} == declared == {"numpy", "click"}
+
+
+def _public_definitions(path: Path):
+    """(qualified name, first line, last line) of each top-level public function,
+    class, method and constant in ``path``; dunders and CLI commands excluded."""
+    def public(name):
+        return not name.startswith("_")
+
+    def command(node):
+        return any(ast.unparse(d) == "main.command()" for d in node.decorator_list)
+
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and public(node.name) \
+                and not command(node):
+            yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef) and public(node.name):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and public(item.name):
+                    yield f"{node.name}.{item.name}", item.lineno, item.end_lineno
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        for target in targets:
+            if isinstance(target, ast.Name) and public(target.id):
+                yield target.id, node.lineno, node.end_lineno
+
+
+def test_no_test_only_public_api():
+    # A public name of the package is used by the package or by the benchmark
+    # (which may name it in a string); one that only tests call is dead code.
+    sources = {path: path.read_text().splitlines()
+               for folder in (ROOT / "src" / "gmewit", BENCH_DIR) for path in folder.rglob("*.py")}
+    unused = []
+    for path in (ROOT / "src" / "gmewit").rglob("*.py"):
+        for qualname, first, last in _public_definitions(path):
+            word = re.compile(rf"\b{re.escape(qualname.split('.')[-1])}\b")
+            if not any(word.search(line) for source, lines in sources.items()
+                       for number, line in enumerate(lines, start=1)
+                       if not (source == path and first <= number <= last)):
+                unused.append(f"{path.relative_to(ROOT)}::{qualname}")
+    assert unused == []

@@ -175,6 +175,11 @@ def test_inm_validation():
     bad = np.full((2, 2, 2, 2), 0.3)               # not normalized
     with pytest.raises(ValueError):
         inm_value(2, 2, bad)
+    for entry in (np.nan, np.inf, -0.1):           # normalized, but not a probability
+        table = np.full((2, 2, 2, 2), 0.25)
+        table[0, 0, 0, :2] = entry, 0.5 - entry
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            inm_value(2, 2, table)
 
 
 # ---------------------------------------------------------------------------
