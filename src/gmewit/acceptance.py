@@ -33,6 +33,10 @@ REFERENCE_WAVEPLATE_SPEC = WaveplateErrorSpec(
     d_alpha=0.4 * np.pi / 180, d_beta=0.4 * np.pi / 180,
     d_eta_q=np.pi / 100, d_eta_h=np.pi / 100, gamma=0.999)
 
+#: ``check_uffink``'s product-state samples and seed; the tilt restarts of each
+#: L_ε query of ``check_fidelity_bounds``.
+_UFFINK_SAMPLES, _UFFINK_SEED, _TILT_RESTARTS = 10_000, 42, 8
+
 #: Reference projector fidelities of the tomography table.
 REFERENCE_TOMO_FIDELITIES = {"D": 0.9994, "A": 0.9994, "R": 0.9976,
                              "L": 0.9977, "H": 0.9997, "V": 0.9998}
@@ -68,31 +72,23 @@ def check_theorem1_saturation() -> list[CheckResult]:
     return out
 
 
-def check_uffink(samples: int = 10_000, seed: int = 42) -> list[CheckResult]:
+def check_uffink() -> list[CheckResult]:
     """⟨M₄⟩² + ⟨N₄⟩² ≤ 2⁶ for random product states and observables.
 
     For product states the recursion factorizes through the single-qubit
-    expectations, so the check runs on scalars.
+    expectations, so the check runs on scalars: each party draws a pure
+    state s and two dichotomic observables a₀, a₁ as Bloch vectors, and
+    reads ⟨aₖ⟩ = aₖ·s/|aₖ||s|.
     """
-    rng = np.random.default_rng(seed)
-    worst = -np.inf
     n = 4
-    for _ in range(samples):
-        m_val, n_val = None, None
-        for _party in range(n):
-            # Random pure qubit state as a Bloch vector, two random
-            # dichotomic observables as unit Bloch vectors.
-            s = rng.normal(size=3)
-            s /= np.linalg.norm(s)
-            a0, a1 = rng.normal(size=3), rng.normal(size=3)
-            ea0 = float(a0 @ s) / np.linalg.norm(a0)
-            ea1 = float(a1 @ s) / np.linalg.norm(a1)
-            if m_val is None:
-                m_val, n_val = ea0, ea1
-            else:
-                m_val, n_val = m_val * ea0 - n_val * ea1, m_val * ea1 + n_val * ea0
-        worst = max(worst, m_val ** 2 + n_val ** 2)
-    excess = max(worst - 2 ** (2 * n - 2), 0.0)
+    draws = np.random.default_rng(_UFFINK_SEED).normal(size=(_UFFINK_SAMPLES, n, 3, 3))
+    s, a = draws[:, :, :1], draws[:, :, 1:]            # state; observables a₀, a₁
+    ea = np.sum(a * s, axis=-1) / (np.linalg.norm(a, axis=-1) * np.linalg.norm(s, axis=-1))
+    m_val, n_val = ea[:, 0, 0], ea[:, 0, 1]
+    for j in range(1, n):
+        m_val, n_val = (m_val * ea[:, j, 0] - n_val * ea[:, j, 1],
+                        m_val * ea[:, j, 1] + n_val * ea[:, j, 0])
+    excess = max(float(np.max(m_val ** 2 + n_val ** 2)) - 2 ** (2 * n - 2), 0.0)
     return [_check("uffink-product-states-excess", 0.0, excess, 1e-9)]
 
 
@@ -154,7 +150,7 @@ def check_fixture_totals() -> list[CheckResult]:
     return out
 
 
-def check_fidelity_bounds(tilt_restarts: int = 8) -> list[CheckResult]:
+def check_fidelity_bounds() -> list[CheckResult]:
     # Imported here: a cold child spends about 6 ms loading it, and only ``verify`` needs it.
     from .fidelity import FidelityBoundQuery, closed_form_l0, numeric_l_eps
     out = [_check("l0-stabilizer", 0.9396,
@@ -162,7 +158,7 @@ def check_fidelity_bounds(tilt_restarts: int = 8) -> list[CheckResult]:
     for witness, w, reference in (("mermin4", 7.4665, 0.866),
                                   ("stabilizer4", 10.5168, 0.881)):
         query = FidelityBoundQuery(witness, w, REFERENCE_BUDGET,
-                                   tilt_restarts=tilt_restarts)
+                                   tilt_restarts=_TILT_RESTARTS)
         out.append(_check(f"l-eps-{witness}", reference,
                           numeric_l_eps(query), 0.01))
     return out

@@ -53,12 +53,14 @@ def emit(rows: list[dict], columns: list[str], out, output_format: str) -> None:
 
 
 def parse_grid(spec: str) -> np.ndarray:
-    """Parse a ``start:stop:count`` grid specification."""
+    """Parse a ``start:stop:count`` grid specification, count ≥ 1."""
     try:
         start, stop, count = spec.split(":")
-        return np.linspace(float(start), float(stop), int(count))
-    except ValueError as exc:
-        raise click.BadParameter("expected start:stop:count") from exc
+        if int(count) >= 1:
+            return np.linspace(float(start), float(stop), int(count))
+    except ValueError:
+        pass
+    raise ValueError(f"expected start:stop:count with count ≥ 1, got {spec!r}")
 
 
 def parse_noise(spec: str) -> NoiseModel:
@@ -167,8 +169,12 @@ def witness(witness_name, state_name, noise, eps, fixture, out, output_format):
     """Witness expectation on a state or on measured correlators."""
     if fixture is not None:
         _reject_given({"witness_name", "state_name", "noise", "eps"}, "with --fixture")
-        name, records = load_correlator_fixture(_input_path(fixture))
-        value, std = eval_from_correlators(ideal(name), records)
+        path = _input_path(fixture)
+        name, records = load_correlator_fixture(path)
+        try:
+            value, std = eval_from_correlators(ideal(name), records)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         rows = [{"witness": name, "source": str(fixture),
                  "value": value, "std": std}]
         emit(rows, ["witness", "source", "value", "std"], out, output_format)

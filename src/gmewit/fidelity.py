@@ -93,38 +93,35 @@ def _dual_half(m: np.ndarray, amps: np.ndarray, vecs: np.ndarray, sw: float,
     this sign of λ gives nothing.
 
     With pᵢ = |⟨mᵢ|ghz⟩|² and x = t + m₀, the ground energy of P_ghz − λ′·s·W_ε
-    is λ′·t for x in (0, m₀ − m₁], where λ′ = S(x) = Σ pᵢ/(x + mᵢ − m₀).  So
+    is λ′·t for x in (0, m₀ − m₁), where λ′ = S(x) = Σ pᵢ/(x + mᵢ − m₀).  So
     g = h(x) = S(x)·(x − m₀ + s·w), unimodal with h′(x) = Σ pcᵢ/(x + mᵢ − m₀)²,
     pcᵢ = pᵢ·(mᵢ − s·w).  A top level of zero weight (``tol("dual_weight")``)
     or degenerate to ``tol("dual_gap")`` of the spectral width holds a ground
-    vector orthogonal to ghz, so g = λ′·(s·w − m₀).  A next level of zero
-    weight gives a kink at x = m₀ − m₁, where ρ* mixes the secular vector with
-    that level's vector to tr(W_ε ρ*) = w.  h′ = pc₀/x² + R(x) vanishes where
-    x = √(pc₀/−R(x)), whose right side is linear in x when one weighted
-    level lies below the top: ``_newton`` solves that in y = x − c, c the
-    pole at x = 0 or at the next weighted level that the root lies nearer
-    to, so that x + mᵢ − m₀ = y + (c + mᵢ − m₀) keeps y's relative precision
-    next to either pole (rounded to the spacing of x, a root just below the
-    upper pole moves tr(W_ε ρ*) by far more than rounding).  Where λ′ would pass the cap it
-    solves S(x) = LAMBDA_CAP as x = p₀/(LAMBDA_CAP − T(x)), T = S − p₀/x.
+    vector orthogonal to ghz, so g = λ′·(s·w − m₀).  Every lower level keeps
+    its pole, its weight raised to at least ``tol("dual_weight")`` (which
+    moves g by about the floor's square root), so the secular vector mixes
+    in a level of no weight by itself.  ``_newton`` solves h′ = pc₀/x² + R(x)
+    = 0 as x = √(pc₀/−R(x)), linear in x when one weighted level lies below
+    the top, and, where λ′ would pass the cap, S(x) = LAMBDA_CAP as
+    x = p₀/(LAMBDA_CAP − T(x)), T = S − p₀/x.  It runs in y = x − c, c the
+    pole at x = 0 or at x = m₀ − m₁ that the root lies nearer to, so that
+    x + mᵢ − m₀ = y + (c + mᵢ − m₀) keeps y's relative precision next to
+    either pole (rounded to the spacing of x, a root just below the upper
+    pole moves tr(W_ε ρ*) by far more than rounding).
     """
-    p = np.abs(amps) ** 2
-    if p[0] <= tol("dual_weight"):      # the top vector is orthogonal to ghz
+    p, floor = np.abs(amps) ** 2, tol("dual_weight")
+    if p[0] <= floor:                   # the top vector is orthogonal to ghz
         return LAMBDA_CAP * (sw - m[0]), LAMBDA_CAP, vecs[:, :1]
     if m[0] - m[1] <= tol("dual_gap") * width:      # and so is a mix of a degenerate pair
         top = vecs[:, :2] @ np.conj([[amps[1]], [-amps[0]]]) / math.sqrt(p[0] + p[1])
         return LAMBDA_CAP * (sw - m[0]), LAMBDA_CAP, top
-    # A level without weight drops out of every sum: its pole moves to x = ∞.
-    d = np.where(p > tol("dual_weight"), m - m[0], -np.inf)
+    if m[1] >= sw:                      # h rises up to the pole where λ′ = −∞: nothing
+        return 0.0, 0.0, None
+    amps, p = np.where(p > floor, amps, math.sqrt(floor)), np.maximum(p, floor)
+    d = m - m[0]
     p0, p1, d1 = p[0], p[1:], d[1:]
     pc0, pc1 = p0 * (m[0] - sw), p1 * (m[1:] - sw)
-    x_hi, delta = m[0] - m[1], -d1.max()
-    deflated = delta - x_hi > tol("dual_gap") * width
-    if deflated and p @ (1 / (x_hi + d)) > LAMBDA_CAP:
-        # Every λ′ ≤ LAMBDA_CAP lies on the branch g = λ′·(s·w − m₁).
-        return LAMBDA_CAP * (sw - m[1]), LAMBDA_CAP, vecs[:, 1:2]
-    if not deflated:
-        x_hi = delta
+    x_hi = -d1[0]
 
     def slope(c):       # in y = x − c: √(pc₀/−R(x)) − x, zero where h′ = pc₀/x² + R(x) is
         e1 = c + d1
@@ -140,42 +137,34 @@ def _dual_half(m: np.ndarray, amps: np.ndarray, vecs: np.ndarray, sw: float,
 
         return at
 
-    def excess(x):      # p₀/(LAMBDA_CAP − T(x)) − x, zero where S = p₀/x + T = LAMBDA_CAP
-        r = 1 / (x + d1)
-        room = LAMBDA_CAP - p1 @ r
-        return p0 / room - x, -p0 * (p1 @ (r * r)) / room ** 2 - 1
+    def excess(c):      # in y = x − c: p₀/(LAMBDA_CAP − T(x)) − x, zero where S = LAMBDA_CAP
+        e1 = c + d1
 
-    c, lower = 0.0, slope(0.0)
-    if pc0 <= 0:                        # h falls from the pole on: λ′ is capped
-        y = 0.0
-    elif not deflated and m[0] - delta >= sw:
-        return 0.0, 0.0, None           # h rises up to the pole where λ′ = −∞: nothing
-    elif deflated and lower(x_hi)[0] >= 0:
-        y = x_hi                        # h rises up to the kink
-    elif not deflated and lower(x_hi / 2)[0] > 0:
-        c = x_hi                        # the root lies nearer the pole at x_hi
-        y = _newton(slope(c), -x_hi / 2, 0.0, -x_hi / 4)
-    else:
-        y = _newton(lower, 0.0, x_hi, x_hi / 2)
-    x = y + c
-    lam = math.inf if x == 0 else p @ (1 / (y + (c + d)))
+        def at(y):
+            r = 1 / (y + e1)
+            room = LAMBDA_CAP - p1 @ r
+            return p0 / room - (y + c), -p0 * (p1 @ (r * r)) / room ** 2 - 1
+
+        return at
+
+    def nearer_pole(fn):    # (c, y) at the root of fn in (0, x_hi)
+        lower = fn(0.0)
+        if lower(x_hi / 2)[0] > 0:
+            return x_hi, _newton(fn(x_hi), -x_hi / 2, 0.0, -x_hi / 4)
+        return 0.0, _newton(lower, 0.0, x_hi, x_hi / 2)
+
+    c, y = (0.0, 0.0) if pc0 <= 0 else nearer_pole(slope)    # pc₀ ≤ 0: λ′ is capped
+    lam = math.inf if y + c == 0 else p @ (1 / (y + (c + d)))
     if lam <= 0:
         return 0.0, 0.0, None
     if lam > LAMBDA_CAP:
-        c = 0.0
-        x = y = _newton(excess, x, x_hi, p0 / LAMBDA_CAP)
+        c, y = nearer_pole(excess)
         lam = LAMBDA_CAP
-    value = lam * (x - m[0] + sw)
+    value = lam * (y + c - m[0] + sw)
     if value <= 0:
         return 0.0, 0.0, None
     coef = amps / (y + (c + d))
-    norm2 = np.vdot(coef, coef).real
-    factor = (vecs @ coef)[:, None] / math.sqrt(norm2)
-    if deflated and x == x_hi:          # the kink: mix in the next level's vector
-        mean = (coef.real ** 2 + coef.imag ** 2) @ m / norm2
-        q = min(1.0, (sw - m[1]) / (mean - m[1]))
-        factor = np.hstack([math.sqrt(q) * factor, math.sqrt(1 - q) * vecs[:, 1:2]])
-    return value, lam, factor
+    return value, lam, (vecs @ coef)[:, None] / math.sqrt(np.vdot(coef, coef).real)
 
 
 def _newton(fn, lo: float, hi: float, x: float) -> float:

@@ -192,7 +192,10 @@ class CountTable:
                 if not cell.strip().isdecimal():
                     raise ValueError(f"{path}: proj_{proj}/prep_{prep} is not a count: {cell!r}")
                 counts[(proj, prep)] = int(cell)
-        return cls(counts)
+        try:
+            return cls(counts)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def fidelity_from_counts(table: CountTable) -> dict:

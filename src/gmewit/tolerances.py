@@ -12,7 +12,7 @@ _TOLERANCES = {
     "prob_norm": 1e-9,
     "regime_tie": 1e-12,
     "dual_gap": 1e-15,
-    "dual_weight": 1e-20,
+    "dual_weight": 1e-40,
     "dual_root": 1e-12,
 }
 

@@ -350,10 +350,15 @@ def load_correlator_fixture(path) -> tuple[str, list[CorrelatorRecord]]:
                    if not isinstance(r, dict) or key not in r]
         if missing:
             raise ValueError(f"{path}: record {i} has no {', '.join(missing)}")
+        if not isinstance(r["letters"], str):
+            raise ValueError(f"{path}: record {i} letters is not a string")
         for key in ("value", "std"):
             if type(r[key]) not in (int, float):
                 raise ValueError(f"{path}: record {i} {key} is not a number")
-        records.append(CorrelatorRecord(r["letters"], float(r["value"]), float(r["std"])))
+        try:
+            records.append(CorrelatorRecord(r["letters"], float(r["value"]), float(r["std"])))
+        except ValueError as exc:
+            raise ValueError(f"{path}: record {i} {exc}") from exc
     return data["witness"], records
 
 

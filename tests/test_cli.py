@@ -158,6 +158,7 @@ BAD_INPUT_MESSAGES = {
     ["fidelity", "--witness", "mermin4", "--curve", "0.8:1:2", "--restarts", "0"],
     ["fidelity", "--witness", "mermin4", "--value", "7.4665", "--seed", "-1"],
     ["fidelity", "--witness", "stabilizer4", "--curve", "0.8:1:2", "--seed", "-1"],
+    ["bound", "--witness", "mermin", "--eps-grid", "0:0.1:0"],
 ])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, runner, args):
     two_entries = tmp_path / "probs.json"
@@ -207,6 +208,21 @@ MALFORMED_INPUTS = {
                        "probabilities must be finite and non-negative"),
     "negative.json": (json.dumps([-0.5, 1.5] + [1 / 16] * 254), ["inm", "--probs"],
                       "probabilities must be finite and non-negative"),
+    "partial.csv": ("projector,prep_H\nproj_D,5\n", ["tomo", "--counts"],
+                    "missing count for proj_D/prep_V"),
+    "negativestd.json": ('{"witness": "mermin4", "records": '
+                         '[{"letters": "XXXX", "value": 0.9, "std": -0.1}]}',
+                         ["witness", "--fixture"], "record 0 std must be non-negative"),
+    "unphysical.json": ('{"witness": "mermin4", "records": '
+                        '[{"letters": "XXXX", "value": 1.5, "std": 0.1}]}',
+                        ["witness", "--fixture"],
+                        "record 0 correlator value outside the physical range"),
+    "numberletters.json": ('{"witness": "mermin4", "records": '
+                           '[{"letters": 5, "value": 0.9, "std": 0.1}]}',
+                           ["witness", "--fixture"], "record 0 letters is not a string"),
+    "oneterm.json": ('{"witness": "mermin4", "records": '
+                     '[{"letters": "XXXX", "value": 0.9, "std": 0.1}]}',
+                     ["witness", "--fixture"], "missing record for term YYXX"),
 }
 
 

@@ -187,11 +187,15 @@ def test_warm_started_dual_equals_cold_start(case, start, where, untilted):
 @settings(max_examples=150, deadline=None)
 @given(*_DUAL_CASES)
 @_pin
+@example(("mermin4", -7.0, [0.0, 0.0, 0.0, 2.0, 0.0, 2.0, 0.0, 2.0], 0.75), None, "inside", False)
 def test_newton_dual_equals_brentq_oracle(case, start, where, untilted):
     # The secular dual (a safeguarded Newton search in the secular variable)
     # against the bracket-and-Brent solver, cold and warm: tilted witnesses
     # with ε in [1e-8, 1e-2], untilted ones (true kinks), w above λ_max
-    # (capped at λ = LAMBDA_CAP) or below λ_min.
+    # (capped at λ = LAMBDA_CAP) or below λ_min.  In the example the level
+    # below the top has GHZ weight 2.8e-22, yet at the near-kink maximum of
+    # g its 1.7e-11 amplitude moves g by 8e-12, to first order: that level
+    # must keep its pole.
     mat, w = _dual_case(case, where, untilted)
     value = _lower_bound_fixed(mat, GHZ, w)[0]
     assert value == pytest.approx(dual_brentq(mat, P_GHZ, w), abs=1e-12)
@@ -199,10 +203,11 @@ def test_newton_dual_equals_brentq_oracle(case, start, where, untilted):
 
 
 def _assert_certificate(mat, w, result):
-    """(value, λ*, F) certifies itself: ρ* = F·F† is a ground state of
+    """(value, λ*, F) certifies itself: ρ* = F·F† is a pure ground state of
     P_ghz − λ*·W_ε and value = tr((P_ghz − λ*·W_ε)·ρ*) + λ*·w = g(λ*).  The
     floor g(0) = 0 has F = 0."""
     value, lam, factor = result
+    assert factor.shape == (len(mat), 1)
     rho = factor @ factor.conj().T
     if value == 0:
         assert lam == 0 and not rho.any()
@@ -279,6 +284,19 @@ def test_dual_equals_brentq_on_degenerate_spectra(kind, seed, t):
     mat = _spectral_case(levels, amps, seed)
     w = levels[-1] + t * (levels[0] - levels[-1])
     result = _lower_bound_fixed(mat, GHZ, w)
+    assert result[0] == pytest.approx(dual_brentq(mat, P_GHZ, w), abs=1e-12)
+    _assert_certificate(mat, w, result)
+
+
+@pytest.mark.parametrize("w", [0.991, 0.995, 0.9999])
+def test_dual_equals_brentq_at_a_capped_kink(w):
+    # The top level lies 0.01 above a level without GHZ weight, and S is still
+    # above LAMBDA_CAP there: every λ′ ≤ LAMBDA_CAP lies on the branch
+    # g = λ′·(w − 0.99) of that level's vector, so g(LAMBDA_CAP) = 16·(w − 0.99).
+    levels = np.concatenate([[1.0, 0.99], np.linspace(0.5, -1.0, 14)])
+    mat = _spectral_case(levels, np.concatenate([[1.0, 0.0], np.full(14, 0.3)]), 0)
+    result = _lower_bound_fixed(mat, GHZ, w)
+    assert result[:2] == (pytest.approx(LAMBDA_CAP * (w - 0.99), abs=1e-12), LAMBDA_CAP)
     assert result[0] == pytest.approx(dual_brentq(mat, P_GHZ, w), abs=1e-12)
     _assert_certificate(mat, w, result)
 

@@ -1,6 +1,7 @@
 """The benchmark reads gmewit names by string; each must still resolve, and
 so must the witness names of the bounds' family table.  The package imports
-no third-party module beyond its declared dependencies."""
+no third-party module beyond its declared dependencies, and reads every
+tolerance it declares."""
 
 import ast
 import importlib.util
@@ -149,3 +150,12 @@ def test_no_test_only_public_api():
                        if not (source == path and first <= number <= last)):
                 unused.append(f"{path.relative_to(ROOT)}::{qualname}")
     assert unused == []
+
+
+def test_every_tolerance_is_read():
+    # A key of the tolerance table that no ``tol("…")`` call in the package
+    # reads is dead, as is a call whose key the table lacks.
+    from gmewit.tolerances import _TOLERANCES
+    read = {key for path in (ROOT / "src" / "gmewit").rglob("*.py")
+            for key in re.findall(r'\btol\("(\w+)"\)', path.read_text())}
+    assert read == set(_TOLERANCES)
