@@ -152,9 +152,9 @@ def check_fixture_totals() -> list[CheckResult]:
 
 def check_fidelity_bounds() -> list[CheckResult]:
     # Imported here: a cold child spends about 6 ms loading it, and only ``verify`` needs it.
-    from .fidelity import FidelityBoundQuery, closed_form_l0, numeric_l_eps
+    from .fidelity import FidelityBoundQuery, ideal_l0, numeric_l_eps
     out = [_check("l0-stabilizer", 0.9396,
-                  closed_form_l0("stabilizer4", 10.5168), 1e-12)]
+                  ideal_l0("stabilizer4", 10.5168), 1e-12)]
     for witness, w, reference in (("mermin4", 7.4665, 0.866),
                                   ("stabilizer4", 10.5168, 0.881)):
         query = FidelityBoundQuery(witness, w, REFERENCE_BUDGET,

@@ -3,6 +3,7 @@ tables, fidelity bounds, detector tomography and the verification suite."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -64,13 +65,13 @@ def parse_grid(spec: str) -> np.ndarray:
 
 
 def parse_noise(spec: str) -> NoiseModel:
+    """Parse a ``kind:p`` noise specification; ``white`` is depolarizing."""
+    kind, _, p = spec.partition(":")
     try:
-        kind, p = spec.split(":")
-        if kind == "white":
-            kind = "depolarizing"
-        return NoiseModel(kind, float(p))
-    except ValueError as exc:
-        raise click.BadParameter("expected kind:p, e.g. dephasing:0.9") from exc
+        p = float(p)
+    except ValueError:
+        raise ValueError(f"expected kind:p, e.g. dephasing:0.9, got {spec!r}") from None
+    return NoiseModel("depolarizing" if kind == "white" else kind, p)
 
 
 def _input_path(name: str):
@@ -80,6 +81,15 @@ def _input_path(name: str):
         if path.is_file():
             return path
     raise FileNotFoundError(f"no file {here.resolve()} nor bundled fixture {bundled}")
+
+
+@contextlib.contextmanager
+def _naming(path):
+    """Bad content of the input file ``path``: a ValueError that starts with its name."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:  # TypeError: a JSON object where a number belongs
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _reject_given(names, context: str) -> None:
@@ -92,12 +102,13 @@ def _reject_given(names, context: str) -> None:
 
 
 class _Main(click.Group):
-    """Reports bad input found inside a command as a one-line usage error."""
+    """Reports bad input found inside a command (a ValueError, or an OSError
+    on an input or output file) as a one-line usage error."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ValueError, FileNotFoundError) as exc:
+        except (ValueError, OSError) as exc:
             raise click.UsageError(str(exc)) from exc
 
 
@@ -138,7 +149,7 @@ def _bound_row(witness: str, n: int | None, eps: float) -> dict:
 def bound(witness, n, eps, eps_grid, out, output_format):
     """Separability bound curves for a witness family."""
     if (eps is None) == (eps_grid is None):
-        raise click.BadParameter("give exactly one of --eps / --eps-grid")
+        raise ValueError("give exactly one of --eps / --eps-grid")
     grid = [eps] if eps is not None else parse_grid(eps_grid)
     rows = [_bound_row(witness, n, float(e)) for e in grid]
     emit(rows, BOUND_COLUMNS, out, output_format)
@@ -170,17 +181,15 @@ def witness(witness_name, state_name, noise, eps, fixture, out, output_format):
     if fixture is not None:
         _reject_given({"witness_name", "state_name", "noise", "eps"}, "with --fixture")
         path = _input_path(fixture)
-        name, records = load_correlator_fixture(path)
-        try:
+        with _naming(path):
+            name, records = load_correlator_fixture(path)
             value, std = eval_from_correlators(ideal(name), records)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
         rows = [{"witness": name, "source": str(fixture),
                  "value": value, "std": std}]
         emit(rows, ["witness", "source", "value", "std"], out, output_format)
         return
     if witness_name is None or state_name is None:
-        raise click.BadParameter("give --fixture, or both --witness and --state")
+        raise ValueError("give --fixture, or both --witness and --state")
     spec = ideal(witness_name)
     if eps != 0.0:
         spec = BUILDERS[witness_name](ImprecisionBudget.uniform(eps, spec.n))
@@ -263,9 +272,10 @@ def fidelity(witness_name, observed, eps_x, eps_y, eps_z, restarts, curve, out,
     """GHZ-fidelity lower bounds L0 and L_ε from a witness value."""
     if curve is not None:
         _reject_given({"observed"}, "with --curve")
+    elif observed is None:
+        raise ValueError("give --value or --curve")
     # Imported here: a cold child spends about 6 ms loading it, unused by other commands.
-    from .fidelity import (FidelityBoundQuery, closed_form_l0, fidelity_curve,
-                           numeric_l_eps)
+    from .fidelity import FidelityBoundQuery, fidelity_curve, ideal_l0, numeric_l_eps
     if eps_x is None and eps_y is None and eps_z is None:
         budget = REFERENCE_BUDGET
     else:
@@ -276,12 +286,10 @@ def fidelity(witness_name, observed, eps_x, eps_y, eps_z, restarts, curve, out,
                               tilt_restarts=restarts, seed=seed)
         emit(rows, ["w_fraction", "L0", "L_eps"], out, output_format)
         return
-    if observed is None:
-        raise click.BadParameter("give --value or --curve")
     query = FidelityBoundQuery(witness_name, observed, budget,
                                tilt_restarts=restarts, seed=seed)
     rows = [{"witness": witness_name, "value": observed,
-             "L0": closed_form_l0(witness_name, observed),
+             "L0": ideal_l0(witness_name, observed),
              "L_eps": float(numeric_l_eps(query))}]
     emit(rows, ["witness", "value", "L0", "L_eps"], out, output_format)
 
@@ -293,11 +301,8 @@ def fidelity(witness_name, observed, eps_x, eps_y, eps_z, restarts, curve, out,
 def tomo(counts, out, output_format):
     """Detector-tomography fidelities from a coincidence count table."""
     path = _input_path(counts)
-    table = CountTable.from_csv(path)
-    try:
-        fids = fidelity_from_counts(table)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    with _naming(path):
+        fids = fidelity_from_counts(CountTable.from_csv(path))
     rows = [{"projector": label, "fidelity": d["symmetric"], **d} for label, d in fids.items()]
     emit(rows, ["projector", "axis", "fidelity", "pass_fail", "tomography"],
          out, output_format)
@@ -311,12 +316,9 @@ def tomo(counts, out, output_format):
 @common_options
 def inm(n, m, probs, out, output_format):
     """Evaluate the I_nm correlator functional on a probability table."""
-    try:
-        with open(probs) as fh:
-            table = np.asarray(json.load(fh), dtype=float).reshape((m,) * n + (2,) * n)
+    with _naming(probs), open(probs, encoding="utf-8") as fh:
+        table = np.asarray(json.load(fh), dtype=float).reshape((m,) * n + (2,) * n)
         value = inm_value(n, m, table)
-    except (TypeError, ValueError) as exc:  # TypeError: a JSON object where a number belongs
-        raise ValueError(f"{probs}: {exc}") from exc
     emit([{"n": n, "m": m, "value": value}], ["n", "m", "value"], out, output_format)
 
 

@@ -1,5 +1,5 @@
-"""GHZ-fidelity lower bounds from witness values: the ideal closed forms
-L0 and the imprecision-corrected numeric bound L_ε."""
+"""GHZ-fidelity lower bounds from witness values: the ideal bound L0 and
+the imprecision-corrected numeric bound L_ε."""
 
 from __future__ import annotations
 
@@ -21,15 +21,6 @@ from .witnesses import (coefficient_tensor, contract, expand, ideal, letter_map_
 def _algebraic_range(witness: str) -> tuple[float, float]:
     evals = np.linalg.eigvalsh(ideal(witness).matrix)
     return float(evals[0]), float(evals[-1])
-
-
-def closed_form_l0(witness: str, w: float) -> float:
-    """Ideal-measurement fidelity bound: w/8 (Mermin) or (w−3)/8 (stabilizer)."""
-    if witness == "mermin4":
-        return w / 8.0
-    if witness == "stabilizer4":
-        return (w - 3.0) / 8.0
-    raise ValueError(f"no closed form for witness {witness!r}")
 
 
 @dataclass(frozen=True)
@@ -309,6 +300,14 @@ def _tilt_objective(query: FidelityBoundQuery):
     return objective
 
 
+def ideal_l0(witness: str, w: float) -> float:
+    """Ideal-measurement fidelity bound L0: the exact dual of
+    ``_lower_bound_fixed`` at zero tilt, one eigensolve.  It is w/8 for
+    mermin4 and (w−3)/8 for stabilizer4 where those are ≥ 0, and 0 below."""
+    spec = ideal(witness)
+    return _lower_bound_fixed(spec.matrix, ghz_state(spec.n, +1), w)[0]
+
+
 def numeric_l_eps(query: FidelityBoundQuery) -> float:
     """Smallest GHZ fidelity compatible with the observed witness value.
 
@@ -322,11 +321,11 @@ def numeric_l_eps(query: FidelityBoundQuery) -> float:
     minimum is a local heuristic: a local minimum reports a value that is
     too high, the unsafe side for a certificate.
     """
+    if query.budget.is_ideal():             # every tilt is then the untilted witness
+        return ideal_l0(query.witness, query.observed_value)
     spec = ideal(query.witness)
     angles = spec.n * len(spec.tilt_plane)
     objective = _tilt_objective(query)
-    if query.budget.is_ideal():             # every tilt is then the untilted witness
-        return objective(np.zeros(angles))[0]
     rng = np.random.default_rng(query.seed)
     return min(float(minimize(objective, rng.uniform(0, 2 * np.pi, angles)).fun)
                for _ in range(query.tilt_restarts))
@@ -342,6 +341,6 @@ def fidelity_curve(witness: str, budget: ImprecisionBudget, w_fractions,
         query = FidelityBoundQuery(witness, w, budget,
                                    tilt_restarts=tilt_restarts, seed=seed)
         rows.append({"w_fraction": float(frac),
-                     "L0": closed_form_l0(witness, w),
+                     "L0": ideal_l0(witness, w),
                      "L_eps": float(numeric_l_eps(query))})
     return rows

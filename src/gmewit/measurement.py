@@ -179,10 +179,10 @@ class CountTable:
 
     @classmethod
     def from_csv(cls, path) -> "CountTable":
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
         if not rows:
-            raise ValueError(f"{path}: no header row of prep_ columns")
+            raise ValueError("no header row of prep_ columns")
         header = rows[0]
         preps = [h.removeprefix("prep_") for h in header[1:]]
         counts = {}
@@ -190,12 +190,9 @@ class CountTable:
             proj = row[0].removeprefix("proj_")
             for prep, cell in zip(preps, row[1:]):
                 if not cell.strip().isdecimal():
-                    raise ValueError(f"{path}: proj_{proj}/prep_{prep} is not a count: {cell!r}")
+                    raise ValueError(f"proj_{proj}/prep_{prep} is not a count: {cell!r}")
                 counts[(proj, prep)] = int(cell)
-        try:
-            return cls(counts)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+        return cls(counts)
 
 
 def fidelity_from_counts(table: CountTable) -> dict:

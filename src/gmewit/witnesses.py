@@ -336,29 +336,29 @@ def eval_from_correlators(spec: WitnessSpec, records) -> tuple[float, float]:
 
 def load_correlator_fixture(path) -> tuple[str, list[CorrelatorRecord]]:
     """Load a correlator fixture JSON: witness name plus its records."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     missing = [key for key in ("witness", "records")
                if not isinstance(data, dict) or key not in data]
     if missing:
-        raise ValueError(f"{path}: no {' or '.join(missing)} key")
+        raise ValueError(f"no {' or '.join(missing)} key")
     if not isinstance(data["records"], list):
-        raise ValueError(f"{path}: records is not a list")
+        raise ValueError("records is not a list")
     records = []
     for i, r in enumerate(data["records"]):
         missing = [key for key in ("letters", "value", "std")
                    if not isinstance(r, dict) or key not in r]
         if missing:
-            raise ValueError(f"{path}: record {i} has no {', '.join(missing)}")
+            raise ValueError(f"record {i} has no {', '.join(missing)}")
         if not isinstance(r["letters"], str):
-            raise ValueError(f"{path}: record {i} letters is not a string")
+            raise ValueError(f"record {i} letters is not a string")
         for key in ("value", "std"):
             if type(r[key]) not in (int, float):
-                raise ValueError(f"{path}: record {i} {key} is not a number")
+                raise ValueError(f"record {i} {key} is not a number")
         try:
             records.append(CorrelatorRecord(r["letters"], float(r["value"]), float(r["std"])))
         except ValueError as exc:
-            raise ValueError(f"{path}: record {i} {exc}") from exc
+            raise ValueError(f"record {i} {exc}") from exc
     return data["witness"], records
 
 

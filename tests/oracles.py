@@ -1,7 +1,7 @@
 """Reference constructions used only by the tests: explicit Pauli strings,
 the recursive Mermin pair, the product state |χ(θ)⟩^⊗n, spectral
-projectors, Born-rule probability tables, the visibility-threshold closed
-forms, the GHZ fidelity, the device-independent Mermin value, the earlier
+projectors, Born-rule probability tables, the visibility-threshold and L0
+closed forms, the GHZ fidelity, the device-independent Mermin value, the earlier
 Nelder–Mead and L-BFGS-B L_ε searches, the Newton and the bracket-and-Brent
 λ-duals, the per-restart see-saw and the ``minimize_scalar`` θ-sweep."""
 
@@ -114,6 +114,12 @@ def best_case_threshold_closed_form(witness: str, noise_kind: str, bound: float)
     if witness == "mermin4":
         return (bound + 8.0) / 16.0
     return (bound - 3.0) / 8.0
+
+
+def closed_form_l0(witness: str, w: float) -> float:
+    """Ideal-measurement fidelity bound: w/8 (Mermin) or (w−3)/8 (stabilizer),
+    the zero-tilt dual wherever it is ≥ 0."""
+    return w / 8.0 if witness == "mermin4" else (w - 3.0) / 8.0
 
 
 def nelder_mead_l_eps(query) -> float:

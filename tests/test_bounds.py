@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -135,6 +137,24 @@ def test_cluster_bisep_bound_covers_the_2v2_cut():
     spec = cluster_witness_c4(ImprecisionBudget.uniform(eps, 4))
     found = bisep_brute_force(spec, PartitionSpec((0, 1), (2, 3)))
     assert cluster_witness_bounds(eps)["biseparable"].value >= found - 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="fully-separable ansatz beaten, README Known discrepancies")
+@pytest.mark.parametrize("name, eps, party_states", [
+    # Every party at Bloch angle 0.1949π from Z toward X: 7.665512 against 7.568067.
+    ("stabilizer4", 0.02, [[np.cos(0.1949 * np.pi / 2), np.sin(0.1949 * np.pi / 2)]] * 4),
+    # |1⟩|−⟩|0⟩|+⟩: 3 against 1 + √2.
+    ("c4", 0.0, [[0, 1], [1 / np.sqrt(2), -1 / np.sqrt(2)], [1, 0],
+                 [1 / np.sqrt(2), 1 / np.sqrt(2)]]),
+])
+def test_fully_separable_bound_covers_product_states(name, eps, party_states):
+    # The fully-separable column is the symmetric product ansatz's value, a
+    # lower estimate of the maximum over product states; these beat it.
+    spec = BUILDERS[name](ImprecisionBudget.uniform(eps, 4))
+    product = functools.reduce(np.kron, [np.asarray(q, dtype=complex) for q in party_states])
+    found = expectation(spec.matrix, product)
+    assert family_bounds(*NUMERIC_ROWS[name], eps)["fully_separable"].value >= found - 1e-9
 
 
 def test_stabilizer_numeric_endpoints():

@@ -37,8 +37,11 @@ def test_parse_grid():
 def test_parse_noise():
     noise = parse_noise("white:0.9")
     assert noise.kind == "depolarizing" and noise.p == 0.9
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="expected kind:p"):
         parse_noise("bogus")
+    # A spec that parses as kind:p keeps the noise model's own message.
+    with pytest.raises(ValueError, match=r"visibility p must lie in \[0, 1\]"):
+        parse_noise("white:2")
 
 
 def test_bound_command_csv(runner):
@@ -122,11 +125,21 @@ def test_removed_options_are_rejected(runner):
     assert result.exit_code == 0, result.output
 
 
-#: A party count its family lacks: the message names the family and its sizes.
+#: Inputs whose one line is pinned: a party count its family lacks names the
+#: family and its sizes; a missing option names the options to give; a noise
+#: spec that parses as kind:p keeps the noise model's own message.
 BAD_INPUT_MESSAGES = {
-    "bound --witness stabilizer --n 5": "the stabilizer family has n = 3, 4 only",
-    "bound --witness cluster --n 3": "the cluster family has n = 4 only",
-    "bound --witness wstate --n 4": "the wstate family has n = 3 only",
+    "bound --witness stabilizer --n 5 --eps 0.01": "the stabilizer family has n = 3, 4 only",
+    "bound --witness cluster --n 3 --eps 0.01": "the cluster family has n = 4 only",
+    "bound --witness wstate --n 4 --eps 0.01": "the wstate family has n = 3 only",
+    "bound --witness mermin": "give exactly one of --eps / --eps-grid",
+    "witness --witness mermin4": "give --fixture, or both --witness and --state",
+    "fidelity --witness mermin4": "give --value or --curve",
+    "witness --witness mermin4 --state ghz4 --noise foo":
+        "expected kind:p, e.g. dephasing:0.9, got 'foo'",
+    "witness --witness mermin4 --state ghz4 --noise white:2":
+        "visibility p must lie in [0, 1]",
+    "witness --witness mermin4 --state ghz4 --noise pink:0.5": "unknown noise kind 'pink'",
 }
 
 
@@ -159,6 +172,14 @@ BAD_INPUT_MESSAGES = {
     ["fidelity", "--witness", "mermin4", "--value", "7.4665", "--seed", "-1"],
     ["fidelity", "--witness", "stabilizer4", "--curve", "0.8:1:2", "--seed", "-1"],
     ["bound", "--witness", "mermin", "--eps-grid", "0:0.1:0"],
+    ["bound", "--witness", "mermin"],
+    ["witness", "--witness", "mermin4"],
+    ["fidelity", "--witness", "mermin4"],
+    ["witness", "--witness", "mermin4", "--state", "ghz4", "--noise", "foo"],
+    ["witness", "--witness", "mermin4", "--state", "ghz4", "--noise", "white:2"],
+    ["witness", "--witness", "mermin4", "--state", "ghz4", "--noise", "pink:0.5"],
+    ["inm", "--probs", "{directory}"],
+    ["spoof", "--eps-grid", "0:0.1:2", "--out", "{directory}"],
 ])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, runner, args):
     two_entries = tmp_path / "probs.json"
@@ -167,12 +188,12 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, runner, args):
     fixture = json.loads(fixture_path("fig4_mermin.json").read_text())
     renamed.write_text(json.dumps({**fixture, "witness": "mermin5"}))
     paths = {"two_entries": str(two_entries), "missing": str(tmp_path / "missing.csv"),
-             "renamed": str(renamed)}
+             "renamed": str(renamed), "directory": str(tmp_path)}
     result = runner.invoke(main, [a.format(**paths) for a in args])
     assert result.exit_code == 2, result.output
     lines = result.output.strip().split("\n")
     assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
-    message = BAD_INPUT_MESSAGES.get(" ".join(args[:5]))
+    message = BAD_INPUT_MESSAGES.get(" ".join(args))
     if message is not None:
         assert lines[0] == f"Error: {message}"
 
@@ -183,6 +204,7 @@ _ZERO_TOTAL = fixture_path("table_a1.csv").read_text().replace(
     "proj_A,166765,191123,180", "proj_A,166765,191123,0")
 
 #: Malformed input files → (contents, command, what the error says is missing).
+#: The library readers' messages do not name the file; the CLI adds the name.
 MALFORMED_INPUTS = {
     "empty.csv": ("", ["tomo", "--counts"], "no header row of prep_ columns"),
     "comments.csv": ("# no table\n", ["tomo", "--counts"], "no header row of prep_ columns"),
@@ -223,6 +245,10 @@ MALFORMED_INPUTS = {
     "oneterm.json": ('{"witness": "mermin4", "records": '
                      '[{"letters": "XXXX", "value": 0.9, "std": 0.1}]}',
                      ["witness", "--fixture"], "missing record for term YYXX"),
+    "truncated.json": ('{"witness": "merm', ["witness", "--fixture"],
+                       "Unterminated string starting at: line 1 column 13 (char 12)"),
+    "latin1.csv": (b"projector,prep_H\n\xff\n", ["tomo", "--counts"],
+                   "'utf-8' codec can't decode byte 0xff in position 17: invalid start byte"),
 }
 
 
@@ -230,7 +256,7 @@ MALFORMED_INPUTS = {
 def test_malformed_input_file_names_the_file_and_what_is_missing(runner, name):
     text, command, missing = MALFORMED_INPUTS[name]
     with runner.isolated_filesystem():
-        Path(name).write_text(text)
+        Path(name).write_bytes(text if isinstance(text, bytes) else text.encode())
         result = runner.invoke(main, [*command, name])
     assert result.exit_code == 2, result.output
     assert result.output.strip().split("\n") == [f"Error: {name}: {missing}"]

@@ -11,14 +11,14 @@ from scipy.optimize import minimize_scalar
 from gmewit import fidelity
 from gmewit.acceptance import REFERENCE_BUDGET
 from gmewit.fidelity import (LAMBDA_CAP, FidelityBoundQuery, _lower_bound_fixed,
-                             _tilt_objective, closed_form_l0, fidelity_curve,
-                             numeric_l_eps)
+                             _tilt_objective, fidelity_curve, ideal_l0, numeric_l_eps)
 from gmewit.linalg import expectation
 from gmewit.measurement import ImprecisionBudget
 from gmewit.states import ghz_state
 from gmewit.witnesses import BUILDERS, coefficient_tensor, contract, expand, tilt_table
 import oracles
-from oracles import dual_brentq, dual_newton, ghz_fidelity, lbfgsb_l_eps, nelder_mead_l_eps
+from oracles import (closed_form_l0, dual_brentq, dual_newton, ghz_fidelity, lbfgsb_l_eps,
+                     nelder_mead_l_eps)
 
 GHZ = ghz_state(4, +1)
 P_GHZ = np.outer(GHZ, GHZ.conj())
@@ -60,12 +60,16 @@ _tilts = st.tuples(
 
 
 def test_closed_form_l0():
-    assert closed_form_l0("mermin4", 8.0) == pytest.approx(1.0)
-    assert closed_form_l0("mermin4", 4.0) == pytest.approx(0.5)
-    assert closed_form_l0("stabilizer4", 11.0) == pytest.approx(1.0)
-    assert closed_form_l0("stabilizer4", 7.0) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        closed_form_l0("d3", 4.0)
+    # L0, the dual at zero tilt, is the closed form wherever that is ≥ 0 and
+    # the trivial floor 0 below it, over the whole range of each witness.
+    assert ideal_l0("mermin4", 8.0) == pytest.approx(1.0)
+    assert ideal_l0("stabilizer4", 7.0) == pytest.approx(0.5)
+    assert ideal_l0("stabilizer4", 1.0) == 0.0
+    for witness in TILTED:
+        evals = np.linalg.eigvalsh(BUILDERS[witness]().matrix)
+        for w in np.linspace(evals[0], evals[-1], 401):
+            assert ideal_l0(witness, w) == pytest.approx(
+                max(closed_form_l0(witness, w), 0.0), abs=1e-12)
 
 
 def test_ghz_fidelity():

@@ -160,3 +160,37 @@ def test_every_tolerance_is_read():
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "tol"}
     assert read == set(_TOLERANCES)
+
+
+def test_one_bad_input_path():
+    # Bad input has one path: a command raises a plain ValueError, which
+    # ``_Main.invoke`` alone turns into click's one-line usage error, and
+    # only the CLI prefixes the name of the file that an error came from.
+    cli = ROOT / "src" / "gmewit" / "cli.py"
+    tree = ast.parse(cli.read_text())
+    from_click = {alias.asname or alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("click")
+                  for alias in node.names}
+    invoke = next(item for node in tree.body if isinstance(node, ast.ClassDef)
+                  and node.name == "_Main" for item in node.body
+                  if isinstance(item, ast.FunctionDef) and item.name == "invoke")
+    inside = {id(node) for node in ast.walk(invoke)}
+    click_raises = [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Raise) and node.exc is not None
+                    and id(node) not in inside
+                    and (ast.unparse(node.exc).startswith("click.")
+                         or ast.unparse(node.exc).split("(")[0] in from_click)]
+    assert click_raises == []
+    path_first = []
+    for path in (ROOT / "src" / "gmewit").rglob("*.py"):
+        if path == cli:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                for text in ast.walk(node.exc):
+                    if isinstance(text, ast.JoinedStr) and len(text.values) > 1 \
+                            and isinstance(text.values[0], ast.FormattedValue) \
+                            and isinstance(text.values[1], ast.Constant) \
+                            and str(text.values[1].value).startswith(":"):
+                        path_first.append(f"{path.name}:{node.lineno}")
+    assert path_first == []
