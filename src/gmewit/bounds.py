@@ -4,7 +4,7 @@ operator θ-sweeps, the see-saw biseparable oracle and the spoofing curve."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,12 +26,8 @@ THETA_GRID = 181
 
 @dataclass(frozen=True)
 class BoundResult:
-    """A separability (or quantum/DI) bound with its provenance metadata."""
+    """A bound, how it was found, and party 1's θ where the θ-sweep attains it."""
 
-    witness: str
-    n: int
-    eps: float
-    bound_kind: str
     value: float
     regime: str
     saturating_theta: float | None = None
@@ -49,19 +45,20 @@ def _check_eps(eps: float, upper: float = 0.5) -> None:
 def mermin_bisep_bound(n: int, eps: float) -> BoundResult:
     """Corrected biseparable bound 2^{n−2}(1−2ε+2√(ε(1−ε))), plateauing at
     the device-independent value 2^{n−3/2} for ε ≥ (2−√2)/4."""
-    if n < 3:
-        raise ValueError("n must be at least 3")
+    if not 3 <= n <= 1024:          # above 1024, 2^{n−1} leaves the float range
+        raise ValueError("n must lie in [3, 1024]")
     _check_eps(eps)
     if eps <= EPS_STAR:
         value = 2 ** (n - 2) * (q_of(eps) + u_of(eps))
     else:
         value = 2 ** (n - 1.5)
-    return BoundResult(f"mermin{n}", n, eps, "biseparable", float(value), "closed-form")
+    return BoundResult(float(value), "closed-form")
 
 
 def mermin_quantum_bound(n: int) -> BoundResult:
-    return BoundResult(f"mermin{n}", n, 0.0, "quantum", float(2 ** (n - 1)),
-                       "closed-form")
+    if not 3 <= n <= 1024:
+        raise ValueError("n must lie in [3, 1024]")
+    return BoundResult(float(2 ** (n - 1)), "closed-form")
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +70,7 @@ def multi_qubit_partition_bound(n: int) -> BoundResult:
     independent of the imprecision."""
     if n < 4:
         raise ValueError("n must be at least 4")
-    return BoundResult(f"stabilizer{n}", n, 0.0, "multi-qubit-partition",
-                       float(9 * 2 ** (n - 4) - 1), "closed-form")
+    return BoundResult(float(9 * 2 ** (n - 4) - 1), "closed-form")
 
 
 def stabilizer_single_party_bound(n: int, eps: float) -> BoundResult:
@@ -111,27 +107,19 @@ def cluster_witness_bounds(eps: float) -> dict[str, BoundResult]:
 # ---------------------------------------------------------------------------
 
 def _reduced_operators(spec: WitnessSpec, eps: float) -> dict:
-    """First-party letter → the parties-2..n operator that multiplies it, with
-    every letter tilted by the uniform budget ε in ``spec``'s plane.
-
-    Party 1 is exact, so its letter map is the identity and its axis of the
-    mapped coefficient tensor indexes the operators; the constant offset
-    joins the identity letter.
-    """
-    exact_first = ImprecisionBudget(((0.0, 0.0, 0.0),)
-                                    + ImprecisionBudget.uniform(eps, spec.n - 1).per_party)
+    """Party-1 Pauli letter (𝟙 and the two plane letters) → the parties-2..n
+    operator that multiplies it in the witness with every party's letters
+    tilted by the uniform budget ε in ``spec``'s plane."""
     mapped = contract(coefficient_tensor(spec.terms, spec.constant_offset, spec.n),
-                      partner_maps(spec.tilt_plane, exact_first))[-1]
-    firsts = {letters[0] for _, letters in spec.terms} | {"I"}
-    return {a: expand(mapped[LETTERS.index(a)]) for a in firsts}
+                      partner_maps(spec.tilt_plane, ImprecisionBudget.uniform(eps, spec.n)))[-1]
+    return {a: expand(mapped[LETTERS.index(a)]) for a in ("I", *spec.tilt_plane)}
 
 
 def _reduced_sweep(spec: WitnessSpec, eps: float):
     """Max over θ of the top eigenvalue of the party-1-reduced operator.
 
-    Every party's letters a, b are tilted in ``spec``'s plane.  Party 1's
-    |χ(θ)⟩, Bloch vector sin 2θ·e_a + cos 2θ·e_b, replaces its tilted letters
-    by their expectations α for ã and β for b̃; parties 2..n keep theirs.
+    Party 1 in |χ(θ)⟩, Bloch vector sin 2θ·e_a + cos 2θ·e_b for the plane
+    letters a, b, reads ⟨σ_a⟩ = sin 2θ and ⟨σ_b⟩ = cos 2θ.
     """
     first, second = spec.tilt_plane
     ops = _reduced_operators(spec, eps)
@@ -142,13 +130,10 @@ def _reduced_sweep(spec: WitnessSpec, eps: float):
         assert_hermitian(op)
     if not any(op.imag.any() for op in ops.values()):
         ops = {a: op.real for a, op in ops.items()}
-    q, u = q_of(eps), u_of(eps)
 
     def best_of(thetas):
-        alpha = u * np.cos(2 * thetas) + q * np.sin(2 * thetas)
-        beta = q * np.cos(2 * thetas) + u * np.sin(2 * thetas)
-        stack = np.multiply.outer(alpha, ops[first])
-        stack += np.multiply.outer(beta, ops[second])
+        stack = np.multiply.outer(np.sin(2 * thetas), ops[first])
+        stack += np.multiply.outer(np.cos(2 * thetas), ops[second])
         stack += ops["I"]
         top = np.linalg.eigvalsh(stack)[:, -1]
         i = int(np.argmax(top))
@@ -195,13 +180,13 @@ def _witness_name(family: str, n: int | None) -> str:
 
 
 def _closed_forms(name: str, eps: float) -> dict[str, BoundResult]:
-    """Single-party, fully-separable and quantum closed forms of the θ-swept
+    """Single-party, fully-separable and quantum bounds of the θ-swept
     witness ``name`` at ε ≤ ε*.
 
-    The fully-separable value is the witness on |χ(π/8)⟩^⊗n with every
-    party tilted in its plane: each tilted letter then reads
-    a = (q + u)/√2, so the value is offset + Σ c·a^{weight}.  It is a
-    symmetric-ansatz strategy value, which product states outside the
+    The fully-separable value is the witness on the product ansatz
+    |χ(π/8)⟩^⊗n with every party tilted in its plane: each tilted letter
+    then reads a = (q + u)/√2, so the value is offset + Σ c·a^{weight}.  It
+    is a symmetric-ansatz strategy value, which product states outside the
     ansatz can exceed (|0000⟩ gives 7 for stabilizer4 at ε = 0).
     """
     _check_eps(eps, EPS_STAR)
@@ -211,13 +196,9 @@ def _closed_forms(name: str, eps: float) -> dict[str, BoundResult]:
     fully = spec.constant_offset + sum(c * a ** (spec.n - letters.count("I"))
                                        for c, letters in spec.terms)
     single, quantum = CLOSED_FORMS[spec.family]
-
-    def row(kind, value, theta=None):
-        return BoundResult(name, spec.n, eps, kind, float(value), "closed-form", theta)
-
-    return {"single_party": row("single-party-imprecise", single(spec.n, q, s)),
-            "fully_separable": row("fully-separable", fully, np.pi / 8),
-            "quantum": row("quantum", quantum(spec.n, q, s))}
+    return {"single_party": BoundResult(float(single(spec.n, q, s)), "closed-form"),
+            "fully_separable": BoundResult(float(fully), "product-ansatz", np.pi / 8),
+            "quantum": BoundResult(float(quantum(spec.n, q, s)), "closed-form")}
 
 
 def family_bounds(family: str, n: int | None, eps: float) -> dict[str, BoundResult | None]:
@@ -234,18 +215,19 @@ def family_bounds(family: str, n: int | None, eps: float) -> dict[str, BoundResu
     the closed form is exact, and is returned without a sweep.
     """
     if family == "mermin":
-        bisep = mermin_bisep_bound(ideal(FAMILY_WITNESS[family]).n if n is None else n, eps)
+        n = ideal(FAMILY_WITNESS[family]).n if n is None else n
+        bisep = mermin_bisep_bound(n, eps)
         # Theorem 1: a spoof state with only the split-off party tilted reaches it.
         return {"biseparable": bisep, "single_party": bisep, "fully_separable": None,
-                "quantum": mermin_quantum_bound(bisep.n)}
+                "quantum": mermin_quantum_bound(n)}
     name = _witness_name(family, n)
     rows = _closed_forms(name, eps)
-    single = rows["single_party"]
-    value, theta = (single.value, None) if eps == 0.0 else _reduced_sweep(ideal(name), eps)
-    bisep = replace(single, bound_kind="biseparable", value=max(value, single.value),
-                    regime="single-party-closed-form")
-    if value - single.value > tol("regime_tie"):
-        bisep = replace(bisep, regime="numeric-theta-sweep", saturating_theta=theta)
+    single = rows["single_party"].value
+    value, theta = (single, None) if eps == 0.0 else _reduced_sweep(ideal(name), eps)
+    if value - single > tol("regime_tie"):
+        bisep = BoundResult(value, "numeric-theta-sweep", theta)
+    else:
+        bisep = BoundResult(max(value, single), "single-party-closed-form")
     return {"biseparable": bisep, **rows}
 
 

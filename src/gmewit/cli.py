@@ -21,7 +21,7 @@ from .robustness import (DEFAULT_I43_BISEP_BOUND, di_thresholds, robustness_swee
                          threshold_visibility)
 from .states import (NoiseModel, apply_noise, cluster_state_4, ghz_state,
                      spoof_state, w_state)
-from .witnesses import (BUILDERS, eval_from_correlators, ideal, inm_value,
+from .witnesses import (BUILDERS, eval_from_correlators, ideal, inm_shape, inm_value,
                         load_correlator_fixture)
 
 
@@ -316,9 +316,9 @@ def tomo(counts, out, output_format):
 @common_options
 def inm(n, m, probs, out, output_format):
     """Evaluate the I_nm correlator functional on a probability table."""
+    shape = inm_shape(n, m)                 # a bad count is the option's fault, not the file's
     with _naming(probs), open(probs, encoding="utf-8") as fh:
-        table = np.asarray(json.load(fh), dtype=float).reshape((m,) * n + (2,) * n)
-        value = inm_value(n, m, table)
+        value = inm_value(n, m, np.asarray(json.load(fh), dtype=float).reshape(shape))
     emit([{"n": n, "m": m, "value": value}], ["n", "m", "value"], out, output_format)
 
 

@@ -373,15 +373,23 @@ def inm_sign(s: int, m: int) -> int:
     return (-1) ** (s // m) if s % m <= 1 else 0
 
 
-def inm_value(n: int, m: int, probabilities: np.ndarray) -> float:
-    """The I_nm functional on a conditional probability table P(r⃗|s⃗).
+def inm_shape(n: int, m: int) -> tuple:
+    """Shape (m,)*n + (2,)*n of P(r⃗|s⃗) for n ≥ 1 parties with m ≥ 2 settings."""
+    if n < 1 or m < 2:
+        raise ValueError(f"n must be at least 1 and m at least 2, got n = {n}, m = {m}")
+    return (m,) * n + (2,) * n
 
-    ``probabilities`` has shape (m,)*n + (2,)*n.  The symmetrized correlator
-    E_s sums Σ_r (−1)^{|r|} P(r⃗|s⃗) over all input vectors with Σs_j = s;
-    the functional adds them with the signs of ``inm_sign``.
+
+def inm_value(n: int, m: int, probabilities: np.ndarray) -> float:
+    """The I_nm functional on a conditional probability table P(r⃗|s⃗) of
+    shape ``inm_shape(n, m)``.
+
+    The symmetrized correlator E_s sums Σ_r (−1)^{|r|} P(r⃗|s⃗) over all
+    input vectors with Σs_j = s; the functional adds them with the signs of
+    ``inm_sign``.
     """
     probabilities = np.asarray(probabilities, dtype=float)
-    if probabilities.shape != (m,) * n + (2,) * n:
+    if probabilities.shape != inm_shape(n, m):
         raise ValueError("probability table has wrong shape")
     if not np.all(np.isfinite(probabilities)) or probabilities.min() < -tol("prob_norm"):
         raise ValueError("probabilities must be finite and non-negative")

@@ -3,7 +3,8 @@ the recursive Mermin pair, the product state |χ(θ)⟩^⊗n, spectral
 projectors, Born-rule probability tables, the visibility-threshold and L0
 closed forms, the GHZ fidelity, the device-independent Mermin value, the earlier
 Nelder–Mead and L-BFGS-B L_ε searches, the Newton and the bracket-and-Brent
-λ-duals, the per-restart see-saw and the ``minimize_scalar`` θ-sweep."""
+λ-duals, the per-restart see-saw, party 1's reduced operator read from the
+full tilted matrix and the ``minimize_scalar`` θ-sweep on it."""
 
 from __future__ import annotations
 
@@ -14,15 +15,14 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq, minimize, minimize_scalar
 
-from gmewit.bounds import (THETA_GRID, BoundResult, PartitionSpec, _reduced_operators,
-                           family_bounds)
+from gmewit.bounds import THETA_GRID, BoundResult, PartitionSpec, family_bounds
 from gmewit.fidelity import LAMBDA_CAP, _tilt_objective
 from gmewit.linalg import PAULI, assert_hermitian, expectation, kron
-from gmewit.measurement import q_of, u_of
+from gmewit.measurement import ImprecisionBudget, q_of, u_of
 from gmewit.robustness import threshold_visibility
 from gmewit.states import ghz_state
-from gmewit.witnesses import (BUILDERS, WitnessSpec, coefficient_tensor,
-                              contract, expand, ideal, tilt_table)
+from gmewit.witnesses import (BUILDERS, WitnessSpec, coefficient_tensor, contract, expand,
+                              ideal, tilt_table)
 
 
 def pauli_string(letters: str) -> np.ndarray:
@@ -317,8 +317,7 @@ def mermin_di_bound(n: int) -> BoundResult:
     """Device-independent Mermin value 2^{n−3/2}."""
     if n < 3:
         raise ValueError("n must be at least 3")
-    return BoundResult(f"mermin{n}", n, 0.5, "device-independent",
-                       float(2 ** (n - 1.5)), "closed-form")
+    return BoundResult(float(2 ** (n - 1.5)), "closed-form")
 
 
 def seesaw_per_restart(spec: WitnessSpec, partition: PartitionSpec,
@@ -366,22 +365,35 @@ def seesaw_per_restart(spec: WitnessSpec, partition: PartitionSpec,
     return float(best), float(gap)
 
 
-def reduced_sweep_minimize_scalar(spec: WitnessSpec, eps: float):
-    """The θ-sweep's (value, θ) with the grid maximum refined by a bounded
-    ``minimize_scalar`` (xatol 1e-10) over ±one grid spacing.  The spec's
-    tilt plane must be the X–Z plane."""
-    ops = {a: op.real for a, op in _reduced_operators(spec, eps).items()}
-    q, u = q_of(eps), u_of(eps)
+def chi_reduced_operator(spec: WitnessSpec, eps: float):
+    """θ ↦ ⟨χ(θ)|W_ε|χ(θ)⟩ over party 1, the parties-2..n operator of the
+    witness with every party tilted by the uniform budget ε, read from its
+    full ``tilted_kron`` matrix by ``einsum``; |χ(θ)⟩ is
+    ``chi_product_state``'s qubit (in the X–Z plane cos θ|0⟩ + sin θ|1⟩ up to
+    sign).  No letter map is involved."""
+    full = tilted_kron(spec, ImprecisionBudget.uniform(eps, spec.n))
+    d = 2 ** (spec.n - 1)
+    blocks = full.reshape(2, d, 2, d)
 
     def reduced(theta):
-        alpha = u * np.cos(2 * theta) + q * np.sin(2 * theta)
-        beta = q * np.cos(2 * theta) + u * np.sin(2 * theta)
-        return np.multiply.outer(alpha, ops["X"]) + np.multiply.outer(beta, ops["Z"]) + ops["I"]
+        chi = chi_product_state(spec.tilt_plane, theta, 1)
+        return np.einsum("i,ikjl,j->kl", chi.conj(), blocks, chi)
+
+    return reduced
+
+
+def reduced_sweep_minimize_scalar(spec: WitnessSpec, eps: float):
+    """The θ-sweep's (value, θ) with the grid maximum of the top eigenvalue of
+    ``chi_reduced_operator`` refined by a bounded ``minimize_scalar`` (xatol
+    1e-10) over ±one grid spacing."""
+    reduced = chi_reduced_operator(spec, eps)
+
+    def top(theta):
+        return np.linalg.eigvalsh(reduced(theta))[-1]
 
     thetas = np.linspace(0, np.pi, THETA_GRID, endpoint=False)
-    best = thetas[int(np.argmax(np.linalg.eigvalsh(reduced(thetas))[:, -1]))]
+    best = thetas[int(np.argmax([top(t) for t in thetas]))]
     step = np.pi / THETA_GRID
-    res = minimize_scalar(lambda t: -np.linalg.eigvalsh(reduced(t))[-1],
-                          bounds=(best - step, best + step),
+    res = minimize_scalar(lambda t: -top(t), bounds=(best - step, best + step),
                           method="bounded", options={"xatol": 1e-10})
     return float(-res.fun), float(res.x)

@@ -15,13 +15,13 @@ from gmewit.bounds import (EPS_STAR, PartitionSpec, _reduced_operators, _reduced
                            stabilizer_fully_sep_bound, stabilizer_single_party_bound,
                            w_witness_bounds)
 from gmewit.linalg import expectation
-from gmewit.measurement import ImprecisionBudget, q_of, u_of
+from gmewit.measurement import ImprecisionBudget, q_of
 from gmewit.states import spoof_state
 from gmewit.tolerances import tol
 from gmewit.witnesses import (BUILDERS, cluster_witness_c4, ideal, mermin_witness,
                               stabilizer_witness)
-from oracles import (chi_product_state, mermin_di_bound, reduced_sweep_minimize_scalar,
-                     seesaw_per_restart)
+from oracles import (chi_product_state, chi_reduced_operator, mermin_di_bound,
+                     reduced_sweep_minimize_scalar, seesaw_per_restart)
 
 SEESAW_WITNESSES = {
     "stabilizer4": lambda budget: stabilizer_witness(4, budget),
@@ -337,6 +337,21 @@ def test_theta_sweep_equals_minimize_scalar_oracle(witness):
 
 
 @pytest.mark.parametrize("witness", sorted(NUMERIC_ROWS))
+def test_swept_value_is_attained_at_the_saturating_theta(witness):
+    # Party 1 in |χ(θ*)⟩, every party tilted: the top eigenvalue of the
+    # reduced operator read from the full tilted matrix is the row's value.
+    swept = 0
+    for eps in np.linspace(EPS_STAR / 50, EPS_STAR, 50):
+        bisep = family_bounds(*NUMERIC_ROWS[witness], eps)["biseparable"]
+        if bisep.regime == "numeric-theta-sweep":
+            swept += 1
+            reduced = chi_reduced_operator(ideal(witness), eps)
+            top = np.linalg.eigvalsh(reduced(bisep.saturating_theta))[-1]
+            assert top == pytest.approx(bisep.value, abs=1e-12), eps
+    assert swept
+
+
+@pytest.mark.parametrize("witness", sorted(NUMERIC_ROWS))
 def test_theta_grid_finds_the_721_point_maximum(monkeypatch, witness):
     spec = ideal(witness)
     grid = np.linspace(0.0, EPS_STAR, 41)
@@ -350,16 +365,15 @@ def test_theta_grid_finds_the_721_point_maximum(monkeypatch, witness):
 def test_d3_sweep_equals_the_fixed_theta_evaluation(eps):
     # The X–Y plane makes some reduced operators complex (at ε = 0 only
     # some); the sweep's maximum is the single evaluation with party 1 in
-    # |χ(π/8)⟩ (Bloch azimuth π/4), where tilted X and Y both average to
-    # (q+u)/√2.  At ε = 0 every θ attains it: the untilted D3 is invariant
+    # |χ(π/8)⟩ (Bloch azimuth π/4), where σ_X and σ_Y both average to 1/√2.
+    # At ε = 0 every θ attains it: the untilted D3 is invariant
     # under joint rotations about Z.  Elsewhere Z on every party maps the
     # witness to itself and party 1's Bloch vector to its opposite, so θ and
     # θ + π/2 tie and the grid picks one (5π/8 with 181 points).  The top
     # eigenvalue is smooth at its maximum, so values equal to rounding fix θ
     # only to about √(machine ε): 1.2e-8 at worst over 40 ε in (0, ε*].
     ops = _reduced_operators(ideal("d3"), eps)
-    coef = (q_of(eps) + u_of(eps)) / np.sqrt(2)
-    expected = np.linalg.eigvalsh(coef * (ops["X"] + ops["Y"]) + ops["I"])[-1]
+    expected = np.linalg.eigvalsh((ops["X"] + ops["Y"]) / np.sqrt(2) + ops["I"])[-1]
     bisep = w_witness_bounds(eps)["biseparable"]
     assert bisep.value == pytest.approx(expected, abs=1e-12)
     if eps > 0:

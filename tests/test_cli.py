@@ -127,7 +127,9 @@ def test_removed_options_are_rejected(runner):
 
 #: Inputs whose one line is pinned: a party count its family lacks names the
 #: family and its sizes; a missing option names the options to give; a noise
-#: spec that parses as kind:p keeps the noise model's own message.
+#: spec that parses as kind:p keeps the noise model's own message; an I_nm
+#: party or setting count without meaning names the counts, not the file; a
+#: Mermin party count whose quantum value 2^{n−1} overflows a float gives the range.
 BAD_INPUT_MESSAGES = {
     "bound --witness stabilizer --n 5 --eps 0.01": "the stabilizer family has n = 3, 4 only",
     "bound --witness cluster --n 3 --eps 0.01": "the cluster family has n = 4 only",
@@ -140,6 +142,11 @@ BAD_INPUT_MESSAGES = {
     "witness --witness mermin4 --state ghz4 --noise white:2":
         "visibility p must lie in [0, 1]",
     "witness --witness mermin4 --state ghz4 --noise pink:0.5": "unknown noise kind 'pink'",
+    "inm --n 0 --m 2 --probs {one}": "n must be at least 1 and m at least 2, got n = 0, m = 2",
+    "inm --n 1 --m 0 --probs {one}": "n must be at least 1 and m at least 2, got n = 1, m = 0",
+    "inm --n 1 --m 1 --probs {one}": "n must be at least 1 and m at least 2, got n = 1, m = 1",
+    "bound --witness mermin --n 1025 --eps 0.01": "n must lie in [3, 1024]",
+    "bound --witness mermin --n 2000 --eps 0.01": "n must lie in [3, 1024]",
 }
 
 
@@ -180,15 +187,22 @@ BAD_INPUT_MESSAGES = {
     ["witness", "--witness", "mermin4", "--state", "ghz4", "--noise", "pink:0.5"],
     ["inm", "--probs", "{directory}"],
     ["spoof", "--eps-grid", "0:0.1:2", "--out", "{directory}"],
+    ["inm", "--n", "0", "--m", "2", "--probs", "{one}"],
+    ["inm", "--n", "1", "--m", "0", "--probs", "{one}"],
+    ["inm", "--n", "1", "--m", "1", "--probs", "{one}"],
+    ["bound", "--witness", "mermin", "--n", "1025", "--eps", "0.01"],
+    ["bound", "--witness", "mermin", "--n", "2000", "--eps", "0.01"],
 ])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, runner, args):
     two_entries = tmp_path / "probs.json"
     two_entries.write_text("[0.5, 0.5]")
+    one = tmp_path / "one.json"
+    one.write_text("[1]")
     renamed = tmp_path / "mermin5.json"
     fixture = json.loads(fixture_path("fig4_mermin.json").read_text())
     renamed.write_text(json.dumps({**fixture, "witness": "mermin5"}))
     paths = {"two_entries": str(two_entries), "missing": str(tmp_path / "missing.csv"),
-             "renamed": str(renamed), "directory": str(tmp_path)}
+             "renamed": str(renamed), "directory": str(tmp_path), "one": str(one)}
     result = runner.invoke(main, [a.format(**paths) for a in args])
     assert result.exit_code == 2, result.output
     lines = result.output.strip().split("\n")

@@ -194,3 +194,15 @@ def test_one_bad_input_path():
                             and str(text.values[1].value).startswith(":"):
                         path_first.append(f"{path.name}:{node.lineno}")
     assert path_first == []
+
+
+def test_one_tilt_model_in_the_theta_sweep():
+    # The θ-sweep tilts party 1 through the same letter maps as every other
+    # party: its functions neither read q(ε), u(ε) nor build their own budget.
+    tree = ast.parse((ROOT / "src" / "gmewit" / "bounds.py").read_text())
+    sweep = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name in ("_reduced_operators", "_reduced_sweep")]
+    assert len(sweep) == 2
+    called = {ast.unparse(node.func) for fn in sweep for node in ast.walk(fn)
+              if isinstance(node, ast.Call)}
+    assert called & {"q_of", "u_of", "ImprecisionBudget"} == set()

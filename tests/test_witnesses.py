@@ -172,6 +172,9 @@ def test_inm_i42_matches_mermin_on_ghz():
 def test_inm_validation():
     with pytest.raises(ValueError):
         inm_value(2, 2, np.zeros((2, 2, 2)))       # wrong shape
+    for n, m in ((0, 2), (1, 0), (1, 1)):          # no parties, or fewer than two settings
+        with pytest.raises(ValueError, match="n must be at least 1 and m at least 2"):
+            inm_value(n, m, np.ones(1))
     bad = np.full((2, 2, 2, 2), 0.3)               # not normalized
     with pytest.raises(ValueError):
         inm_value(2, 2, bad)
@@ -257,12 +260,10 @@ def test_family_tilts_equal_kron_oracle(case):
 @settings(deadline=None)
 @given(st.sampled_from(sorted(BUILDERS)), st.floats(0.0, 0.5))
 def test_reduced_operators_equal_kron_oracle(name, eps):
-    # Party 1 exact, parties 2..n tilted by ε: letter a's operator is
-    # ½·tr₁((σ_a ⊗ 𝟙)·W), which vanishes for a letter absent from the rows.
+    # Every party tilted by ε: party 1's Pauli a has the operator
+    # ½·tr₁((σ_a ⊗ 𝟙)·W), which vanishes for a letter outside the plane.
     spec = ideal(name)
-    budget = ImprecisionBudget(((0.0, 0.0, 0.0),)
-                               + ImprecisionBudget.uniform(eps, spec.n - 1).per_party)
-    full = tilted_kron(spec, budget).reshape(2, 2 ** (spec.n - 1), 2, 2 ** (spec.n - 1))
+    full = tilted_kron(spec, ImprecisionBudget.uniform(eps, spec.n)).reshape(2, 2 ** (spec.n - 1), 2, 2 ** (spec.n - 1))
     ops = _reduced_operators(spec, eps)
     for a in LETTERS:
         want = 0.5 * np.einsum("ji,ikjl->kl", PAULI[a], full)
