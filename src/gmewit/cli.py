@@ -53,15 +53,20 @@ def emit(rows: list[dict], columns: list[str], out, output_format: str) -> None:
         click.echo(text, nl=False)
 
 
+_GRID_POINTS_CAP = 10 ** 6     # most points of a start:stop:count grid
+
+
 def parse_grid(spec: str) -> np.ndarray:
-    """Parse a ``start:stop:count`` grid specification, count ≥ 1."""
+    """Parse a ``start:stop:count`` grid, checked for finite ends and count before it is made."""
     try:
         start, stop, count = spec.split(":")
-        if int(count) >= 1:
-            return np.linspace(float(start), float(stop), int(count))
+        start, stop, count = float(start), float(stop), int(count)
+        if np.isfinite([start, stop]).all() and 1 <= count <= _GRID_POINTS_CAP:
+            return np.linspace(start, stop, count)
     except ValueError:
         pass
-    raise ValueError(f"expected start:stop:count with count ≥ 1, got {spec!r}")
+    raise ValueError("expected start:stop:count with finite start and stop and "
+                     f"1 ≤ count ≤ {_GRID_POINTS_CAP}, got {spec!r}")
 
 
 def parse_noise(spec: str) -> NoiseModel:

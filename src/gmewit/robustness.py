@@ -4,15 +4,13 @@ and the normalization used for cross-witness plots."""
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .bounds import family_bounds
 from .linalg import expectation
 from .measurement import ImprecisionBudget
 from .states import NoiseModel, apply_noise, ghz_state
-from .witnesses import assemble, ideal, inm_sign, tilt_table
+from .witnesses import assemble, ideal, inm_signs, tilt_table
 
 #: Explicit worst-case tilt configurations: per party and tilt-plane letter,
 #: the (cos, sin) of the direction d = ±e₁ of the tilted observable
@@ -45,30 +43,33 @@ def noisy_witness_value(witness: str, noise_kind: str, p: float,
     return expectation(mat, rho)
 
 
-def threshold_visibility(witness: str, noise_kind: str, bound: float,
-                         measurement_case: str = "best-case-exact", eps: float = 0.0) -> float:
-    """Visibility p at which the witness value meets the biseparable ``bound``.
-
-    The witness value is affine in p, so the crossing (B − v₀)/(v₁ − v₀) from
-    the values at p = 0 and p = 1 is exact; raises if it lies outside
-    p ∈ [0, 1].
-    """
-    v0, v1 = (noisy_witness_value(witness, noise_kind, p, measurement_case, eps)
-              for p in (0.0, 1.0))
+def _crossing(bound: float, v0: float, v1: float) -> float:
+    """Visibility p at which the affine value v₀ + p·(v₁ − v₀) meets ``bound``;
+    raises unless p ∈ [0, 1] (a NaN bound or value never does)."""
     p = (bound - v0) / (v1 - v0)
     if not 0.0 <= p <= 1.0:
-        raise ValueError("witness value never crosses the bound on p ∈ [0, 1]")
+        raise ValueError("the value never crosses the bound on p ∈ [0, 1]")
     return p
+
+
+def _endpoints(witness: str, noise_kind: str, case: str, eps: float) -> tuple[float, float]:
+    """The witness values (v₀, v₁) at p = 0 and p = 1; the value is affine in p."""
+    return tuple(noisy_witness_value(witness, noise_kind, p, case, eps) for p in (0.0, 1.0))
+
+
+def threshold_visibility(witness: str, noise_kind: str, bound: float,
+                         measurement_case: str = "best-case-exact", eps: float = 0.0) -> float:
+    """Visibility p at which the witness value meets the biseparable ``bound``:
+    the exact crossing of the line through its values at p = 0 and p = 1."""
+    return _crossing(bound, *_endpoints(witness, noise_kind, measurement_case, eps))
 
 
 # ---------------------------------------------------------------------------
 # Device-independent thresholds (I_nm)
 # ---------------------------------------------------------------------------
 
-#: Input vectors and signs of I₄₃ over the residue classes s ≡ 0, 1 (mod 3).
-_I43_INDEX = np.array([sv for sv in itertools.product(range(3), repeat=4)
-                       if inm_sign(sum(sv), 3)])
-_I43_SIGNS = np.array([inm_sign(int(s), 3) for s in _I43_INDEX.sum(axis=1)], dtype=float)
+#: Input vectors of I₄₃ and their signs; the vectors of sum s ≡ 2 (mod 3) have sign 0.
+_I43_INDEX, _I43_SIGNS = inm_signs(4, 3)
 
 
 def i43_ghz_value(phis: np.ndarray, visibility: float = 1.0) -> float:
@@ -82,31 +83,11 @@ def i43_ghz_value(phis: np.ndarray, visibility: float = 1.0) -> float:
     return float((2 * visibility - 1) * np.sum(_I43_SIGNS * np.cos(angle_sums)))
 
 
-def max_i43(restarts: int = 50, seed: int = 42) -> tuple[float, np.ndarray]:
-    """Maximal GHZ value of I₄₃ by compass search over the 12 setting angles.
-
-    Reference search only: it recovers ``I43_QUANTUM`` = 27√3 to ~1e−14.
-    """
-    rng = np.random.default_rng(seed)
-    best, best_x = -np.inf, None
-    for _ in range(restarts):
-        x = rng.uniform(0, 2 * np.pi, 12)
-        step = 0.5
-        value = i43_ghz_value(x)
-        while step > 1e-7:
-            improved = False
-            for i in range(12):
-                for delta in (step, -step):
-                    cand = x.copy()
-                    cand[i] += delta
-                    v = i43_ghz_value(cand)
-                    if v > value:
-                        x, value, improved = cand, v, True
-            if not improved:
-                step /= 2
-        if value > best:
-            best, best_x = value, x
-    return float(best), best_x.reshape(4, 3)
+def max_i43() -> tuple[float, np.ndarray]:
+    """Maximal GHZ value of I₄₃ and its settings φ_jk = kπ/3 − π/24 (k = 0, 1, 2):
+    each of the 54 terms with a non-zero sign reads cos(π/6), 27√3 in all."""
+    phis = np.tile(np.arange(3) * np.pi / 3 - np.pi / 24, (4, 1))
+    return i43_ghz_value(phis), phis
 
 
 #: Maximal GHZ value of I₄₃ over X–Y-plane settings, 27√3.
@@ -118,21 +99,16 @@ DEFAULT_I43_BISEP_BOUND = (2 * 0.834 - 1) * I43_QUANTUM
 
 
 def di_thresholds(m: int, bisep_bound_i43: float | None = None) -> float:
-    """Visibility threshold of the device-independent I₄ₘ witness.
-
-    m=2: closed form (8 + 2^{5/2})/16 from the DI Mermin bound.  m=3: I₄₃ on
-    ρ_deph(p) is (2p−1)·S with S = ``I43_QUANTUM``, so the threshold against
-    the externally supplied biseparable bound B is (1 + B/S)/2.
-    """
+    """Visibility threshold of the device-independent I₄ₘ witness on ρ_deph(p): for
+    m=2 the DI Mermin plateau 2^{n−3/2} = 2^{5/2} against the GHZ line (2p−1)·8, for
+    m=3 the supplied biseparable bound B against (2p−1)·S, S = ``I43_QUANTUM``."""
     if m == 2:
-        return (8 + 2 ** 2.5) / 16
+        return _crossing(2 ** 2.5, -8.0, 8.0)
     if m != 3:
         raise ValueError("only m = 2 and m = 3 are supported")
     if bisep_bound_i43 is None:
         raise ValueError("the I₄₃ biseparable bound constant must be supplied")
-    if I43_QUANTUM <= bisep_bound_i43:
-        raise ValueError("the supplied bound is never violated at full visibility")
-    return (1 + bisep_bound_i43 / I43_QUANTUM) / 2
+    return _crossing(bisep_bound_i43, -I43_QUANTUM, I43_QUANTUM)
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +124,17 @@ def normalize_witness_value(value: float, bisep: float, quantum: float) -> float
 
 def robustness_sweep(witness: str, eps: float, noise_kind: str, p_grid,
                      measurement_case: str = "best-case-exact") -> list[dict]:
-    """Fig.-5-style table of witness values and violation flags over p."""
+    """Fig.-5-style table of witness values and violation flags, read off the line over p."""
     spec = ideal(witness)
     bounds = family_bounds(spec.family, spec.n, eps)
     bound, quantum = bounds["biseparable"].value, bounds["quantum"].value
+    v0, v1 = _endpoints(witness, noise_kind, measurement_case, eps)
     rows = []
     for p in p_grid:
-        value = noisy_witness_value(witness, noise_kind, p, measurement_case, eps)
+        p = NoiseModel(noise_kind, float(p)).p      # rejects p ∉ [0, 1]
+        value = v0 + p * (v1 - v0)
         rows.append({
-            "p": float(p),
+            "p": p,
             "witness_value": value,
             "normalized_value": normalize_witness_value(value, bound, quantum),
             "bound": bound,

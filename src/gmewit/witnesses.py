@@ -366,11 +366,13 @@ def load_correlator_fixture(path) -> tuple[str, list[CorrelatorRecord]]:
 # I_nm multi-setting correlator functional
 # ---------------------------------------------------------------------------
 
-def inm_sign(s: int, m: int) -> int:
-    """Sign of the I_nm term with input sum s: (−1)^{s/m} for s ≡ 0 (mod m),
-    (−1)^{(s−1)/m} for s ≡ 1 (both are (−1)^⌊s/m⌋), and 0 (no term) for the
-    other residue classes."""
-    return (-1) ** (s // m) if s % m <= 1 else 0
+def inm_signs(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every input vector s⃗ ∈ {0..m−1}^n in C order, shape (m^n, n), and the
+    sign of its I_nm term: (−1)^⌊s/m⌋ for s = Σs_j ≡ 0 or 1 (mod m), and 0
+    (no term) for the other residue classes."""
+    svecs = np.indices((m,) * n).reshape(n, -1).T
+    s = svecs.sum(axis=1)
+    return svecs, np.where(s % m <= 1, 1 - 2 * (s // m % 2), 0)
 
 
 def inm_shape(n: int, m: int) -> tuple:
@@ -386,7 +388,7 @@ def inm_value(n: int, m: int, probabilities: np.ndarray) -> float:
 
     The symmetrized correlator E_s sums Σ_r (−1)^{|r|} P(r⃗|s⃗) over all
     input vectors with Σs_j = s; the functional adds them with the signs of
-    ``inm_sign``.
+    ``inm_signs``.
     """
     probabilities = np.asarray(probabilities, dtype=float)
     if probabilities.shape != inm_shape(n, m):
@@ -397,13 +399,6 @@ def inm_value(n: int, m: int, probabilities: np.ndarray) -> float:
     sums = flat.sum(axis=1)
     if np.max(np.abs(sums - 1.0)) > tol("prob_norm"):
         raise ValueError("conditional distributions must each sum to 1")
-    parity = np.array([(-1) ** bin(r).count("1") for r in range(2 ** n)])
-    correlators = flat @ parity
-    e_s = np.zeros(n * (m - 1) + 1)
-    for idx, svec in enumerate(itertools.product(range(m), repeat=n)):
-        e_s[sum(svec)] += correlators[idx]
-    total = 0.0
-    for s, e in enumerate(e_s):
-        total += inm_sign(s, m) * e
-    return float(total)
+    parity = 1 - 2 * (np.indices((2,) * n).reshape(n, -1).sum(axis=0) % 2)
+    return float(inm_signs(n, m)[1] @ (flat @ parity))
 

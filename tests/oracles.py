@@ -4,7 +4,8 @@ projectors, Born-rule probability tables, the visibility-threshold and L0
 closed forms, the GHZ fidelity, the device-independent Mermin value, the earlier
 Nelder–Mead and L-BFGS-B L_ε searches, the Newton and the bracket-and-Brent
 λ-duals, the per-restart see-saw, party 1's reduced operator read from the
-full tilted matrix and the ``minimize_scalar`` θ-sweep on it."""
+full tilted matrix and the ``minimize_scalar`` θ-sweep on it, and the compass
+search for I₄₃'s maximal GHZ value."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from gmewit.bounds import THETA_GRID, BoundResult, PartitionSpec, family_bounds
 from gmewit.fidelity import LAMBDA_CAP, _tilt_objective
 from gmewit.linalg import PAULI, assert_hermitian, expectation, kron
 from gmewit.measurement import ImprecisionBudget, q_of, u_of
-from gmewit.robustness import threshold_visibility
+from gmewit.robustness import i43_ghz_value, threshold_visibility
 from gmewit.states import ghz_state
 from gmewit.witnesses import (BUILDERS, WitnessSpec, coefficient_tensor, contract, expand,
                               ideal, tilt_table)
@@ -397,3 +398,28 @@ def reduced_sweep_minimize_scalar(spec: WitnessSpec, eps: float):
     res = minimize_scalar(lambda t: -top(t), bounds=(best - step, best + step),
                           method="bounded", options={"xatol": 1e-10})
     return float(-res.fun), float(res.x)
+
+
+def compass_max_i43(restarts: int = 50, seed: int = 42) -> tuple[float, np.ndarray]:
+    """Maximal GHZ value of I₄₃ by compass search over the 12 setting angles,
+    from ``restarts`` uniformly drawn starts."""
+    rng = np.random.default_rng(seed)
+    best, best_x = -np.inf, None
+    for _ in range(restarts):
+        x = rng.uniform(0, 2 * np.pi, 12)
+        step = 0.5
+        value = i43_ghz_value(x)
+        while step > 1e-7:
+            improved = False
+            for i in range(12):
+                for delta in (step, -step):
+                    cand = x.copy()
+                    cand[i] += delta
+                    v = i43_ghz_value(cand)
+                    if v > value:
+                        x, value, improved = cand, v, True
+            if not improved:
+                step /= 2
+        if value > best:
+            best, best_x = value, x
+    return float(best), best_x.reshape(4, 3)

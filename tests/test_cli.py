@@ -147,7 +147,21 @@ BAD_INPUT_MESSAGES = {
     "inm --n 1 --m 1 --probs {one}": "n must be at least 1 and m at least 2, got n = 1, m = 1",
     "bound --witness mermin --n 1025 --eps 0.01": "n must lie in [3, 1024]",
     "bound --witness mermin --n 2000 --eps 0.01": "n must lie in [3, 1024]",
+    **{f"robustness --witness i43 --i43-bound {b}": "the value never crosses the bound on p ∈ [0, 1]"
+       for b in ("nan", "-100", "100")},
+    **{f"spoof --eps-grid {g}": "expected start:stop:count with finite start and stop and "
+       f"1 ≤ count ≤ 1000000, got '{g}'" for g in ("0:inf:2", "nan:1:2", "0:0.1:1000001")},
 }
+
+#: Bad numbers whose error once came after a numpy warning, or not at all.
+NUMERIC_BAD_INPUTS = [
+    ["robustness", "--witness", "i43", "--i43-bound", "nan"],
+    ["robustness", "--witness", "i43", "--i43-bound", "-100"],
+    ["robustness", "--witness", "i43", "--i43-bound", "100"],
+    ["spoof", "--eps-grid", "0:inf:2"],
+    ["spoof", "--eps-grid", "nan:1:2"],
+    ["spoof", "--eps-grid", "0:0.1:1000001"],
+]
 
 
 @pytest.mark.parametrize("args", [
@@ -192,6 +206,7 @@ BAD_INPUT_MESSAGES = {
     ["inm", "--n", "1", "--m", "1", "--probs", "{one}"],
     ["bound", "--witness", "mermin", "--n", "1025", "--eps", "0.01"],
     ["bound", "--witness", "mermin", "--n", "2000", "--eps", "0.01"],
+    *NUMERIC_BAD_INPUTS,
 ])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, runner, args):
     two_entries = tmp_path / "probs.json"
@@ -210,6 +225,15 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, runner, args):
     message = BAD_INPUT_MESSAGES.get(" ".join(args))
     if message is not None:
         assert lines[0] == f"Error: {message}"
+
+
+@pytest.mark.parametrize("args", NUMERIC_BAD_INPUTS)
+def test_bad_number_prints_exactly_one_stderr_line(args):
+    # A child process: inside pytest a numpy RuntimeWarning is recorded, not printed.
+    proc = subprocess.run([sys.executable, "-m", "gmewit.cli", *args], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [f"Error: {BAD_INPUT_MESSAGES[' '.join(args)]}"]
 
 
 #: Table A.1 with proj_D and proj_A both 0 under prep_D.
@@ -415,12 +439,16 @@ finally:
 """
 
 
-def _scipy_loaded_by(args, cwd, prelude="") -> list[str]:
+def _child_env() -> dict:
+    """The environment of a child Python that imports this checkout's gmewit."""
     src = str(Path(gmewit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _scipy_loaded_by(args, cwd, prelude="") -> list[str]:
     out = ["--out", "out.txt"] if args else []
     proc = subprocess.run([sys.executable, "-c", prelude + _CHILD, *args, *out], cwd=cwd,
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
     # ``verify`` exits 1 by design: the two 2|2 partition checks fail.
     assert proc.returncode == (1 if args[:1] == ["verify"] else 0), proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])

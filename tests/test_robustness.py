@@ -6,7 +6,7 @@ from gmewit.robustness import (DEFAULT_I43_BISEP_BOUND, I43_QUANTUM,
                                di_thresholds, i43_ghz_value, max_i43,
                                noisy_witness_value, normalize_witness_value,
                                robustness_sweep, threshold_visibility)
-from oracles import best_case_threshold_closed_form, worst_case_thresholds
+from oracles import best_case_threshold_closed_form, compass_max_i43, worst_case_thresholds
 
 
 def test_noisy_witness_affine_in_p():
@@ -87,23 +87,28 @@ def test_unknown_measurement_case_is_rejected(case):
 
 
 def test_max_i43():
-    value, phis = max_i43(restarts=20, seed=0)
-    assert value == pytest.approx(I43_QUANTUM, abs=1e-12)
+    value, phis = max_i43()
+    assert abs(value - I43_QUANTUM) <= 1e-12
     assert phis.shape == (4, 3)
+    # The compass search finds the closed form's value and never beats it.
+    searched, _ = compass_max_i43(restarts=20, seed=0)
+    assert abs(searched - I43_QUANTUM) <= 1e-9
+    assert searched <= I43_QUANTUM + 1e-12
     # Affinity in the visibility.
     assert i43_ghz_value(phis, 0.5) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_di_thresholds():
-    assert di_thresholds(2) == pytest.approx((8 + 2 ** 2.5) / 16)
+    assert di_thresholds(2) == (8 + 2 ** 2.5) / 16
     p3 = di_thresholds(3, bisep_bound_i43=DEFAULT_I43_BISEP_BOUND)
     assert p3 == pytest.approx(0.834, abs=5e-4)
     with pytest.raises(ValueError):
         di_thresholds(4)
     with pytest.raises(ValueError):
         di_thresholds(3)
-    with pytest.raises(ValueError):
-        di_thresholds(3, bisep_bound_i43=100.0)
+    for bound in (float("nan"), -100.0, 100.0):
+        with pytest.raises(ValueError, match="never crosses the bound"):
+            di_thresholds(3, bisep_bound_i43=bound)
 
 
 def test_normalize_witness_value():
@@ -118,3 +123,18 @@ def test_robustness_sweep_flags():
     assert [r["violation_flag"] for r in rows] == [0, 1, 1]
     assert rows[-1]["witness_value"] == pytest.approx(8.0, abs=1e-9)
     assert rows[-1]["normalized_value"] == pytest.approx(1.0, abs=1e-9)
+    # Every row read off the line equals a direct trace on the noisy state.
+    grid = np.linspace(0.0, 1.0, 9)
+    for witness in ("mermin4", "stabilizer4"):
+        for kind in ("depolarizing", "dephasing"):
+            for case in ("best-case-exact", "worst-case-tilted"):
+                rows = robustness_sweep(witness, 0.01, kind, grid, case)
+                for p, row in zip(grid, rows):
+                    direct = noisy_witness_value(witness, kind, p, case, 0.01)
+                    assert abs(row["witness_value"] - direct) <= 1e-12
+                    assert row["violation_flag"] == int(direct > row["bound"])
+
+
+def test_sweep_rejects_a_visibility_outside_the_unit_interval():
+    with pytest.raises(ValueError, match="visibility p must lie in"):
+        robustness_sweep("mermin4", 0.0, "depolarizing", [0.5, 1.5])

@@ -206,3 +206,23 @@ def test_one_tilt_model_in_the_theta_sweep():
     called = {ast.unparse(node.func) for fn in sweep for node in ast.walk(fn)
               if isinstance(node, ast.Call)}
     assert called & {"q_of", "u_of", "ImprecisionBudget"} == set()
+
+
+def test_robustness_has_no_search():
+    # Every visibility number is one affine crossing and I₄₃'s maximum a
+    # closed form: robustness.py loops no search, ``max_i43`` takes nothing
+    # to search with, only ``_crossing`` says that a value never crosses its
+    # bound, and ``inm_value`` reads the one vectorized sign table.
+    src = ROOT / "src" / "gmewit"
+    robustness = ast.parse((src / "robustness.py").read_text())
+    functions = {node.name: node for node in robustness.body if isinstance(node, ast.FunctionDef)}
+    assert not any(isinstance(node, ast.While) for node in ast.walk(robustness))
+    assert ast.unparse(functions["max_i43"].args) == ""
+    raisers = {name for name, fn in functions.items() for node in ast.walk(fn)
+               if isinstance(node, ast.Raise) and "never crosses" in ast.unparse(node)}
+    assert raisers == {"_crossing"}
+    witnesses = ast.parse((src / "witnesses.py").read_text())
+    inm_value = next(node for node in witnesses.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "inm_value")
+    called = {ast.unparse(node.func) for node in ast.walk(inm_value) if isinstance(node, ast.Call)}
+    assert "itertools.product" not in called

@@ -11,8 +11,8 @@ from gmewit import fixture_path
 from gmewit.bounds import _reduced_operators, cluster_witness_bounds, stabilizer_bisep_bound_numeric
 from gmewit.linalg import PAULI, expectation
 from gmewit.measurement import ImprecisionBudget
-from gmewit.robustness import noisy_witness_value, threshold_visibility
-from gmewit.states import cluster_state_4, ghz_state, w_state
+from gmewit.robustness import i43_ghz_value, noisy_witness_value, threshold_visibility
+from gmewit.states import NoiseModel, apply_noise, cluster_state_4, ghz_state, w_state
 from gmewit.witnesses import (BUILDERS, LETTERS, CorrelatorRecord, assemble,
                               cluster_witness_c4, contract, eval_from_correlators, expand,
                               ideal, inm_value, letter_map_gradients, load_correlator_fixture,
@@ -145,6 +145,22 @@ def test_fixture_evaluation():
     assert std == pytest.approx(0.0412, abs=1e-3)
 
 
+def inm_enumerated(n: int, m: int, table: np.ndarray) -> float:
+    """I_nm by direct enumeration over all (s⃗, r⃗), one term at a time."""
+    total = 0.0
+    for svec in itertools.product(range(m), repeat=n):
+        s = sum(svec)
+        if s % m == 0:
+            sign = (-1) ** (s // m)
+        elif s % m == 1:
+            sign = (-1) ** ((s - 1) // m)
+        else:
+            continue
+        for rvec in itertools.product(range(2), repeat=n):
+            total += sign * (-1) ** sum(rvec) * table[svec + rvec]
+    return total
+
+
 def test_inm_deterministic_strategy():
     # All-outputs-0 strategy: every correlator is +1; compare against a direct
     # enumeration oracle over all (s, r).
@@ -152,15 +168,31 @@ def test_inm_deterministic_strategy():
     table = np.zeros((m,) * n + (2,) * n)
     table[..., 0, 0, 0, 0] = 1.0
     value = inm_value(n, m, table)
-    oracle = 0.0
-    for svec in itertools.product(range(m), repeat=n):
-        s = sum(svec)
-        if s % m == 0:
-            oracle += (-1) ** (s // m)
-        elif s % m == 1:
-            oracle += (-1) ** ((s - 1) // m)
-    assert value == pytest.approx(oracle, abs=1e-12)
+    assert value == pytest.approx(inm_enumerated(n, m, table), abs=1e-12)
     assert value == pytest.approx(-4.0, abs=1e-12)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from([(1, 2), (2, 3), (3, 2), (4, 2), (4, 3)]), st.integers(0, 2 ** 32 - 1))
+def test_inm_value_equals_enumeration(nm, seed):
+    # Random normalized tables: the sign-table contraction is the term-by-term sum.
+    n, m = nm
+    table = np.random.default_rng(seed).random((m ** n, 2 ** n))
+    table = (table / table.sum(axis=1, keepdims=True)).reshape((m,) * n + (2,) * n)
+    assert inm_value(n, m, table) == pytest.approx(inm_enumerated(n, m, table), abs=1e-12)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.lists(st.floats(0.0, 2 * np.pi), min_size=12, max_size=12), st.floats(0.0, 1.0))
+def test_i43_ghz_value_equals_the_table_path(phis, p):
+    # The closed-form GHZ correlators (2p−1)·cos(Σφ_j) and the Born-rule table
+    # of the dephased GHZ state meet in the one I_nm sign table.
+    phis = np.reshape(phis, (4, 3))
+    settings_ = [[np.cos(phi) * PAULI["X"] + np.sin(phi) * PAULI["Y"] for phi in party]
+                 for party in phis]
+    rho = apply_noise(ghz_state(4, +1), NoiseModel("dephasing", p))
+    table = born_probabilities(rho, settings_)
+    assert i43_ghz_value(phis, p) == pytest.approx(inm_value(4, 3, table), abs=1e-10)
 
 
 def test_inm_i42_matches_mermin_on_ghz():
