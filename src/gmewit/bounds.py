@@ -244,6 +244,8 @@ class PartitionSpec:
 
     def __post_init__(self):
         a, b = set(self.block_a), set(self.block_b)
+        if len(a) != len(self.block_a) or len(b) != len(self.block_b):
+            raise ValueError("a block names a party more than once")
         if not a or not b or a & b:
             raise ValueError("blocks must be disjoint and non-empty")
         if a | b != set(range(len(a) + len(b))):
@@ -263,10 +265,17 @@ def bisep_brute_force(spec: WitnessSpec, partition: PartitionSpec,
     optimal other-block state is the top eigenvector of the partially traced
     effective operator.  The result is a lower bound on the true maximum,
     for one-sided checks only.
+
+    Where the permuted witness is real and equal to its partial transpose on
+    block B (every X–Z witness), every effective operator is real symmetric,
+    so after the first half-step from the complex starts it runs in float64.
     """
     n = partition.n
     if spec.n != n:
         raise ValueError("partition size does not match the witness")
+    if restarts < 1 or iterations < 1:
+        raise ValueError(f"the see-saw needs at least 1 restart and 1 iteration, "
+                         f"got {restarts} and {iterations}")
     rng = np.random.default_rng(seed)
     # Permute qubits so block A occupies the leading positions.
     order = list(partition.block_a) + list(partition.block_b)
@@ -275,6 +284,8 @@ def bisep_brute_force(spec: WitnessSpec, partition: PartitionSpec,
     da, db = 2 ** len(partition.block_a), 2 ** len(partition.block_b)
     # W[(i,k),(j,l)] as maps from one block's vec(v̄ vᵀ) to the other's operator.
     w4 = w_perm.reshape(da, db, da, db)
+    real = not w4.imag.any() and np.array_equal(w4, w4.transpose(0, 3, 2, 1))
+    w4 = w4.real if real else w4
     to_a = w4.transpose(1, 3, 0, 2).reshape(db * db, da * da)
     to_b = w4.transpose(0, 2, 1, 3).reshape(da * da, db * db)
     # All restarts iterate together; one that has converged is frozen.  Per
@@ -289,10 +300,11 @@ def bisep_brute_force(spec: WitnessSpec, partition: PartitionSpec,
             break
         v = vb[active]
         eff_a = (v.conj()[:, :, None] * v[:, None, :]).reshape(-1, db * db) @ to_a
-        va = np.linalg.eigh(eff_a.reshape(-1, da, da))[1][:, :, -1]
+        va = np.linalg.eigh((eff_a.real if real else eff_a).reshape(-1, da, da))[1][:, :, -1]
         eff_b = (va.conj()[:, :, None] * va[:, None, :]).reshape(-1, da * da) @ to_b
         evals, evecs = np.linalg.eigh(eff_b.reshape(-1, db, db))
         vb[active] = evecs[:, :, -1]
+        vb = vb.real if real else vb
         new = evals[:, -1]
         moving = np.abs(new - values[active]) >= 1e-12
         values[active] = new

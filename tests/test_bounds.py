@@ -14,12 +14,12 @@ from gmewit.bounds import (EPS_STAR, PartitionSpec, _reduced_operators, _reduced
                            stabilizer_bisep_bound_numeric,
                            stabilizer_fully_sep_bound, stabilizer_single_party_bound,
                            w_witness_bounds)
-from gmewit.linalg import expectation
+from gmewit.linalg import PAULI, expectation
 from gmewit.measurement import ImprecisionBudget, q_of
 from gmewit.states import spoof_state
 from gmewit.tolerances import tol
-from gmewit.witnesses import (BUILDERS, cluster_witness_c4, ideal, mermin_witness,
-                              stabilizer_witness)
+from gmewit.witnesses import (BUILDERS, WitnessSpec, cluster_witness_c4, ideal,
+                              mermin_witness, stabilizer_witness)
 from oracles import (chi_product_state, chi_reduced_operator, mermin_di_bound,
                      reduced_sweep_minimize_scalar, seesaw_per_restart)
 
@@ -253,6 +253,8 @@ def test_partition_spec_validation():
         PartitionSpec((), (0, 1))
     with pytest.raises(ValueError):
         PartitionSpec((0,), (2, 3))
+    with pytest.raises(ValueError, match="more than once"):
+        PartitionSpec((0, 0), (1,))
 
 
 def test_all_bipartitions_count():
@@ -290,6 +292,9 @@ def test_brute_force_validation():
     spec = mermin_witness(3)
     with pytest.raises(ValueError):
         bisep_brute_force(spec, PartitionSpec((0,), (1, 2, 3)))
+    for budget in ({"restarts": 0}, {"iterations": 0}):
+        with pytest.raises(ValueError, match="at least 1"):
+            bisep_brute_force(spec, PartitionSpec((0,), (1, 2)), **budget)
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.01, 0.05])
@@ -312,6 +317,8 @@ def test_brute_force_mermin5_below_closed_form(eps):
 # At ε* the C4 operator's top level on this cut is threefold (spectrum −2, 2,
 # 2, 2): the batched run ends at 6, the per-restart run at 2.
 @example("c4", PartitionSpec((0, 1), (2, 3)), EPS_STAR, 20, 4, 2)
+# The untilted stabilizer4, which the see-saw runs in real arithmetic.
+@example("stabilizer4", PartitionSpec((0, 1), (2, 3)), 0.0, 7, 6, 30)
 def test_batched_seesaw_equals_per_restart_oracle(witness, part, eps, seed, restarts,
                                                   iterations):
     spec = SEESAW_WITNESSES[witness](ImprecisionBudget.uniform(eps, 4))
@@ -325,6 +332,33 @@ def test_batched_seesaw_equals_per_restart_oracle(witness, part, eps, seed, rest
         # are still see-saw values, never above the quantum maximum.
         quantum = np.linalg.eigvalsh(spec.matrix)[-1]
         assert max(batched, oracle) <= quantum + 1e-9
+
+
+def test_seesaw_keeps_y_tensor_y_complex():
+    # Y⊗Y is real but changes sign under the partial transpose; real product
+    # states only reach 0 on it, complex ones reach 1 (both parties in |+i⟩).
+    spec = WitnessSpec("yy", "mermin", 2, (), 0.0, np.kron(PAULI["Y"], PAULI["Y"]))
+    assert not spec.matrix.imag.any()
+    assert bisep_brute_force(spec, PartitionSpec((0,), (1,))) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("witness, eps, real", [
+    *[(w, eps, True) for w in ("stabilizer4", "c4") for eps in (0.0, 0.05, EPS_STAR)],
+    ("mermin4", 0.0, False), ("mermin4", 0.05, False)])
+def test_seesaw_runs_x_z_witnesses_in_float64(monkeypatch, witness, eps, real):
+    # Every stacked eigensolve of an X–Z witness is float64 on every cut;
+    # mermin4 carries σ_Y (and at ε = 0 is real through Y⊗Y pairs), so its
+    # solves stay complex.
+    dtypes = set()
+
+    def recorded(a, *args, _eigh=np.linalg.eigh, **kwargs):
+        dtypes.add(a.dtype)
+        return _eigh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    spec = SEESAW_WITNESSES[witness](ImprecisionBudget.uniform(eps, 4))
+    for part in all_bipartitions(4):
+        bisep_brute_force(spec, part, restarts=4, iterations=10)
+    assert dtypes == {np.dtype(np.float64 if real else np.complex128)}
 
 
 @pytest.mark.parametrize("witness", SWEEPS)

@@ -208,6 +208,18 @@ def test_one_tilt_model_in_the_theta_sweep():
     assert called & {"q_of", "u_of", "ImprecisionBudget"} == set()
 
 
+def test_seesaw_reads_only_the_witness_matrix():
+    # The see-saw chooses real arithmetic from the matrix it diagonalizes, not
+    # from the witness's letters, family or tilt plane, which need not say
+    # whether a tilted matrix is real.
+    tree = ast.parse((ROOT / "src" / "gmewit" / "bounds.py").read_text())
+    seesaw = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "bisep_brute_force")
+    read = {node.attr for node in ast.walk(seesaw) if isinstance(node, ast.Attribute)}
+    assert "matrix" in read
+    assert read & {"terms", "family", "tilt_plane"} == set()
+
+
 def test_robustness_has_no_search():
     # Every visibility number is one affine crossing and I₄₃'s maximum a
     # closed form: robustness.py loops no search, ``max_i43`` takes nothing
