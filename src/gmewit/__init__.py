@@ -2,11 +2,10 @@
 separability bounds, fidelity estimation and noise-robustness analysis.
 Import from the submodules: a command then loads only what it uses."""
 
-from importlib import resources
-
 __version__ = "0.1.0"
 
 
 def fixture_path(name: str):
     """Filesystem path of a bundled fixture file."""
+    from importlib import resources
     return resources.files("gmewit.fixtures").joinpath(name)

@@ -18,15 +18,12 @@ from .bounds import (EPS_STAR, all_bipartitions, bisep_brute_force,
                      stabilizer_single_party_bound, cluster_witness_bounds,
                      w_witness_bounds)
 from .linalg import PAULI, expectation, kron
-from .measurement import (CountTable, ImprecisionBudget, WaveplateErrorSpec,
-                          fidelity_from_counts, waveplate_povm)
+from .measurement import (REFERENCE_BUDGET, CountTable, ImprecisionBudget,
+                          WaveplateErrorSpec, fidelity_from_counts, waveplate_povm)
 from .robustness import di_thresholds, threshold_visibility
 from .states import cluster_state_4, ghz_state, w_state
 from .witnesses import (eval_from_correlators, ideal, load_correlator_fixture,
                         stabilizer_witness)
-
-#: Per-basis infidelity budget of the reference experiment (ε_X, ε_Y, ε_Z).
-REFERENCE_BUDGET = ImprecisionBudget.per_basis(6e-4, 2.3e-3, 3e-4, 4)
 
 #: Waveplate error model of the reference experiment.
 REFERENCE_WAVEPLATE_SPEC = WaveplateErrorSpec(

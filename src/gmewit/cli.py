@@ -1,5 +1,8 @@
 """Command-line surface: bounds, witness evaluation, spoofing and robustness
-tables, fidelity bounds, detector tomography and the verification suite."""
+tables, fidelity bounds, detector tomography and the verification suite.
+
+Each command imports the gmewit modules it calls in its own body, so a call
+compiles and runs no module that it does not use."""
 
 from __future__ import annotations
 
@@ -13,16 +16,6 @@ import numpy as np
 from click.core import ParameterSource
 
 from . import fixture_path
-from .acceptance import REFERENCE_BUDGET, run_checks
-from .bounds import FAMILY_WITNESS, family_bounds, spoofing_curve
-from .linalg import expectation
-from .measurement import CountTable, ImprecisionBudget, fidelity_from_counts
-from .robustness import (DEFAULT_I43_BISEP_BOUND, di_thresholds, robustness_sweep,
-                         threshold_visibility)
-from .states import (NoiseModel, apply_noise, cluster_state_4, ghz_state,
-                     spoof_state, w_state)
-from .witnesses import (BUILDERS, eval_from_correlators, ideal, inm_shape, inm_value,
-                        load_correlator_fixture)
 
 
 def fmt(x) -> str:
@@ -69,8 +62,10 @@ def parse_grid(spec: str) -> np.ndarray:
                      f"1 ≤ count ≤ {_GRID_POINTS_CAP}, got {spec!r}")
 
 
-def parse_noise(spec: str) -> NoiseModel:
-    """Parse a ``kind:p`` noise specification; ``white`` is depolarizing."""
+def parse_noise(spec: str):
+    """Parse a ``kind:p`` noise specification into a ``states.NoiseModel``;
+    ``white`` is depolarizing."""
+    from .states import NoiseModel
     kind, _, p = spec.partition(":")
     try:
         p = float(p)
@@ -139,6 +134,7 @@ BOUND_COLUMNS = ["epsilon", "bound_biseparable", "bound_single_party",
 
 
 def _bound_row(witness: str, n: int | None, eps: float) -> dict:
+    from .bounds import family_bounds
     bounds = family_bounds(witness, n, eps)
     return {"epsilon": eps, "regime": bounds["biseparable"].regime,
             **{f"bound_{kind}": None if b is None else b.value for kind, b in bounds.items()}}
@@ -146,7 +142,7 @@ def _bound_row(witness: str, n: int | None, eps: float) -> dict:
 
 @main.command()
 @click.option("--witness", required=True,
-              type=click.Choice(list(FAMILY_WITNESS)))
+              type=click.Choice(["mermin", "stabilizer", "wstate", "cluster"]))
 @click.option("--n", type=int, help="Party count [default: 4, or 3 for wstate].")
 @click.option("--eps", default=None, type=float)
 @click.option("--eps-grid", default=None, help="start:stop:count grid of ε values.")
@@ -160,19 +156,21 @@ def bound(witness, n, eps, eps_grid, out, output_format):
     emit(rows, BOUND_COLUMNS, out, output_format)
 
 
+#: ``--state`` name → its constructor, given the ``states`` module.
 STATES = {
-    "ghz3": lambda: ghz_state(3, +1),
-    "ghz4": lambda: ghz_state(4, +1),
-    "ghz4-": lambda: ghz_state(4, -1),
-    "w": w_state,
-    "cluster": cluster_state_4,
-    "spoof4": lambda: spoof_state(4),
+    "ghz3": lambda states: states.ghz_state(3, +1),
+    "ghz4": lambda states: states.ghz_state(4, +1),
+    "ghz4-": lambda states: states.ghz_state(4, -1),
+    "w": lambda states: states.w_state(),
+    "cluster": lambda states: states.cluster_state_4(),
+    "spoof4": lambda states: states.spoof_state(4),
 }
 
 
 @main.command()
 @click.option("--witness", "witness_name", default=None,
-              type=click.Choice(sorted(BUILDERS)))
+              type=click.Choice(["c4", "d3", "mermin3", "mermin4", "stabilizer3",
+                                 "stabilizer4"]))
 @click.option("--state", "state_name", default=None,
               type=click.Choice(sorted(STATES)))
 @click.option("--noise", default=None, help="Noise channel as kind:p.")
@@ -183,6 +181,7 @@ STATES = {
 @common_options
 def witness(witness_name, state_name, noise, eps, fixture, out, output_format):
     """Witness expectation on a state or on measured correlators."""
+    from .witnesses import BUILDERS, eval_from_correlators, ideal, load_correlator_fixture
     if fixture is not None:
         _reject_given({"witness_name", "state_name", "noise", "eps"}, "with --fixture")
         path = _input_path(fixture)
@@ -195,12 +194,15 @@ def witness(witness_name, state_name, noise, eps, fixture, out, output_format):
         return
     if witness_name is None or state_name is None:
         raise ValueError("give --fixture, or both --witness and --state")
+    from . import states
+    from .linalg import expectation
+    from .measurement import ImprecisionBudget
     spec = ideal(witness_name)
     if eps != 0.0:
         spec = BUILDERS[witness_name](ImprecisionBudget.uniform(eps, spec.n))
-    state = STATES[state_name]()
+    state = STATES[state_name](states)
     if noise is not None:
-        state = apply_noise(state, parse_noise(noise))
+        state = states.apply_noise(state, parse_noise(noise))
     value = expectation(spec.matrix, state)
     rows = [{"witness": witness_name, "source": state_name, "value": value,
              "std": None}]
@@ -212,6 +214,7 @@ def witness(witness_name, state_name, noise, eps, fixture, out, output_format):
 @common_options
 def spoof(eps_grid, out, output_format):
     """Predicted spoofing curve of the tilted Mermin witness."""
+    from .bounds import spoofing_curve
     rows = spoofing_curve(parse_grid(eps_grid))
     emit(rows, ["epsilon", "predicted", "bound_corrected", "bound_ideal"],
          out, output_format)
@@ -225,14 +228,18 @@ def spoof(eps_grid, out, output_format):
               type=click.Choice(["dephasing", "white", "depolarizing"]))
 @click.option("--case", default="best-case-exact",
               type=click.Choice(["best-case-exact", "worst-case-tilted"]))
-@click.option("--i43-bound", default=DEFAULT_I43_BISEP_BOUND, type=float,
-              show_default=False, help="External I43 biseparable bound constant.")
+@click.option("--i43-bound", default=None, type=float,
+              help="External I43 biseparable bound constant.")
 @click.option("--p-grid", default=None,
               help="Optional start:stop:count sweep emitting the table format.")
 @common_options
 def robustness(witness_name, eps, noise_kind, case, i43_bound, p_grid, out,
                output_format):
     """Noise-visibility thresholds (and optional sweep tables)."""
+    from .bounds import family_bounds
+    from .robustness import (DEFAULT_I43_BISEP_BOUND, di_thresholds, robustness_sweep,
+                             threshold_visibility)
+    from .witnesses import ideal
     if witness_name != "i43":
         _reject_given({"i43_bound"}, f"with --witness {witness_name}")
     if noise_kind == "white":
@@ -240,6 +247,8 @@ def robustness(witness_name, eps, noise_kind, case, i43_bound, p_grid, out,
     if witness_name in ("i42", "i43"):
         _reject_given({"eps", "noise_kind", "case", "p_grid"}, f"with --witness {witness_name}")
         m = 2 if witness_name == "i42" else 3
+        if i43_bound is None:
+            i43_bound = DEFAULT_I43_BISEP_BOUND
         p = di_thresholds(m, bisep_bound_i43=i43_bound)
         emit([{"witness": witness_name, "threshold": p}],
              ["witness", "threshold"], out, output_format)
@@ -279,8 +288,9 @@ def fidelity(witness_name, observed, eps_x, eps_y, eps_z, restarts, curve, out,
         _reject_given({"observed"}, "with --curve")
     elif observed is None:
         raise ValueError("give --value or --curve")
-    # Imported here: a cold child spends about 6 ms loading it, unused by other commands.
     from .fidelity import FidelityBoundQuery, fidelity_curve, ideal_l0, numeric_l_eps
+    from .measurement import REFERENCE_BUDGET, ImprecisionBudget
+    from .witnesses import ideal
     if eps_x is None and eps_y is None and eps_z is None:
         budget = REFERENCE_BUDGET
     else:
@@ -305,6 +315,7 @@ def fidelity(witness_name, observed, eps_x, eps_y, eps_z, restarts, curve, out,
 @common_options
 def tomo(counts, out, output_format):
     """Detector-tomography fidelities from a coincidence count table."""
+    from .measurement import CountTable, fidelity_from_counts
     path = _input_path(counts)
     with _naming(path):
         fids = fidelity_from_counts(CountTable.from_csv(path))
@@ -321,6 +332,7 @@ def tomo(counts, out, output_format):
 @common_options
 def inm(n, m, probs, out, output_format):
     """Evaluate the I_nm correlator functional on a probability table."""
+    from .witnesses import inm_shape, inm_value
     shape = inm_shape(n, m)                 # a bad count is the option's fault, not the file's
     with _naming(probs), open(probs, encoding="utf-8") as fh:
         value = inm_value(n, m, np.asarray(json.load(fh), dtype=float).reshape(shape))
@@ -331,6 +343,7 @@ def inm(n, m, probs, out, output_format):
 @common_options
 def verify(out, output_format):
     """Run the full acceptance-check suite; exit 0 iff everything passes."""
+    from .acceptance import run_checks
     results = run_checks()
     rows = [{"name": r.name, "passed": str(r.passed).lower(),
              "expected": r.expected, "actual": r.actual,

@@ -67,6 +67,10 @@ class ImprecisionBudget:
         return all(e == 0.0 for trip in self.per_party for e in trip)
 
 
+#: Per-basis infidelity budget of the reference experiment (ε_X, ε_Y, ε_Z).
+REFERENCE_BUDGET = ImprecisionBudget.per_basis(6e-4, 2.3e-3, 3e-4, 4)
+
+
 # ---------------------------------------------------------------------------
 # Measurement fidelity
 # ---------------------------------------------------------------------------

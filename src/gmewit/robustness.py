@@ -44,8 +44,11 @@ def noisy_witness_value(witness: str, noise_kind: str, p: float,
 
 
 def _crossing(bound: float, v0: float, v1: float) -> float:
-    """Visibility p at which the affine value v₀ + p·(v₁ − v₀) meets ``bound``;
-    raises unless p ∈ [0, 1] (a NaN bound or value never does)."""
+    """Visibility p at which the affine value v₀ + p·(v₁ − v₀) meets ``bound``, above
+    which it detects; raises unless v₁ > v₀ and p ∈ [0, 1] (a NaN never passes)."""
+    if not v1 > v0:
+        raise ValueError(f"the value does not rise with p ({v0:.6g} at p = 0, {v1:.6g} at "
+                         "p = 1), so no visibility threshold exists")
     p = (bound - v0) / (v1 - v0)
     if not 0.0 <= p <= 1.0:
         raise ValueError("the value never crosses the bound on p ∈ [0, 1]")

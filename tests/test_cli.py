@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -9,8 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import gmewit
-import gmewit.cli as cli_mod
-from gmewit import fixture_path
+from gmewit import acceptance, fixture_path
 from gmewit.acceptance import CheckResult
 from gmewit.cli import fmt, main, parse_grid, parse_noise
 
@@ -129,7 +129,8 @@ def test_removed_options_are_rejected(runner):
 #: family and its sizes; a missing option names the options to give; a noise
 #: spec that parses as kind:p keeps the noise model's own message; an I_nm
 #: party or setting count without meaning names the counts, not the file; a
-#: Mermin party count whose quantum value 2^{n−1} overflows a float gives the range.
+#: Mermin party count whose quantum value 2^{n−1} overflows a float gives the
+#: range; a witness line that falls with p gives its two end values.
 BAD_INPUT_MESSAGES = {
     "bound --witness stabilizer --n 5 --eps 0.01": "the stabilizer family has n = 3, 4 only",
     "bound --witness cluster --n 3 --eps 0.01": "the cluster family has n = 4 only",
@@ -149,6 +150,9 @@ BAD_INPUT_MESSAGES = {
     "bound --witness mermin --n 2000 --eps 0.01": "n must lie in [3, 1024]",
     **{f"robustness --witness i43 --i43-bound {b}": "the value never crosses the bound on p ∈ [0, 1]"
        for b in ("nan", "-100", "100")},
+    "robustness --witness mermin4 --case worst-case-tilted --eps 0.2":
+        "the value does not rise with p (6.7456 at p = 0, -6.7456 at p = 1), "
+        "so no visibility threshold exists",
     **{f"spoof --eps-grid {g}": "expected start:stop:count with finite start and stop and "
        f"1 ≤ count ≤ 1000000, got '{g}'" for g in ("0:inf:2", "nan:1:2", "0:0.1:1000001")},
 }
@@ -172,6 +176,8 @@ NUMERIC_BAD_INPUTS = [
     ["tomo", "--counts", "{missing}"],
     ["robustness", "--witness", "mermin4", "--case", "worst-case-tilted",
      "--eps", "0.3"],
+    ["robustness", "--witness", "mermin4", "--case", "worst-case-tilted",
+     "--eps", "0.2"],
     ["bound", "--witness", "cluster", "--n", "3", "--eps", "0.01"],
     ["bound", "--witness", "wstate", "--n", "4", "--eps", "0.01"],
     ["witness", "--fixture", "fig4_mermin.json", "--eps", "0.3", "--state", "w"],
@@ -369,12 +375,13 @@ def test_out_file_lf_endings(tmp_path, runner):
 
 
 def test_verify_exit_codes(runner, monkeypatch):
+    # ``verify`` imports run_checks when it runs, so the patch goes where it is defined.
     ok = [CheckResult("a", 1.0, 1.0, 0.1)]
-    monkeypatch.setattr(cli_mod, "run_checks", lambda: ok)
+    monkeypatch.setattr(acceptance, "run_checks", lambda: ok)
     result = runner.invoke(main, ["verify"])
     assert result.exit_code == 0
     bad = [CheckResult("a", 1.0, 2.0, 0.1)]
-    monkeypatch.setattr(cli_mod, "run_checks", lambda: bad)
+    monkeypatch.setattr(acceptance, "run_checks", lambda: bad)
     result = runner.invoke(main, ["verify"])
     assert result.exit_code == 1
 
@@ -426,8 +433,34 @@ SCIPY_FREE = {
     "verify": ["verify"],
 }
 
+#: The gmewit modules, beside ``gmewit`` and ``gmewit.cli``, that each command
+#: loads: those it imports and theirs.  ``import gmewit.cli`` alone loads none.
+_WITNESSES = {"witnesses", "measurement", "linalg", "tolerances"}
+_BOUNDS = _WITNESSES | {"bounds", "states"}
+_ROBUSTNESS = _BOUNDS | {"robustness"}
+_FIDELITY = _WITNESSES | {"states", "fidelity"}
+GMEWIT_LOADS = {
+    "import": set(),
+    "bound-mermin": _BOUNDS,
+    "bound-stabilizer": _BOUNDS,
+    "bound-cluster": _BOUNDS,
+    "bound-wstate": _BOUNDS,
+    "witness-state": _WITNESSES | {"states"},
+    "witness-fixture": _WITNESSES | {"fixtures"},
+    "spoof": _BOUNDS,
+    "robustness-mermin4": _ROBUSTNESS,
+    "robustness-stabilizer4": _ROBUSTNESS,
+    "robustness-i42": _ROBUSTNESS,
+    "robustness-i43": _ROBUSTNESS,
+    "tomo": {"measurement", "linalg", "tolerances", "fixtures"},
+    "inm": _WITNESSES,
+    "fidelity-value": _FIDELITY,
+    "fidelity-curve": _FIDELITY,
+    "verify": _ROBUSTNESS | _FIDELITY | {"acceptance", "fixtures"},
+}
+
 #: Imports gmewit.cli, runs the command given in argv in-process, and prints
-#: the scipy modules then loaded, also when the command exits non-zero.
+#: the scipy and gmewit modules then loaded, also when the command exits non-zero.
 _CHILD = """
 import json, sys
 import gmewit.cli
@@ -435,7 +468,8 @@ try:
     if len(sys.argv) > 1:
         gmewit.cli.main(args=sys.argv[1:], standalone_mode=False)
 finally:
-    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+    print(json.dumps({top: sorted(m for m in sys.modules if m.split(".")[0] == top)
+                      for top in ("scipy", "gmewit")}))
 """
 
 
@@ -445,7 +479,7 @@ def _child_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def _scipy_loaded_by(args, cwd, prelude="") -> list[str]:
+def _loaded_by(args, cwd, prelude="") -> dict[str, list[str]]:
     out = ["--out", "out.txt"] if args else []
     proc = subprocess.run([sys.executable, "-c", prelude + _CHILD, *args, *out], cwd=cwd,
                           env=_child_env(), capture_output=True, text=True, timeout=120)
@@ -454,10 +488,26 @@ def _scipy_loaded_by(args, cwd, prelude="") -> list[str]:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """The modules that a bare import (``"import"``) or a SCIPY_FREE command
+    loads, from one child per name, which both guards below read."""
+    cwd = tmp_path_factory.mktemp("children")
+    (cwd / "probs.json").write_text(json.dumps([1 / 16] * 256))
+    return functools.cache(lambda name: _loaded_by(SCIPY_FREE.get(name, []), cwd))
+
+
 @pytest.mark.parametrize("name", ["import"] + sorted(SCIPY_FREE))
-def test_command_loads_no_scipy(tmp_path, name):
-    (tmp_path / "probs.json").write_text(json.dumps([1 / 16] * 256))
-    assert _scipy_loaded_by(SCIPY_FREE.get(name, []), tmp_path) == []
+def test_command_loads_no_scipy(loaded, name):
+    assert loaded(name)["scipy"] == []
+
+
+@pytest.mark.parametrize("name", ["import"] + sorted(SCIPY_FREE))
+def test_command_loads_only_the_gmewit_modules_it_calls(loaded, name):
+    # Without a bytecode cache each module loaded is compiled afresh, so a
+    # command that loads one it never calls starts slower for nothing.
+    want = {"gmewit", "gmewit.cli"} | {f"gmewit.{m}" for m in GMEWIT_LOADS[name]}
+    assert set(loaded(name)["gmewit"]) == want
 
 
 def test_scipy_guard_sees_the_fidelity_bound(tmp_path):
@@ -472,6 +522,6 @@ def importing(**params):
     return run(**params)
 command.callback = importing
 """
-    loaded = _scipy_loaded_by(["fidelity", "--witness", "mermin4", "--value", "7.4665",
-                               "--restarts", "1"], tmp_path, prelude)
+    loaded = _loaded_by(["fidelity", "--witness", "mermin4", "--value", "7.4665",
+                         "--restarts", "1"], tmp_path, prelude)["scipy"]
     assert "scipy.optimize" in loaded

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from gmewit import fidelity
-from gmewit.acceptance import REFERENCE_BUDGET
 from gmewit.fidelity import (LAMBDA_CAP, FidelityBoundQuery, _lower_bound_fixed,
                              _tilt_objective, fidelity_curve, ideal_l0, numeric_l_eps)
 from gmewit.linalg import expectation
-from gmewit.measurement import ImprecisionBudget
+from gmewit.measurement import REFERENCE_BUDGET, ImprecisionBudget
 from gmewit.states import ghz_state
 from gmewit.witnesses import BUILDERS, coefficient_tensor, contract, expand, tilt_table
 import oracles

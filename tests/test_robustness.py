@@ -78,6 +78,19 @@ def test_threshold_visibility_no_crossing():
         threshold_visibility("mermin4", "depolarizing", 100.0)
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.2])
+def test_no_threshold_for_a_falling_witness_line(eps):
+    # Tilted at this ε, the Mermin witness reads +v at p = 0 and −v at p = 1
+    # under dephasing, so it detects only *below* its crossing with the bound:
+    # no visibility above which it detects exists, and none is printed.
+    v0 = noisy_witness_value("mermin4", "dephasing", 0.0, "worst-case-tilted", eps)
+    v1 = noisy_witness_value("mermin4", "dephasing", 1.0, "worst-case-tilted", eps)
+    bound = mermin_bisep_bound(4, eps).value
+    assert v1 == pytest.approx(-v0) and v1 < bound < v0
+    with pytest.raises(ValueError, match="the value does not rise with p"):
+        threshold_visibility("mermin4", "dephasing", bound, "worst-case-tilted", eps)
+
+
 @pytest.mark.parametrize("case", ["best-case", "worst-case", ""])
 def test_unknown_measurement_case_is_rejected(case):
     with pytest.raises(ValueError, match="unknown measurement case"):

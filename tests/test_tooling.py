@@ -38,9 +38,16 @@ def test_family_table_points_into_the_witness_registry():
     # Each family's default witness is a registry name of that family, and
     # every registered witness is found from its family and party count.
     # Every θ-swept family has its closed forms, and each of its witnesses
-    # a full row of four finite bounds.
+    # a full row of four finite bounds.  The CLI spells both tables out, so
+    # that its import loads neither module; its choices must still be theirs.
     from gmewit.bounds import CLOSED_FORMS, FAMILY_WITNESS, _witness_name, family_bounds
+    from gmewit.cli import main
     from gmewit.witnesses import BUILDERS, ideal
+    choices = {(command, option.name): list(option.type.choices)
+               for command in ("bound", "witness") for option in main.commands[command].params
+               if option.name in ("witness", "witness_name")}
+    assert choices == {("bound", "witness"): list(FAMILY_WITNESS),
+                       ("witness", "witness_name"): sorted(BUILDERS)}
     for family, name in FAMILY_WITNESS.items():
         assert name in BUILDERS and ideal(name).family == family
     swept = set(FAMILY_WITNESS) - {"mermin"}
