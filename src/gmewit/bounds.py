@@ -8,12 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import assert_hermitian
+from .linalg import PAULI, assert_hermitian
 from .measurement import ImprecisionBudget, q_of, u_of
 from .states import spoof_state
 from .tolerances import tol
-from .witnesses import (BUILDERS, LETTERS, WitnessSpec, coefficient_tensor, contract, expand,
-                        ideal, mermin_witness, partner_maps)
+from .witnesses import BUILDERS, WitnessSpec, ideal, mermin_witness
 
 #: Regime-switch imprecision (2−√2)/4 where the Mermin bound plateaus and
 #: the stabilizer-family closed forms stop being valid.
@@ -53,12 +52,6 @@ def mermin_bisep_bound(n: int, eps: float) -> BoundResult:
     else:
         value = 2 ** (n - 1.5)
     return BoundResult(float(value), "closed-form")
-
-
-def mermin_quantum_bound(n: int) -> BoundResult:
-    if not 3 <= n <= 1024:
-        raise ValueError("n must lie in [3, 1024]")
-    return BoundResult(float(2 ** (n - 1)), "closed-form")
 
 
 # ---------------------------------------------------------------------------
@@ -106,26 +99,24 @@ def cluster_witness_bounds(eps: float) -> dict[str, BoundResult]:
 # One row of bounds per witness family
 # ---------------------------------------------------------------------------
 
-def _reduced_operators(spec: WitnessSpec, eps: float) -> dict:
-    """Party-1 Pauli letter (𝟙 and the two plane letters) → the parties-2..n
-    operator that multiplies it in the witness with every party's letters
-    tilted by the uniform budget ε in ``spec``'s plane."""
-    mapped = contract(coefficient_tensor(spec.terms, spec.constant_offset, spec.n),
-                      partner_maps(spec.tilt_plane, ImprecisionBudget.uniform(eps, spec.n)))[-1]
-    return {a: expand(mapped[LETTERS.index(a)]) for a in ("I", *spec.tilt_plane)}
-
-
-def _reduced_sweep(spec: WitnessSpec, eps: float):
-    """Max over θ of the top eigenvalue of the party-1-reduced operator.
+def _reduced_sweep(spec: WitnessSpec):
+    """Max over θ of the top eigenvalue of the operator that party 1 in
+    |χ(θ)⟩ leaves on parties 2..n of the (tilted) witness ``spec``.
 
     Party 1 in |χ(θ)⟩, Bloch vector sin 2θ·e_a + cos 2θ·e_b for the plane
-    letters a, b, reads ⟨σ_a⟩ = sin 2θ and ⟨σ_b⟩ = cos 2θ.
+    letters a, b, reads ⟨σ_a⟩ = sin 2θ and ⟨σ_b⟩ = cos 2θ, so it leaves
+    R_𝟙 + sin 2θ·R_a + cos 2θ·R_b with R_x = ½·tr₁((σ_x ⊗ 𝟙)·W).
     """
     first, second = spec.tilt_plane
-    ops = _reduced_operators(spec, eps)
+    to_b = _cut_maps(spec.matrix, PartitionSpec((0,), tuple(range(1, spec.n))))[1]
+    db = 2 ** (spec.n - 1)
+    ops = {a: 0.5 * (PAULI[a].T.reshape(-1) @ to_b).reshape(db, db)
+           for a in ("I", first, second)}
     # Real combinations of Hermitian operators stay Hermitian: check once per row.
     # In the X–Z plane they are all real, and a real θ stack halves the grid's
     # memory and eigensolver time; one complex operator keeps them all complex.
+    # The cut's ``real`` flag cannot decide this: σ_Y is imaginary, so R_Y
+    # can be real where W is complex.
     for op in ops.values():
         assert_hermitian(op)
     if not any(op.imag.any() for op in ops.values()):
@@ -219,11 +210,12 @@ def family_bounds(family: str, n: int | None, eps: float) -> dict[str, BoundResu
         bisep = mermin_bisep_bound(n, eps)
         # Theorem 1: a spoof state with only the split-off party tilted reaches it.
         return {"biseparable": bisep, "single_party": bisep, "fully_separable": None,
-                "quantum": mermin_quantum_bound(n)}
+                "quantum": BoundResult(float(2 ** (n - 1)), "closed-form")}
     name = _witness_name(family, n)
     rows = _closed_forms(name, eps)
     single = rows["single_party"].value
-    value, theta = (single, None) if eps == 0.0 else _reduced_sweep(ideal(name), eps)
+    budget = ImprecisionBudget.uniform(eps, ideal(name).n)
+    value, theta = (single, None) if eps == 0.0 else _reduced_sweep(BUILDERS[name](budget))
     if value - single > tol("regime_tie"):
         bisep = BoundResult(value, "numeric-theta-sweep", theta)
     else:
@@ -256,6 +248,27 @@ class PartitionSpec:
         return len(self.block_a) + len(self.block_b)
 
 
+def _cut_maps(matrix: np.ndarray, partition: PartitionSpec):
+    """The witness ``matrix`` across a cut: with block A's parties leading,
+    W[(i,k),(j,l)] maps a block-A operator X, as the row vec(Xᵀ), to
+    tr_A((X ⊗ 𝟙)·W) (``to_b``), and a block-B Y to tr_B((𝟙 ⊗ Y)·W) (``to_a``).
+    ``real``: W is real and equal to its partial transpose on block B (every
+    X–Z witness on every cut), so both maps are float64 and take real
+    vectors to real symmetric operators."""
+    n = partition.n
+    # Permute qubits so block A occupies the leading positions.
+    order = list(partition.block_a) + list(partition.block_b)
+    w_perm = matrix.reshape((2,) * 2 * n).transpose(order + [n + q for q in order])
+    w_perm = w_perm.reshape(2 ** n, 2 ** n)
+    da, db = 2 ** len(partition.block_a), 2 ** len(partition.block_b)
+    w4 = w_perm.reshape(da, db, da, db)
+    real = not w4.imag.any() and np.array_equal(w4, w4.transpose(0, 3, 2, 1))
+    w4 = w4.real if real else w4
+    to_a = w4.transpose(1, 3, 0, 2).reshape(db * db, da * da)
+    to_b = w4.transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    return to_a, to_b, real
+
+
 def bisep_brute_force(spec: WitnessSpec, partition: PartitionSpec,
                       restarts: int = 20, iterations: int = 100,
                       seed: int = 42) -> float:
@@ -264,30 +277,17 @@ def bisep_brute_force(spec: WitnessSpec, partition: PartitionSpec,
     Alternates between the two blocks: holding one block's state fixed, the
     optimal other-block state is the top eigenvector of the partially traced
     effective operator.  The result is a lower bound on the true maximum,
-    for one-sided checks only.
-
-    Where the permuted witness is real and equal to its partial transpose on
-    block B (every X–Z witness), every effective operator is real symmetric,
-    so after the first half-step from the complex starts it runs in float64.
+    for one-sided checks only.  After the first half-step from the complex
+    starts it runs in float64 where ``_cut_maps`` finds the cut real.
     """
-    n = partition.n
-    if spec.n != n:
+    if spec.n != partition.n:
         raise ValueError("partition size does not match the witness")
     if restarts < 1 or iterations < 1:
         raise ValueError(f"the see-saw needs at least 1 restart and 1 iteration, "
                          f"got {restarts} and {iterations}")
     rng = np.random.default_rng(seed)
-    # Permute qubits so block A occupies the leading positions.
-    order = list(partition.block_a) + list(partition.block_b)
-    w_perm = spec.matrix.reshape((2,) * 2 * n).transpose(order + [n + q for q in order])
-    w_perm = w_perm.reshape(2 ** n, 2 ** n)
+    to_a, to_b, real = _cut_maps(spec.matrix, partition)
     da, db = 2 ** len(partition.block_a), 2 ** len(partition.block_b)
-    # W[(i,k),(j,l)] as maps from one block's vec(v̄ vᵀ) to the other's operator.
-    w4 = w_perm.reshape(da, db, da, db)
-    real = not w4.imag.any() and np.array_equal(w4, w4.transpose(0, 3, 2, 1))
-    w4 = w4.real if real else w4
-    to_a = w4.transpose(1, 3, 0, 2).reshape(db * db, da * da)
-    to_b = w4.transpose(0, 2, 1, 3).reshape(da * da, db * db)
     # All restarts iterate together; one that has converged is frozen.  Per
     # restart, db real then db imaginary draws: the one-at-a-time stream.
     z = rng.normal(size=(restarts, 2, db))

@@ -236,10 +236,8 @@ def spoof(eps_grid, out, output_format):
 def robustness(witness_name, eps, noise_kind, case, i43_bound, p_grid, out,
                output_format):
     """Noise-visibility thresholds (and optional sweep tables)."""
-    from .bounds import family_bounds
     from .robustness import (DEFAULT_I43_BISEP_BOUND, di_thresholds, robustness_sweep,
                              threshold_visibility)
-    from .witnesses import ideal
     if witness_name != "i43":
         _reject_given({"i43_bound"}, f"with --witness {witness_name}")
     if noise_kind == "white":
@@ -253,14 +251,18 @@ def robustness(witness_name, eps, noise_kind, case, i43_bound, p_grid, out,
         emit([{"witness": witness_name, "threshold": p}],
              ["witness", "threshold"], out, output_format)
         return
-    if p_grid is not None:
-        rows = robustness_sweep(witness_name, eps, noise_kind,
-                                parse_grid(p_grid), case)
+    grid = None if p_grid is None else parse_grid(p_grid)
+    from .bounds import family_bounds
+    from .witnesses import ideal
+    spec = ideal(witness_name)
+    row = family_bounds(spec.family, spec.n, eps)
+    bound = row["biseparable"].value
+    if grid is not None:
+        rows = robustness_sweep(witness_name, noise_kind, grid, bound, row["quantum"].value,
+                                case, eps)
         emit(rows, ["p", "witness_value", "normalized_value", "bound",
                     "violation_flag"], out, output_format)
         return
-    spec = ideal(witness_name)
-    bound = family_bounds(spec.family, spec.n, eps)["biseparable"].value
     p = threshold_visibility(witness_name, noise_kind, bound, case, eps)
     emit([{"witness": witness_name, "eps": eps, "noise": noise_kind,
            "case": case, "bound": bound, "threshold": p}],

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import family_bounds
 from .linalg import expectation
 from .measurement import ImprecisionBudget
 from .states import NoiseModel, apply_noise, ghz_state
@@ -125,12 +124,10 @@ def normalize_witness_value(value: float, bisep: float, quantum: float) -> float
     return (value - bisep) / (quantum - bisep)
 
 
-def robustness_sweep(witness: str, eps: float, noise_kind: str, p_grid,
-                     measurement_case: str = "best-case-exact") -> list[dict]:
-    """Fig.-5-style table of witness values and violation flags, read off the line over p."""
-    spec = ideal(witness)
-    bounds = family_bounds(spec.family, spec.n, eps)
-    bound, quantum = bounds["biseparable"].value, bounds["quantum"].value
+def robustness_sweep(witness: str, noise_kind: str, p_grid, bound: float, quantum: float,
+                     measurement_case: str = "best-case-exact", eps: float = 0.0) -> list[dict]:
+    """Fig.-5-style table of witness values and violation flags against the
+    biseparable ``bound`` (normalized up to ``quantum``), read off the line over p."""
     v0, v1 = _endpoints(witness, noise_kind, measurement_case, eps)
     rows = []
     for p in p_grid:

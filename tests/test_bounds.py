@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -6,10 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gmewit import bounds
-from gmewit.bounds import (EPS_STAR, PartitionSpec, _reduced_operators, _reduced_sweep,
+from gmewit.bounds import (EPS_STAR, PartitionSpec, _cut_maps, _reduced_sweep,
                            all_bipartitions, bisep_brute_force, cluster_witness_bounds,
-                           family_bounds,
-                           mermin_bisep_bound, mermin_quantum_bound,
+                           family_bounds, mermin_bisep_bound,
                            multi_qubit_partition_bound, spoofing_curve,
                            stabilizer_bisep_bound_numeric,
                            stabilizer_fully_sep_bound, stabilizer_single_party_bound,
@@ -44,11 +44,16 @@ NUMERIC_ROWS = {"stabilizer3": ("stabilizer", 3), "stabilizer4": ("stabilizer", 
 SEESAW_TOP_GAP = 1e-9
 
 
+def tilted(witness: str, eps: float) -> WitnessSpec:
+    """The witness with every party tilted by the uniform budget ε."""
+    return BUILDERS[witness](ImprecisionBudget.uniform(eps, ideal(witness).n))
+
+
 def test_mermin_bisep_closed_form_endpoints():
     assert mermin_bisep_bound(4, 0.0).value == pytest.approx(4.0)
     assert mermin_bisep_bound(4, 0.5).value == pytest.approx(2 ** 2.5)
     assert mermin_di_bound(4).value == pytest.approx(2 ** 2.5)
-    assert mermin_quantum_bound(4).value == pytest.approx(8.0)
+    assert family_bounds("mermin", 4, 0.0)["quantum"].value == pytest.approx(8.0)
 
 
 def test_mermin_bound_monotone_and_continuous():
@@ -361,11 +366,97 @@ def test_seesaw_runs_x_z_witnesses_in_float64(monkeypatch, witness, eps, real):
     assert dtypes == {np.dtype(np.float64 if real else np.complex128)}
 
 
+@pytest.mark.parametrize("witness, real", [("stabilizer3", True), ("stabilizer4", True),
+                                           ("c4", True), ("d3", False)])
+def test_theta_sweep_eigensolver_dtypes(monkeypatch, witness, real):
+    # The sweep's reduced operators are cast to real only when all of them
+    # are: a complex X–Z stack costs time, a real D3 one drops σ_Y's part.
+    dtypes = set()
+
+    def recorded(a, *args, _eigvalsh=np.linalg.eigvalsh, **kwargs):
+        dtypes.add(a.dtype)
+        return _eigvalsh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    for eps in (0.01, 0.05, EPS_STAR):
+        family_bounds(*NUMERIC_ROWS[witness], eps)
+    assert dtypes == {np.dtype(np.float64 if real else np.complex128)}
+
+
+def _permuted_by_kron(matrix: np.ndarray, order) -> np.ndarray:
+    """P·W·Pᵀ for the permutation matrix P that moves party order[k] to
+    position k, built from basis vectors with ``np.kron``."""
+    n = len(order)
+    basis = np.eye(2)
+    perm = np.zeros((2 ** n, 2 ** n))
+    for bits in itertools.product((0, 1), repeat=n):
+        old = functools.reduce(np.kron, [basis[b] for b in bits])
+        new = functools.reduce(np.kron, [basis[bits[q]] for q in order])
+        perm += np.outer(new, old)
+    return perm @ matrix @ perm.T
+
+
+def _partial_trace_by_kron(matrix: np.ndarray, da: int, db: int, keep: str) -> np.ndarray:
+    """tr_A (``keep="B"``) or tr_B (``keep="A"``) of a (da·db)-square matrix,
+    summed over basis vectors e_i ⊗ 𝟙 or 𝟙 ⊗ e_i built with ``np.kron``."""
+    if keep == "B":
+        sides = [np.kron(np.eye(da)[:, [i]], np.eye(db)) for i in range(da)]
+    else:
+        sides = [np.kron(np.eye(da), np.eye(db)[:, [i]]) for i in range(db)]
+    return sum(side.T @ matrix @ side for side in sides)
+
+
+@st.composite
+def cut_cases(draw):
+    """A Hermitian W on n = 2..5 qubits, either complex or a real combination
+    of {I, X, Z} strings (``xz``: real and partial-transpose invariant on
+    every cut), with one bipartition of its parties, either block leading."""
+    n = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    xz = draw(st.booleans())
+    if xz:
+        matrix = sum(rng.normal() * functools.reduce(np.kron, [PAULI[c] for c in letters])
+                     for letters in itertools.product("IXZ", repeat=n))
+    else:
+        g = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+        matrix = g + g.conj().T
+    block_a = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))))
+    block_b = tuple(q for q in range(n) if q not in block_a)
+    return matrix, xz, PartitionSpec(block_a, block_b), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut_cases())
+def test_cut_maps_equal_kron_oracle(case):
+    matrix, xz, part, rng = case
+    da, db = 2 ** len(part.block_a), 2 ** len(part.block_b)
+    to_a, to_b, real = _cut_maps(matrix, part)
+    w_perm = _permuted_by_kron(matrix, part.block_a + part.block_b)
+    # Block operators that need not be Hermitian or positive.
+    x = rng.normal(size=(da, da)) + 1j * rng.normal(size=(da, da))
+    y = rng.normal(size=(db, db)) + 1j * rng.normal(size=(db, db))
+    want_b = _partial_trace_by_kron(np.kron(x, np.eye(db)) @ w_perm, da, db, keep="B")
+    want_a = _partial_trace_by_kron(np.kron(np.eye(da), y) @ w_perm, da, db, keep="A")
+    assert np.allclose((x.T.reshape(-1) @ to_b).reshape(db, db), want_b, rtol=0, atol=1e-10)
+    assert np.allclose((y.T.reshape(-1) @ to_a).reshape(da, da), want_a, rtol=0, atol=1e-10)
+    # A product vector's value through the block-B operator of |a⟩⟨a|.
+    a = rng.normal(size=da) + 1j * rng.normal(size=da)
+    b = rng.normal(size=db) + 1j * rng.normal(size=db)
+    op_b = (np.outer(a.conj(), a).reshape(-1) @ to_b).reshape(db, db)
+    ab = np.kron(a, b)
+    assert np.vdot(b, op_b @ b) == pytest.approx(np.vdot(ab, w_perm @ ab), abs=1e-10)
+    # A random complex W fails the exact test; every {I, X, Z} combination passes.
+    assert real == xz
+    if real:
+        op_b = (np.outer(a.real, a.real).reshape(-1) @ to_b).reshape(db, db)
+        assert op_b.dtype == np.float64
+        assert np.allclose(op_b, op_b.T, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("witness", SWEEPS)
 def test_theta_sweep_equals_minimize_scalar_oracle(witness):
     spec = ideal(witness)
     for eps in np.linspace(EPS_STAR / 20, EPS_STAR, 20):
-        value, _ = _reduced_sweep(spec, eps)
+        value, _ = _reduced_sweep(tilted(witness, eps))
         expected, _ = reduced_sweep_minimize_scalar(spec, eps)
         assert value == pytest.approx(expected, abs=1e-12), eps
 
@@ -387,12 +478,11 @@ def test_swept_value_is_attained_at_the_saturating_theta(witness):
 
 @pytest.mark.parametrize("witness", sorted(NUMERIC_ROWS))
 def test_theta_grid_finds_the_721_point_maximum(monkeypatch, witness):
-    spec = ideal(witness)
     grid = np.linspace(0.0, EPS_STAR, 41)
-    values = [_reduced_sweep(spec, eps)[0] for eps in grid]
+    values = [_reduced_sweep(tilted(witness, eps))[0] for eps in grid]
     monkeypatch.setattr(bounds, "THETA_GRID", 721)
     for eps, value in zip(grid, values):
-        assert value == pytest.approx(_reduced_sweep(spec, eps)[0], abs=1e-12), eps
+        assert value == pytest.approx(_reduced_sweep(tilted(witness, eps))[0], abs=1e-12), eps
 
 
 @pytest.mark.parametrize("eps", [0.0, *np.linspace(EPS_STAR / 10, EPS_STAR, 10)])
@@ -406,8 +496,7 @@ def test_d3_sweep_equals_the_fixed_theta_evaluation(eps):
     # θ + π/2 tie and the grid picks one (5π/8 with 181 points).  The top
     # eigenvalue is smooth at its maximum, so values equal to rounding fix θ
     # only to about √(machine ε): 1.2e-8 at worst over 40 ε in (0, ε*].
-    ops = _reduced_operators(ideal("d3"), eps)
-    expected = np.linalg.eigvalsh((ops["X"] + ops["Y"]) / np.sqrt(2) + ops["I"])[-1]
+    expected = np.linalg.eigvalsh(chi_reduced_operator(ideal("d3"), eps)(np.pi / 8))[-1]
     bisep = w_witness_bounds(eps)["biseparable"]
     assert bisep.value == pytest.approx(expected, abs=1e-12)
     if eps > 0:

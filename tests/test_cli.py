@@ -438,6 +438,7 @@ SCIPY_FREE = {
 _WITNESSES = {"witnesses", "measurement", "linalg", "tolerances"}
 _BOUNDS = _WITNESSES | {"bounds", "states"}
 _ROBUSTNESS = _BOUNDS | {"robustness"}
+_DI_ROBUSTNESS = _WITNESSES | {"states", "robustness"}      # no bound row is looked up
 _FIDELITY = _WITNESSES | {"states", "fidelity"}
 GMEWIT_LOADS = {
     "import": set(),
@@ -450,8 +451,8 @@ GMEWIT_LOADS = {
     "spoof": _BOUNDS,
     "robustness-mermin4": _ROBUSTNESS,
     "robustness-stabilizer4": _ROBUSTNESS,
-    "robustness-i42": _ROBUSTNESS,
-    "robustness-i43": _ROBUSTNESS,
+    "robustness-i42": _DI_ROBUSTNESS,
+    "robustness-i43": _DI_ROBUSTNESS,
     "tomo": {"measurement", "linalg", "tolerances", "fixtures"},
     "inm": _WITNESSES,
     "fidelity-value": _FIDELITY,

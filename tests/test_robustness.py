@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from gmewit.bounds import mermin_bisep_bound, stabilizer_bisep_bound_numeric
+from gmewit.bounds import family_bounds, mermin_bisep_bound, stabilizer_bisep_bound_numeric
 from gmewit.robustness import (DEFAULT_I43_BISEP_BOUND, I43_QUANTUM,
                                di_thresholds, i43_ghz_value, max_i43,
                                noisy_witness_value, normalize_witness_value,
                                robustness_sweep, threshold_visibility)
+from gmewit.witnesses import ideal
 from oracles import best_case_threshold_closed_form, compass_max_i43, worst_case_thresholds
+
+
+def bisep_and_quantum(witness: str, eps: float) -> tuple[float, float]:
+    """The biseparable and quantum values of the witness's ``family_bounds`` row."""
+    spec = ideal(witness)
+    row = family_bounds(spec.family, spec.n, eps)
+    return row["biseparable"].value, row["quantum"].value
 
 
 def test_noisy_witness_affine_in_p():
@@ -96,7 +104,8 @@ def test_unknown_measurement_case_is_rejected(case):
     with pytest.raises(ValueError, match="unknown measurement case"):
         noisy_witness_value("mermin4", "depolarizing", 0.9, case, 0.01)
     with pytest.raises(ValueError, match="unknown measurement case"):
-        robustness_sweep("mermin4", 0.01, "depolarizing", [0.9], case)
+        robustness_sweep("mermin4", "depolarizing", [0.9], *bisep_and_quantum("mermin4", 0.01),
+                         case, 0.01)
 
 
 def test_max_i43():
@@ -132,7 +141,7 @@ def test_normalize_witness_value():
 
 
 def test_robustness_sweep_flags():
-    rows = robustness_sweep("mermin4", 0.0, "depolarizing", [0.4, 0.6, 1.0])
+    rows = robustness_sweep("mermin4", "depolarizing", [0.4, 0.6, 1.0], 4.0, 8.0)
     assert [r["violation_flag"] for r in rows] == [0, 1, 1]
     assert rows[-1]["witness_value"] == pytest.approx(8.0, abs=1e-9)
     assert rows[-1]["normalized_value"] == pytest.approx(1.0, abs=1e-9)
@@ -141,13 +150,15 @@ def test_robustness_sweep_flags():
     for witness in ("mermin4", "stabilizer4"):
         for kind in ("depolarizing", "dephasing"):
             for case in ("best-case-exact", "worst-case-tilted"):
-                rows = robustness_sweep(witness, 0.01, kind, grid, case)
+                bound, quantum = bisep_and_quantum(witness, 0.01)
+                rows = robustness_sweep(witness, kind, grid, bound, quantum, case, 0.01)
                 for p, row in zip(grid, rows):
                     direct = noisy_witness_value(witness, kind, p, case, 0.01)
                     assert abs(row["witness_value"] - direct) <= 1e-12
-                    assert row["violation_flag"] == int(direct > row["bound"])
+                    assert row["bound"] == bound
+                    assert row["violation_flag"] == int(direct > bound)
 
 
 def test_sweep_rejects_a_visibility_outside_the_unit_interval():
     with pytest.raises(ValueError, match="visibility p must lie in"):
-        robustness_sweep("mermin4", 0.0, "depolarizing", [0.5, 1.5])
+        robustness_sweep("mermin4", "depolarizing", [0.5, 1.5], 4.0, 8.0)

@@ -204,27 +204,35 @@ def test_one_bad_input_path():
 
 
 def test_one_tilt_model_in_the_theta_sweep():
-    # The θ-sweep tilts party 1 through the same letter maps as every other
-    # party: its functions neither read q(ε), u(ε) nor build their own budget.
+    # The θ-sweep reads the tilted witness that ``family_bounds`` builds
+    # through ``BUILDERS``, the builder every other consumer uses: bounds.py
+    # imports none of the Pauli-expansion helpers to build an operator of its
+    # own, and the sweep neither reads q(ε), u(ε) nor builds a budget.
     tree = ast.parse((ROOT / "src" / "gmewit" / "bounds.py").read_text())
-    sweep = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-             and node.name in ("_reduced_operators", "_reduced_sweep")]
-    assert len(sweep) == 2
-    called = {ast.unparse(node.func) for fn in sweep for node in ast.walk(fn)
-              if isinstance(node, ast.Call)}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert imported & {"LETTERS", "coefficient_tensor", "contract", "expand",
+                       "partner_maps"} == set()
+    sweep = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_reduced_sweep")
+    called = {ast.unparse(node.func) for node in ast.walk(sweep) if isinstance(node, ast.Call)}
     assert called & {"q_of", "u_of", "ImprecisionBudget"} == set()
 
 
 def test_seesaw_reads_only_the_witness_matrix():
     # The see-saw chooses real arithmetic from the matrix it diagonalizes, not
     # from the witness's letters, family or tilt plane, which need not say
-    # whether a tilted matrix is real.
+    # whether a tilted matrix is real.  The θ-sweep reads the same matrix
+    # (and the plane, for party 1's two letters), never the terms it was
+    # built from.
     tree = ast.parse((ROOT / "src" / "gmewit" / "bounds.py").read_text())
-    seesaw = next(node for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and node.name == "bisep_brute_force")
-    read = {node.attr for node in ast.walk(seesaw) if isinstance(node, ast.Attribute)}
-    assert "matrix" in read
-    assert read & {"terms", "family", "tilt_plane"} == set()
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name, forbidden in (("bisep_brute_force", {"terms", "family", "tilt_plane"}),
+                            ("_reduced_sweep", {"terms", "constant_offset", "family"})):
+        read = {node.attr for node in ast.walk(functions[name])
+                if isinstance(node, ast.Attribute)}
+        assert "matrix" in read, name
+        assert read & forbidden == set(), name
 
 
 def test_robustness_has_no_search():
