@@ -274,9 +274,12 @@ def robustness(witness_name, eps, noise_kind, case, i43_bound, p_grid, out,
 @click.option("--witness", "witness_name", required=True,
               type=click.Choice(["mermin4", "stabilizer4"]))
 @click.option("--value", "observed", default=None, type=float)
-@click.option("--eps-x", default=None, type=float)
-@click.option("--eps-y", default=None, type=float)
-@click.option("--eps-z", default=None, type=float)
+@click.option("--eps-x", default=None, type=float,
+              help="ε_X of every party; an ε not given keeps its reference value.")
+@click.option("--eps-y", default=None, type=float,
+              help="ε_Y of every party; an ε not given keeps its reference value.")
+@click.option("--eps-z", default=None, type=float,
+              help="ε_Z of every party; an ε not given keeps its reference value.")
 @click.option("--restarts", default=8, show_default=True)
 @click.option("--curve", default=None,
               help="start:stop:count grid of w-fractions (emits the curve table).")
@@ -293,11 +296,10 @@ def fidelity(witness_name, observed, eps_x, eps_y, eps_z, restarts, curve, out,
     from .fidelity import FidelityBoundQuery, fidelity_curve, ideal_l0, numeric_l_eps
     from .measurement import REFERENCE_BUDGET, ImprecisionBudget
     from .witnesses import ideal
-    if eps_x is None and eps_y is None and eps_z is None:
-        budget = REFERENCE_BUDGET
-    else:
-        budget = ImprecisionBudget.per_basis(eps_x or 0.0, eps_y or 0.0,
-                                             eps_z or 0.0, ideal(witness_name).n)
+    budget = ImprecisionBudget.per_basis(
+        *(ref if given is None else given
+          for given, ref in zip((eps_x, eps_y, eps_z), REFERENCE_BUDGET.per_party[0])),
+        ideal(witness_name).n)
     if curve is not None:
         rows = fidelity_curve(witness_name, budget, parse_grid(curve),
                               tilt_restarts=restarts, seed=seed)

@@ -1,15 +1,14 @@
 """Noise-robustness analysis: visibility thresholds for witness-based GME
 detection under white and dephasing noise, device-independent comparisons,
-and the normalization used for cross-witness plots."""
+and the normalization used for cross-witness plots.
+
+Only numpy is imported at module level: the device-independent thresholds are
+closed forms, and the functions that trace a noisy state import the witness,
+state and measurement modules in their own bodies."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from .linalg import expectation
-from .measurement import ImprecisionBudget
-from .states import NoiseModel, apply_noise, ghz_state
-from .witnesses import assemble, ideal, inm_signs, tilt_table
 
 #: Explicit worst-case tilt configurations: per party and tilt-plane letter,
 #: the (cos, sin) of the direction d = ±e₁ of the tilted observable
@@ -29,6 +28,10 @@ def noisy_witness_value(witness: str, noise_kind: str, p: float,
                         eps: float = 0.0) -> float:
     """Direct trace of the exact (``best-case-exact``) or worst-case-tilted
     (``worst-case-tilted``, ``WORST_CONFIGS`` at ε) witness on the noisy state."""
+    from .linalg import expectation
+    from .measurement import ImprecisionBudget
+    from .states import NoiseModel, apply_noise, ghz_state
+    from .witnesses import assemble, ideal, tilt_table
     spec = ideal(witness)
     if measurement_case == "best-case-exact":
         mat = spec.matrix
@@ -70,34 +73,18 @@ def threshold_visibility(witness: str, noise_kind: str, bound: float,
 # Device-independent thresholds (I_nm)
 # ---------------------------------------------------------------------------
 
-#: Input vectors of I₄₃ and their signs; the vectors of sum s ≡ 2 (mod 3) have sign 0.
-_I43_INDEX, _I43_SIGNS = inm_signs(4, 3)
-
-
-def i43_ghz_value(phis: np.ndarray, visibility: float = 1.0) -> float:
-    """I₄₃ on ρ_deph(p) with X–Y-plane settings (angles ``phis``, shape (4, 3)).
-
-    The GHZ correlator for A(φ) = cos φ·X + sin φ·Y per party is
-    (2p−1)·cos(Σφ_j), so the functional is affine in the visibility.
-    """
-    phis = np.asarray(phis, dtype=float).reshape(4, 3)
-    angle_sums = phis[np.arange(4)[None, :], _I43_INDEX].sum(axis=1)
-    return float((2 * visibility - 1) * np.sum(_I43_SIGNS * np.cos(angle_sums)))
-
-
-def max_i43() -> tuple[float, np.ndarray]:
-    """Maximal GHZ value of I₄₃ and its settings φ_jk = kπ/3 − π/24 (k = 0, 1, 2):
-    each of the 54 terms with a non-zero sign reads cos(π/6), 27√3 in all."""
-    phis = np.tile(np.arange(3) * np.pi / 3 - np.pi / 24, (4, 1))
-    return i43_ghz_value(phis), phis
-
-
 #: Maximal GHZ value of I₄₃ over X–Y-plane settings, 27√3.
 I43_QUANTUM = 27 * np.sqrt(3)
 
 #: Default I₄₃ biseparable bound: external literature constant, reconstructed
 #: from the published 83.4 % visibility threshold as (2·0.834−1)·27√3.
 DEFAULT_I43_BISEP_BOUND = (2 * 0.834 - 1) * I43_QUANTUM
+
+
+def max_i43() -> tuple[float, np.ndarray]:
+    """Maximal GHZ value of I₄₃ and its settings φ_jk = kπ/3 − π/24 (k = 0, 1, 2):
+    each of the 54 terms with a non-zero sign reads cos(π/6), 27√3 in all."""
+    return float(I43_QUANTUM), np.tile(np.arange(3) * np.pi / 3 - np.pi / 24, (4, 1))
 
 
 def di_thresholds(m: int, bisep_bound_i43: float | None = None) -> float:
@@ -128,6 +115,7 @@ def robustness_sweep(witness: str, noise_kind: str, p_grid, bound: float, quantu
                      measurement_case: str = "best-case-exact", eps: float = 0.0) -> list[dict]:
     """Fig.-5-style table of witness values and violation flags against the
     biseparable ``bound`` (normalized up to ``quantum``), read off the line over p."""
+    from .states import NoiseModel
     v0, v1 = _endpoints(witness, noise_kind, measurement_case, eps)
     rows = []
     for p in p_grid:

@@ -4,8 +4,8 @@ projectors, Born-rule probability tables, the visibility-threshold and L0
 closed forms, the GHZ fidelity, the device-independent Mermin value, the earlier
 Nelder–Mead and L-BFGS-B L_ε searches, the Newton and the bracket-and-Brent
 λ-duals, the per-restart see-saw, party 1's reduced operator read from the
-full tilted matrix and the ``minimize_scalar`` θ-sweep on it, and the compass
-search for I₄₃'s maximal GHZ value."""
+full tilted matrix and the ``minimize_scalar`` θ-sweep on it, and I₄₃'s GHZ
+value from its sign table with the compass search for its maximum."""
 
 from __future__ import annotations
 
@@ -20,10 +20,10 @@ from gmewit.bounds import THETA_GRID, BoundResult, PartitionSpec, family_bounds
 from gmewit.fidelity import LAMBDA_CAP, _tilt_objective
 from gmewit.linalg import PAULI, assert_hermitian, expectation, kron
 from gmewit.measurement import ImprecisionBudget, q_of, u_of
-from gmewit.robustness import i43_ghz_value, threshold_visibility
+from gmewit.robustness import threshold_visibility
 from gmewit.states import ghz_state
 from gmewit.witnesses import (BUILDERS, WitnessSpec, coefficient_tensor, contract, expand,
-                              ideal, tilt_table)
+                              ideal, inm_signs, tilt_table)
 
 
 def pauli_string(letters: str) -> np.ndarray:
@@ -398,6 +398,21 @@ def reduced_sweep_minimize_scalar(spec: WitnessSpec, eps: float):
     res = minimize_scalar(lambda t: -top(t), bounds=(best - step, best + step),
                           method="bounded", options={"xatol": 1e-10})
     return float(-res.fun), float(res.x)
+
+
+#: Input vectors of I₄₃ and their signs; the vectors of sum s ≡ 2 (mod 3) have sign 0.
+_I43_INDEX, _I43_SIGNS = inm_signs(4, 3)
+
+
+def i43_ghz_value(phis: np.ndarray, visibility: float = 1.0) -> float:
+    """I₄₃ on ρ_deph(p) with X–Y-plane settings (angles ``phis``, shape (4, 3)).
+
+    The GHZ correlator for A(φ) = cos φ·X + sin φ·Y per party is
+    (2p−1)·cos(Σφ_j), so the functional is affine in the visibility.
+    """
+    phis = np.asarray(phis, dtype=float).reshape(4, 3)
+    angle_sums = phis[np.arange(4)[None, :], _I43_INDEX].sum(axis=1)
+    return float((2 * visibility - 1) * np.sum(_I43_SIGNS * np.cos(angle_sums)))
 
 
 def compass_max_i43(restarts: int = 50, seed: int = 42) -> tuple[float, np.ndarray]:

@@ -333,6 +333,18 @@ def test_fidelity_command(runner):
     assert float(row[3]) == pytest.approx(0.875, abs=1e-5)
 
 
+def test_fidelity_eps_not_given_keeps_its_reference_value(runner):
+    # --eps-y at its reference value alone is the reference budget: the
+    # entries not given are not set to 0, which would drop the correction
+    # (all three set to 0 give L_ε = L0, ``test_fidelity_command``).
+    base = ["fidelity", "--witness", "stabilizer4", "--value", "10.5168", "--restarts", "1"]
+    reference = runner.invoke(main, base)
+    assert reference.exit_code == 0, reference.output
+    partial = runner.invoke(main, base + ["--eps-y", "0.0023"])
+    assert partial.exit_code == 0, partial.output
+    assert partial.output == reference.output
+
+
 def test_tomo_command(runner):
     result = runner.invoke(main, ["tomo", "--counts", "table_a1.csv"])
     assert result.exit_code == 0, result.output
@@ -438,7 +450,7 @@ SCIPY_FREE = {
 _WITNESSES = {"witnesses", "measurement", "linalg", "tolerances"}
 _BOUNDS = _WITNESSES | {"bounds", "states"}
 _ROBUSTNESS = _BOUNDS | {"robustness"}
-_DI_ROBUSTNESS = _WITNESSES | {"states", "robustness"}      # no bound row is looked up
+_DI_ROBUSTNESS = {"robustness"}        # two closed forms: no bound row, witness or state
 _FIDELITY = _WITNESSES | {"states", "fidelity"}
 GMEWIT_LOADS = {
     "import": set(),

@@ -3,11 +3,12 @@ import pytest
 
 from gmewit.bounds import family_bounds, mermin_bisep_bound, stabilizer_bisep_bound_numeric
 from gmewit.robustness import (DEFAULT_I43_BISEP_BOUND, I43_QUANTUM,
-                               di_thresholds, i43_ghz_value, max_i43,
+                               di_thresholds, max_i43,
                                noisy_witness_value, normalize_witness_value,
                                robustness_sweep, threshold_visibility)
 from gmewit.witnesses import ideal
-from oracles import best_case_threshold_closed_form, compass_max_i43, worst_case_thresholds
+from oracles import (best_case_threshold_closed_form, compass_max_i43, i43_ghz_value,
+                     worst_case_thresholds)
 
 
 def bisep_and_quantum(witness: str, eps: float) -> tuple[float, float]:
@@ -110,8 +111,10 @@ def test_unknown_measurement_case_is_rejected(case):
 
 def test_max_i43():
     value, phis = max_i43()
-    assert abs(value - I43_QUANTUM) <= 1e-12
+    assert value == float(I43_QUANTUM)
     assert phis.shape == (4, 3)
+    # The sign-table oracle reads 27√3 at the closed form's settings.
+    assert abs(i43_ghz_value(phis) - I43_QUANTUM) <= 1e-12
     # The compass search finds the closed form's value and never beats it.
     searched, _ = compass_max_i43(restarts=20, seed=0)
     assert abs(searched - I43_QUANTUM) <= 1e-9

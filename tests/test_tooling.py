@@ -239,9 +239,15 @@ def test_robustness_has_no_search():
     # Every visibility number is one affine crossing and I₄₃'s maximum a
     # closed form: robustness.py loops no search, ``max_i43`` takes nothing
     # to search with, only ``_crossing`` says that a value never crosses its
-    # bound, and ``inm_value`` reads the one vectorized sign table.
+    # bound, and ``inm_value`` reads the one vectorized sign table.  The DI
+    # thresholds need no gmewit module, so the module body imports none and
+    # the file never names the I_nm sign table.
     src = ROOT / "src" / "gmewit"
-    robustness = ast.parse((src / "robustness.py").read_text())
+    text = (src / "robustness.py").read_text()
+    robustness = ast.parse(text)
+    assert all(node.level == 0 and not node.module.startswith("gmewit")
+               for node in robustness.body if isinstance(node, ast.ImportFrom))
+    assert "inm_signs" not in text
     functions = {node.name: node for node in robustness.body if isinstance(node, ast.FunctionDef)}
     assert not any(isinstance(node, ast.While) for node in ast.walk(robustness))
     assert ast.unparse(functions["max_i43"].args) == ""

@@ -11,14 +11,14 @@ from gmewit import fixture_path
 from gmewit.bounds import cluster_witness_bounds, stabilizer_bisep_bound_numeric
 from gmewit.linalg import PAULI, expectation
 from gmewit.measurement import ImprecisionBudget
-from gmewit.robustness import i43_ghz_value, noisy_witness_value, threshold_visibility
+from gmewit.robustness import noisy_witness_value, threshold_visibility
 from gmewit.states import NoiseModel, apply_noise, cluster_state_4, ghz_state, w_state
 from gmewit.witnesses import (BUILDERS, LETTERS, CorrelatorRecord, assemble,
                               cluster_witness_c4, contract, eval_from_correlators, expand,
                               ideal, inm_value, letter_map_gradients, load_correlator_fixture,
                               mermin_terms, mermin_witness, pauli_expectations,
                               stabilizer_terms, stabilizer_witness, w_witness_d3)
-from oracles import born_probabilities, mermin_recursive, pauli_string, tilted_kron
+from oracles import born_probabilities, i43_ghz_value, mermin_recursive, pauli_string, tilted_kron
 
 
 def test_mermin_terms_structure():
