@@ -2,27 +2,34 @@
 tables, fidelity bounds, detector tomography and the verification suite.
 
 Each command imports the gmewit modules it calls in its own body, so a call
-compiles and runs no module that it does not use."""
+compiles and runs no module that it does not use.  This module imports no
+numpy: help, usage errors and the device-independent thresholds run on click
+and the standard library alone."""
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
+import numbers
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 from click.core import ParameterSource
 
 from . import fixture_path
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def fmt(x) -> str:
     """12-significant-digit decimal rendering for reproducible diffs."""
     if x is None:
         return ""
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, numbers.Integral):     # numpy registers its integer types here
         return str(int(x))
     return f"{float(x):.12g}"
 
@@ -50,11 +57,13 @@ _GRID_POINTS_CAP = 10 ** 6     # most points of a start:stop:count grid
 
 
 def parse_grid(spec: str) -> np.ndarray:
-    """Parse a ``start:stop:count`` grid, checked for finite ends and count before it is made."""
+    """Parse a ``start:stop:count`` grid, checked for finite ends and count
+    before the ``np.linspace`` array is made."""
     try:
         start, stop, count = spec.split(":")
         start, stop, count = float(start), float(stop), int(count)
-        if np.isfinite([start, stop]).all() and 1 <= count <= _GRID_POINTS_CAP:
+        if math.isfinite(start) and math.isfinite(stop) and 1 <= count <= _GRID_POINTS_CAP:
+            import numpy as np
             return np.linspace(start, stop, count)
     except ValueError:
         pass
@@ -336,6 +345,8 @@ def tomo(counts, out, output_format):
 @common_options
 def inm(n, m, probs, out, output_format):
     """Evaluate the I_nm correlator functional on a probability table."""
+    import numpy as np
+
     from .witnesses import inm_shape, inm_value
     shape = inm_shape(n, m)                 # a bad count is the option's fault, not the file's
     with _naming(probs), open(probs, encoding="utf-8") as fh:

@@ -166,6 +166,15 @@ PROJ_LABELS = ("D", "A", "R", "L", "H", "V")
 PROJECTOR_PAIRS = {"X": ("D", "A"), "Y": ("R", "L"), "Z": ("H", "V")}
 
 
+def _reject_repeated(prefix: str, labels: list[str]) -> None:
+    """Bad input if a label occurs twice: the later count would hide the earlier one."""
+    seen = set()
+    for label in labels:
+        if label in seen:
+            raise ValueError(f"{prefix}{label} is repeated")
+        seen.add(label)
+
+
 @dataclass
 class CountTable:
     """6×6 table of coincidence counts, projector row × preparation column."""
@@ -189,6 +198,8 @@ class CountTable:
             raise ValueError("no header row of prep_ columns")
         header = rows[0]
         preps = [h.removeprefix("prep_") for h in header[1:]]
+        _reject_repeated("prep_", preps)
+        _reject_repeated("proj_", [row[0].removeprefix("proj_") for row in rows[1:]])
         counts = {}
         for row in rows[1:]:
             proj = row[0].removeprefix("proj_")

@@ -2,13 +2,18 @@
 detection under white and dephasing noise, device-independent comparisons,
 and the normalization used for cross-witness plots.
 
-Only numpy is imported at module level: the device-independent thresholds are
-closed forms, and the functions that trace a noisy state import the witness,
-state and measurement modules in their own bodies."""
+Only ``math`` is imported at module level: the device-independent thresholds
+are closed forms on Python floats, and the functions that need numpy, or
+trace a noisy state through the witness, state and measurement modules,
+import them in their own bodies."""
 
 from __future__ import annotations
 
-import numpy as np
+import math
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Explicit worst-case tilt configurations: per party and tilt-plane letter,
 #: the (cos, sin) of the direction d = ±e₁ of the tilted observable
@@ -28,6 +33,8 @@ def noisy_witness_value(witness: str, noise_kind: str, p: float,
                         eps: float = 0.0) -> float:
     """Direct trace of the exact (``best-case-exact``) or worst-case-tilted
     (``worst-case-tilted``, ``WORST_CONFIGS`` at ε) witness on the noisy state."""
+    import numpy as np
+
     from .linalg import expectation
     from .measurement import ImprecisionBudget
     from .states import NoiseModel, apply_noise, ghz_state
@@ -74,7 +81,7 @@ def threshold_visibility(witness: str, noise_kind: str, bound: float,
 # ---------------------------------------------------------------------------
 
 #: Maximal GHZ value of I₄₃ over X–Y-plane settings, 27√3.
-I43_QUANTUM = 27 * np.sqrt(3)
+I43_QUANTUM = 27 * math.sqrt(3)
 
 #: Default I₄₃ biseparable bound: external literature constant, reconstructed
 #: from the published 83.4 % visibility threshold as (2·0.834−1)·27√3.
@@ -84,6 +91,7 @@ DEFAULT_I43_BISEP_BOUND = (2 * 0.834 - 1) * I43_QUANTUM
 def max_i43() -> tuple[float, np.ndarray]:
     """Maximal GHZ value of I₄₃ and its settings φ_jk = kπ/3 − π/24 (k = 0, 1, 2):
     each of the 54 terms with a non-zero sign reads cos(π/6), 27√3 in all."""
+    import numpy as np
     return float(I43_QUANTUM), np.tile(np.arange(3) * np.pi / 3 - np.pi / 24, (4, 1))
 
 

@@ -375,10 +375,28 @@ def inm_signs(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return svecs, np.where(s % m <= 1, 1 - 2 * (s // m % 2), 0)
 
 
+@functools.cache
+def _max_ndim() -> int:
+    """The most axes numpy allows an array (64 on numpy 2, 32 on 1.x), probed
+    with zero-size arrays, which hold no data."""
+    ndim = 1
+    while True:
+        try:
+            np.empty((0,) * (ndim + 1))
+        except ValueError:
+            return ndim
+        ndim += 1
+
+
 def inm_shape(n: int, m: int) -> tuple:
-    """Shape (m,)*n + (2,)*n of P(r⃗|s⃗) for n ≥ 1 parties with m ≥ 2 settings."""
+    """Shape (m,)*n + (2,)*n of P(r⃗|s⃗) for n ≥ 1 parties with m ≥ 2 settings,
+    whose 2n axes numpy must allow."""
     if n < 1 or m < 2:
         raise ValueError(f"n must be at least 1 and m at least 2, got n = {n}, m = {m}")
+    limit = _max_ndim()
+    if 2 * n > limit:
+        raise ValueError(f"n must be at most {limit // 2}, since the table has 2n axes "
+                         f"and numpy allows {limit}, got n = {n}, m = {m}")
     return (m,) * n + (2,) * n
 
 

@@ -25,6 +25,10 @@ def test_fmt_significant_digits():
     assert fmt(8.0) == "8"
     assert fmt(None) == ""
     assert fmt(7) == "7"
+    # numpy scalars: its integers are numbers.Integral, its bool_ is not.
+    assert fmt(np.int64(7)) == "7"
+    assert fmt(np.float64(1 / 3)) == "0.333333333333"
+    assert fmt(np.bool_(True)) == "1"
 
 
 def test_parse_grid():
@@ -125,10 +129,14 @@ def test_removed_options_are_rejected(runner):
     assert result.exit_code == 0, result.output
 
 
+#: The most axes numpy allows an array: an I_nm table for n parties has 2n.
+_MAX_NDIM = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
+
 #: Inputs whose one line is pinned: a party count its family lacks names the
 #: family and its sizes; a missing option names the options to give; a noise
 #: spec that parses as kind:p keeps the noise model's own message; an I_nm
-#: party or setting count without meaning names the counts, not the file; a
+#: party or setting count without meaning, or with more table axes than numpy
+#: allows, names the counts, not the file; a
 #: Mermin party count whose quantum value 2^{n−1} overflows a float gives the
 #: range; a witness line that falls with p gives its two end values.
 BAD_INPUT_MESSAGES = {
@@ -146,6 +154,8 @@ BAD_INPUT_MESSAGES = {
     "inm --n 0 --m 2 --probs {one}": "n must be at least 1 and m at least 2, got n = 0, m = 2",
     "inm --n 1 --m 0 --probs {one}": "n must be at least 1 and m at least 2, got n = 1, m = 0",
     "inm --n 1 --m 1 --probs {one}": "n must be at least 1 and m at least 2, got n = 1, m = 1",
+    "inm --n 33 --m 2 --probs {one}": f"n must be at most {_MAX_NDIM // 2}, since the table has "
+                                     f"2n axes and numpy allows {_MAX_NDIM}, got n = 33, m = 2",
     "bound --witness mermin --n 1025 --eps 0.01": "n must lie in [3, 1024]",
     "bound --witness mermin --n 2000 --eps 0.01": "n must lie in [3, 1024]",
     **{f"robustness --witness i43 --i43-bound {b}": "the value never crosses the bound on p ∈ [0, 1]"
@@ -210,6 +220,7 @@ NUMERIC_BAD_INPUTS = [
     ["inm", "--n", "0", "--m", "2", "--probs", "{one}"],
     ["inm", "--n", "1", "--m", "0", "--probs", "{one}"],
     ["inm", "--n", "1", "--m", "1", "--probs", "{one}"],
+    ["inm", "--n", "33", "--m", "2", "--probs", "{one}"],
     ["bound", "--witness", "mermin", "--n", "1025", "--eps", "0.01"],
     ["bound", "--witness", "mermin", "--n", "2000", "--eps", "0.01"],
     *NUMERIC_BAD_INPUTS,
@@ -291,6 +302,10 @@ MALFORMED_INPUTS = {
                      ["witness", "--fixture"], "missing record for term YYXX"),
     "truncated.json": ('{"witness": "merm', ["witness", "--fixture"],
                        "Unterminated string starting at: line 1 column 13 (char 12)"),
+    "repeatedrow.csv": (fixture_path("table_a1.csv").read_text().replace("proj_A,", "proj_D,"),
+                        ["tomo", "--counts"], "proj_D is repeated"),
+    "repeatedcolumn.csv": (fixture_path("table_a1.csv").read_text().replace("prep_V,", "prep_H,"),
+                           ["tomo", "--counts"], "prep_H is repeated"),
     "latin1.csv": (b"projector,prep_H\n\xff\n", ["tomo", "--counts"],
                    "'utf-8' codec can't decode byte 0xff in position 17: invalid start byte"),
 }
@@ -472,17 +487,37 @@ GMEWIT_LOADS = {
     "verify": _ROBUSTNESS | _FIDELITY | {"acceptance", "fixtures"},
 }
 
-#: Imports gmewit.cli, runs the command given in argv in-process, and prints
-#: the scipy and gmewit modules then loaded, also when the command exits non-zero.
+#: Calls that must load no numpy → (argv, exit status): a bare import
+#: (``"import"``), help, usage errors found before a command computes, and the
+#: two device-independent thresholds, which are closed forms.
+NUMPY_FREE = {
+    "import": ([], 0),
+    "help": (["--help"], 0),
+    **{f"help-{command}": ([command, "--help"], 0) for command in main.commands},
+    "bad-choice": (["robustness", "--witness", "i44"], 2),
+    "eps-and-eps-grid": (["bound", "--witness", "mermin", "--eps", "0",
+                          "--eps-grid", "0:0.1:3"], 2),
+    "robustness-i42": (SCIPY_FREE["robustness-i42"], 0),
+    "robustness-i43": (SCIPY_FREE["robustness-i43"], 0),
+}
+
+#: Every child the guards below run → (argv, exit status).  ``verify`` exits 1
+#: by design: the two 2|2 partition checks fail.
+_CHILDREN = {**{name: (args, int(name == "verify")) for name, args in SCIPY_FREE.items()},
+             **NUMPY_FREE}
+
+#: Imports gmewit.cli, runs the command given in argv in-process as the
+#: ``gmewit`` script does, and prints the numpy, scipy and gmewit modules then
+#: loaded, also when the command exits non-zero.
 _CHILD = """
 import json, sys
 import gmewit.cli
 try:
     if len(sys.argv) > 1:
-        gmewit.cli.main(args=sys.argv[1:], standalone_mode=False)
+        gmewit.cli.main(args=sys.argv[1:], prog_name="gmewit")
 finally:
     print(json.dumps({top: sorted(m for m in sys.modules if m.split(".")[0] == top)
-                      for top in ("scipy", "gmewit")}))
+                      for top in ("numpy", "scipy", "gmewit")}))
 """
 
 
@@ -492,27 +527,31 @@ def _child_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def _loaded_by(args, cwd, prelude="") -> dict[str, list[str]]:
-    out = ["--out", "out.txt"] if args else []
-    proc = subprocess.run([sys.executable, "-c", prelude + _CHILD, *args, *out], cwd=cwd,
+def _loaded_by(args, status, cwd, prelude="") -> dict[str, list[str]]:
+    proc = subprocess.run([sys.executable, "-c", prelude + _CHILD, *args], cwd=cwd,
                           env=_child_env(), capture_output=True, text=True, timeout=120)
-    # ``verify`` exits 1 by design: the two 2|2 partition checks fail.
-    assert proc.returncode == (1 if args[:1] == ["verify"] else 0), proc.stderr
+    assert proc.returncode == status, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 @pytest.fixture(scope="module")
 def loaded(tmp_path_factory):
-    """The modules that a bare import (``"import"``) or a SCIPY_FREE command
-    loads, from one child per name, which both guards below read."""
+    """The modules that each child in ``_CHILDREN`` loads, from one child per
+    name, which all guards below read."""
     cwd = tmp_path_factory.mktemp("children")
     (cwd / "probs.json").write_text(json.dumps([1 / 16] * 256))
-    return functools.cache(lambda name: _loaded_by(SCIPY_FREE.get(name, []), cwd))
+    return functools.cache(lambda name: _loaded_by(*_CHILDREN[name], cwd))
 
 
 @pytest.mark.parametrize("name", ["import"] + sorted(SCIPY_FREE))
 def test_command_loads_no_scipy(loaded, name):
     assert loaded(name)["scipy"] == []
+
+
+@pytest.mark.parametrize("name", sorted(NUMPY_FREE))
+def test_front_end_loads_no_numpy(loaded, name):
+    # numpy's import is most of a cold start that computes nothing.
+    assert loaded(name)["numpy"] == []
 
 
 @pytest.mark.parametrize("name", ["import"] + sorted(SCIPY_FREE))
@@ -536,5 +575,5 @@ def importing(**params):
 command.callback = importing
 """
     loaded = _loaded_by(["fidelity", "--witness", "mermin4", "--value", "7.4665",
-                         "--restarts", "1"], tmp_path, prelude)["scipy"]
+                         "--restarts", "1"], 0, tmp_path, prelude)["scipy"]
     assert "scipy.optimize" in loaded
