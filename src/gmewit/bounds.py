@@ -276,9 +276,15 @@ def bisep_brute_force(spec: WitnessSpec, partition: PartitionSpec,
 
     Alternates between the two blocks: holding one block's state fixed, the
     optimal other-block state is the top eigenvector of the partially traced
-    effective operator.  The result is a lower bound on the true maximum,
-    for one-sided checks only.  After the first half-step from the complex
-    starts it runs in float64 where ``_cut_maps`` finds the cut real.
+    effective operator.  A restart stops when its value moves by less than
+    1e-12, or when its product state |a⟩⊗|b⟩ meets that of an earlier
+    restart still iterating (|⟨a_i|a_j⟩|² and |⟨b_i|b_j⟩|² both above
+    1 − ``tol("seesaw_duplicate")``): the earlier one carries on from the
+    same point, so the later one is kept at its current value.  Every value
+    is still that of a product state, so the result is a lower bound on the
+    true maximum, for one-sided checks only.  After the first half-step from
+    the complex starts it runs in float64 where ``_cut_maps`` finds the cut
+    real.
     """
     if spec.n != partition.n:
         raise ValueError("partition size does not match the witness")
@@ -288,8 +294,10 @@ def bisep_brute_force(spec: WitnessSpec, partition: PartitionSpec,
     rng = np.random.default_rng(seed)
     to_a, to_b, real = _cut_maps(spec.matrix, partition)
     da, db = 2 ** len(partition.block_a), 2 ** len(partition.block_b)
-    # All restarts iterate together; one that has converged is frozen.  Per
-    # restart, db real then db imaginary draws: the one-at-a-time stream.
+    same = 1.0 - tol("seesaw_duplicate")
+    # All restarts iterate together; one that has converged or merged is
+    # dropped from ``active`` and ``vb``.  Per restart, db real then db
+    # imaginary draws: the one-at-a-time stream.
     z = rng.normal(size=(restarts, 2, db))
     vb = z[:, 0] + 1j * z[:, 1]
     vb /= np.linalg.norm(vb, axis=1, keepdims=True)
@@ -298,17 +306,18 @@ def bisep_brute_force(spec: WitnessSpec, partition: PartitionSpec,
     for _ in range(iterations):
         if not active.size:
             break
-        v = vb[active]
-        eff_a = (v.conj()[:, :, None] * v[:, None, :]).reshape(-1, db * db) @ to_a
+        eff_a = (vb.conj()[:, :, None] * vb[:, None, :]).reshape(-1, db * db) @ to_a
         va = np.linalg.eigh((eff_a.real if real else eff_a).reshape(-1, da, da))[1][:, :, -1]
         eff_b = (va.conj()[:, :, None] * va[:, None, :]).reshape(-1, da * da) @ to_b
         evals, evecs = np.linalg.eigh(eff_b.reshape(-1, db, db))
-        vb[active] = evecs[:, :, -1]
-        vb = vb.real if real else vb
-        new = evals[:, -1]
+        vb, new = evecs[:, :, -1], evals[:, -1]
         moving = np.abs(new - values[active]) >= 1e-12
+        # Restart j meets an earlier active restart i < j.
+        meets = ((np.abs(va.conj() @ va.T) ** 2 > same)
+                 & (np.abs(vb.conj() @ vb.T) ** 2 > same))
+        moving &= ~np.triu(meets, 1).any(axis=0)
         values[active] = new
-        active = active[moving]
+        active, vb = active[moving], vb[moving]
     return float(np.max(values, initial=-np.inf))
 
 

@@ -350,7 +350,12 @@ def inm(n, m, probs, out, output_format):
     from .witnesses import inm_shape, inm_value
     shape = inm_shape(n, m)                 # a bad count is the option's fault, not the file's
     with _naming(probs), open(probs, encoding="utf-8") as fh:
-        value = inm_value(n, m, np.asarray(json.load(fh), dtype=float).reshape(shape))
+        table = np.asarray(json.load(fh), dtype=float)
+        needed = m ** n * 2 ** n            # Python ints: no overflow
+        if table.size != needed:
+            raise ValueError(f"holds {table.size} probabilities; n = {n}, m = {m} "
+                             f"needs m^n·2^n = {needed}")
+        value = inm_value(n, m, table.reshape(shape))
     emit([{"n": n, "m": m, "value": value}], ["n", "m", "value"], out, output_format)
 
 

@@ -14,6 +14,7 @@ _TOLERANCES = {
     "dual_gap": 1e-15,
     "dual_weight": 1e-40,
     "dual_root": 1e-12,
+    "seesaw_duplicate": 1e-6,
 }
 
 

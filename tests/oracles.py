@@ -22,6 +22,7 @@ from gmewit.linalg import PAULI, assert_hermitian, expectation, kron
 from gmewit.measurement import ImprecisionBudget, q_of, u_of
 from gmewit.robustness import threshold_visibility
 from gmewit.states import ghz_state
+from gmewit.tolerances import tol
 from gmewit.witnesses import (BUILDERS, WitnessSpec, coefficient_tensor, contract, expand,
                               ideal, inm_signs, tilt_table)
 
@@ -323,10 +324,15 @@ def mermin_di_bound(n: int) -> BoundResult:
 
 def seesaw_per_restart(spec: WitnessSpec, partition: PartitionSpec,
                        restarts: int = 20, iterations: int = 100,
-                       seed: int = 42) -> tuple[float, float]:
+                       seed: int = 42, merge: bool = True) -> tuple[float, float]:
     """The see-saw run one restart at a time, with ``einsum`` half-steps:
     the same start vectors, stopping test and best-of-restarts value as
     ``bounds.bisep_brute_force``.
+
+    Each restart's trajectory runs to its own stop.  With ``merge``, restart
+    j is then cut at the first iteration t where an earlier restart, still
+    active at t, holds a product state within 1 − ``tol("seesaw_duplicate")``
+    of j's in both blocks; j keeps its value from t.
 
     Returns that value and the smallest gap between the top two eigenvalues
     of any effective operator met on the way: where it is about zero, the
@@ -342,11 +348,12 @@ def seesaw_per_restart(spec: WitnessSpec, partition: PartitionSpec,
     w_perm[np.ix_(perm, perm)] = w
     da, db = 2 ** len(partition.block_a), 2 ** len(partition.block_b)
     w4 = w_perm.reshape(da, db, da, db)
-    best, gap = -np.inf, np.inf
+    # Per restart, per iteration: (|a⟩, |b⟩, value, top gap of both operators).
+    paths = []
     for _ in range(restarts):
         vb = rng.normal(size=db) + 1j * rng.normal(size=db)
         vb /= np.linalg.norm(vb)
-        value = -np.inf
+        value, path = -np.inf, []
         for _ in range(iterations):
             rho_b = np.outer(vb, vb.conj())
             eff_a = np.einsum("ikjl,kl->ij", w4, rho_b.conj())
@@ -355,14 +362,26 @@ def seesaw_per_restart(spec: WitnessSpec, partition: PartitionSpec,
             rho_a = np.outer(va, va.conj())
             eff_b = np.einsum("ikjl,ij->kl", w4, rho_a.conj())
             evals, evecs = np.linalg.eigh(eff_b)
-            gap = min(gap, evals_a[-1] - evals_a[-2], evals[-1] - evals[-2])
             vb = evecs[:, -1]
             new = float(evals[-1])
+            path.append((va, vb, new, min(evals_a[-1] - evals_a[-2], evals[-1] - evals[-2])))
             if abs(new - value) < 1e-12:
-                value = new
                 break
             value = new
-        best = max(best, value)
+        paths.append(path)
+    same = 1.0 - tol("seesaw_duplicate")
+    stops = []              # iterations each restart runs, after merging
+    for j, path in enumerate(paths):
+        stop = len(path)
+        if merge:
+            stop = next((t + 1 for t in range(stop)
+                         if any(stops[i] > t
+                                and abs(np.vdot(paths[i][t][0], path[t][0])) ** 2 > same
+                                and abs(np.vdot(paths[i][t][1], path[t][1])) ** 2 > same
+                                for i in range(j))), stop)
+        stops.append(stop)
+    best = max(path[stop - 1][2] for path, stop in zip(paths, stops))
+    gap = min(step[3] for path, stop in zip(paths, stops) for step in path[:stop])
     return float(best), float(gap)
 
 

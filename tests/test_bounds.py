@@ -339,6 +339,20 @@ def test_batched_seesaw_equals_per_restart_oracle(witness, part, eps, seed, rest
         assert max(batched, oracle) <= quantum + 1e-9
 
 
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_merging_restarts_moves_no_converged_value(name):
+    # At the default budget every restart runs to its stop.  One frozen where
+    # it meets an earlier restart leaves that restart to finish the shared
+    # search, so the best value is the run without merging, on every cut.
+    for eps in (0.0, 0.02, 0.05, 0.1, EPS_STAR):
+        spec = tilted(name, eps)
+        for part in all_bipartitions(spec.n):
+            for seed in (42, 7):
+                unmerged, _ = seesaw_per_restart(spec, part, seed=seed, merge=False)
+                assert bisep_brute_force(spec, part, seed=seed) == pytest.approx(
+                    unmerged, abs=1e-12), (eps, part, seed)
+
+
 def test_seesaw_keeps_y_tensor_y_complex():
     # Y⊗Y is real but changes sign under the partial transpose; real product
     # states only reach 0 on it, complex ones reach 1 (both parties in |+i⟩).
@@ -506,12 +520,15 @@ def test_d3_sweep_equals_the_fixed_theta_evaluation(eps):
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """Counts ``np.linalg.eigh`` and ``eigvalsh`` calls (one per stacked call)."""
-    count = [0]
+    """Counts ``np.linalg.eigh`` and ``eigvalsh`` calls (one per stacked call)
+    and, as the benchmark's ``linalg.eigensolve.matrices`` does, the matrices
+    they solve (the leading dimensions of each stacked input)."""
+    count = [0, 0]
     for name in ("eigh", "eigvalsh"):
-        def counted(*args, _solve=getattr(np.linalg, name), **kwargs):
+        def counted(a, *args, _solve=getattr(np.linalg, name), **kwargs):
             count[0] += 1
-            return _solve(*args, **kwargs)
+            count[1] += int(np.prod(a.shape[:-2]))
+            return _solve(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     return count
 
@@ -523,6 +540,22 @@ def test_seesaw_makes_one_stacked_eigensolve_per_half_step(eigensolves, iteratio
         eigensolves[0] = 0
         bisep_brute_force(spec, part, iterations=iterations)
         assert 0 < eigensolves[0] <= 2 * iterations
+
+
+#: Ceiling on the matrices that the see-saw eigensolves over all 7 cuts of
+#: tilted stabilizer4 and mermin4 at ε = 0.02, 0.05 and 0.1 (seed 42).  Run
+#: until each restart's own 1e-12 stop, with no merging, they took 15,706;
+#: merging restarts that meet takes 8,424.
+SEESAW_MATRICES = int(0.65 * 15706)
+
+
+def test_seesaw_merging_cuts_the_eigensolved_matrices(eigensolves):
+    for name in ("stabilizer4", "mermin4"):
+        for eps in (0.02, 0.05, 0.1):
+            spec = tilted(name, eps)
+            for part in all_bipartitions(4):
+                bisep_brute_force(spec, part, seed=42)
+    assert eigensolves[1] <= SEESAW_MATRICES
 
 
 def test_theta_sweep_row_eigensolve_count(eigensolves):

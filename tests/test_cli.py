@@ -136,7 +136,8 @@ _MAX_NDIM = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
 #: family and its sizes; a missing option names the options to give; a noise
 #: spec that parses as kind:p keeps the noise model's own message; an I_nm
 #: party or setting count without meaning, or with more table axes than numpy
-#: allows, names the counts, not the file; a
+#: allows, names the counts, not the file; an I_nm table of the wrong size
+#: names the file, the entries it holds and the m^n·2^n it needs; a
 #: Mermin party count whose quantum value 2^{n−1} overflows a float gives the
 #: range; a witness line that falls with p gives its two end values.
 BAD_INPUT_MESSAGES = {
@@ -156,6 +157,13 @@ BAD_INPUT_MESSAGES = {
     "inm --n 1 --m 1 --probs {one}": "n must be at least 1 and m at least 2, got n = 1, m = 1",
     "inm --n 33 --m 2 --probs {one}": f"n must be at most {_MAX_NDIM // 2}, since the table has "
                                      f"2n axes and numpy allows {_MAX_NDIM}, got n = 33, m = 2",
+    # numpy < 2 allows 32 axes, so there n = 32 gets the axes message.
+    "inm --n 32 --m 2 --probs {one}": "{one}: holds 1 probabilities; n = 32, m = 2 needs "
+                                     "m^n·2^n = 18446744073709551616" if _MAX_NDIM >= 64
+                                     else f"n must be at most 16, since the table has 2n axes "
+                                          f"and numpy allows 32, got n = 32, m = 2",
+    "inm --n 3 --m 2 --probs {one}": "{one}: holds 1 probabilities; n = 3, m = 2 needs "
+                                    "m^n·2^n = 64",
     "bound --witness mermin --n 1025 --eps 0.01": "n must lie in [3, 1024]",
     "bound --witness mermin --n 2000 --eps 0.01": "n must lie in [3, 1024]",
     **{f"robustness --witness i43 --i43-bound {b}": "the value never crosses the bound on p ∈ [0, 1]"
@@ -221,6 +229,8 @@ NUMERIC_BAD_INPUTS = [
     ["inm", "--n", "1", "--m", "0", "--probs", "{one}"],
     ["inm", "--n", "1", "--m", "1", "--probs", "{one}"],
     ["inm", "--n", "33", "--m", "2", "--probs", "{one}"],
+    ["inm", "--n", "32", "--m", "2", "--probs", "{one}"],
+    ["inm", "--n", "3", "--m", "2", "--probs", "{one}"],
     ["bound", "--witness", "mermin", "--n", "1025", "--eps", "0.01"],
     ["bound", "--witness", "mermin", "--n", "2000", "--eps", "0.01"],
     *NUMERIC_BAD_INPUTS,
@@ -241,7 +251,7 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, runner, args):
     assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
     message = BAD_INPUT_MESSAGES.get(" ".join(args))
     if message is not None:
-        assert lines[0] == f"Error: {message}"
+        assert lines[0] == f"Error: {message.format(**paths)}"
 
 
 @pytest.mark.parametrize("args", NUMERIC_BAD_INPUTS)

@@ -235,6 +235,25 @@ def test_seesaw_reads_only_the_witness_matrix():
         assert read & forbidden == set(), name
 
 
+def test_one_seesaw():
+    # bisep_brute_force keeps its signature, and bounds.py holds one see-saw:
+    # no other function runs the stacked eigh, and no branch of it skips the
+    # merging of restarts that meet (each ``if`` validates or ends the loop).
+    from gmewit.bounds import bisep_brute_force
+    assert list(inspect.signature(bisep_brute_force).parameters) == [
+        "spec", "partition", "restarts", "iterations", "seed"]
+    tree = ast.parse((ROOT / "src" / "gmewit" / "bounds.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    called = {name: {ast.unparse(node) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+              for name, fn in functions.items()}
+    assert [name for name, calls in called.items()
+            if any(call.startswith("np.linalg.eigh(") for call in calls)] == ["bisep_brute_force"]
+    assert "tol('seesaw_duplicate')" in called["bisep_brute_force"]
+    for node in ast.walk(functions["bisep_brute_force"]):
+        if isinstance(node, ast.If):
+            assert not node.orelse and isinstance(node.body[-1], (ast.Raise, ast.Break))
+
+
 def test_robustness_has_no_search():
     # Every visibility number is one affine crossing and I₄₃'s maximum a
     # closed form: robustness.py loops no search, ``max_i43`` takes nothing
