@@ -104,40 +104,29 @@ def _reduced_sweep(spec: WitnessSpec):
     |χ(θ)⟩ leaves on parties 2..n of the (tilted) witness ``spec``.
 
     Party 1 in |χ(θ)⟩, Bloch vector sin 2θ·e_a + cos 2θ·e_b for the plane
-    letters a, b, reads ⟨σ_a⟩ = sin 2θ and ⟨σ_b⟩ = cos 2θ, so it leaves
-    R_𝟙 + sin 2θ·R_a + cos 2θ·R_b with R_x = ½·tr₁((σ_x ⊗ 𝟙)·W).
+    letters a, b, has the state ρ(θ) = ½(𝟙 + sin 2θ·σ_a + cos 2θ·σ_b), and
+    leaves tr₁((ρ(θ) ⊗ 𝟙)·W) on the cut {0}|{1..n−1}.
     """
     first, second = spec.tilt_plane
-    to_b = _cut_maps(spec.matrix, PartitionSpec((0,), tuple(range(1, spec.n))))[1]
-    db = 2 ** (spec.n - 1)
-    ops = {a: 0.5 * (PAULI[a].T.reshape(-1) @ to_b).reshape(db, db)
-           for a in ("I", first, second)}
-    # Real combinations of Hermitian operators stay Hermitian: check once per row.
-    # In the X–Z plane they are all real, and a real θ stack halves the grid's
-    # memory and eigensolver time; one complex operator keeps them all complex.
-    # The cut's ``real`` flag cannot decide this: σ_Y is imaginary, so R_Y
-    # can be real where W is complex.
-    for op in ops.values():
-        assert_hermitian(op)
-    if not any(op.imag.any() for op in ops.values()):
-        ops = {a: op.real for a, op in ops.items()}
+    _, to_b, real = _cut_maps(spec.matrix, PartitionSpec((0,), tuple(range(1, spec.n))))
 
     def best_of(thetas):
-        stack = np.multiply.outer(np.sin(2 * thetas), ops[first])
-        stack += np.multiply.outer(np.cos(2 * thetas), ops[second])
-        stack += ops["I"]
+        rho_t = 0.5 * (PAULI["I"] + np.multiply.outer(np.sin(2 * thetas), PAULI[first].T)
+                       + np.multiply.outer(np.cos(2 * thetas), PAULI[second].T))
+        stack = _block_operators(rho_t, to_b, 2 ** (spec.n - 1), real)
         top = np.linalg.eigvalsh(stack)[:, -1]
         i = int(np.argmax(top))
-        return thetas[i], top[i]
+        return thetas[i], top[i], stack[i]
 
-    theta, value = best_of(np.linspace(0, np.pi, THETA_GRID, endpoint=False))
+    theta, value, op = best_of(np.linspace(0, np.pi, THETA_GRID, endpoint=False))
     # Zoom: 33 points over ±one spacing of the best point, 16× finer each
     # level.  Derivative-free, since the top eigenvalue can be degenerate at
     # the maximum.
     step = np.pi / THETA_GRID
     while step > 1e-10:
-        theta, value = best_of(theta + np.linspace(-step, step, 33))
+        theta, value, op = best_of(theta + np.linspace(-step, step, 33))
         step /= 16
+    assert_hermitian(op)        # eigvalsh reads one triangle of the returned value's operator
     return float(value), float(theta)
 
 
@@ -201,9 +190,9 @@ def family_bounds(family: str, n: int | None, eps: float) -> dict[str, BoundResu
     optimum of the reduced-operator θ-sweep, for ε ≤ ε*: at ε* it reaches the
     quantum value, so it bounds no larger ε.  It is never below the
     single-party closed form, which is within every budget (only party 1 is
-    tilted).  ``regime`` names the sweep only where it beats the closed form
-    by more than ``tol("regime_tie")``; a tie is the closed form's.  At ε = 0
-    the closed form is exact, and is returned without a sweep.
+    tilted): the sweep's value is returned where it exceeds the closed form,
+    and the closed form's otherwise.  At ε = 0 the closed form is exact, and
+    is returned without a sweep.
     """
     if family == "mermin":
         n = ideal(FAMILY_WITNESS[family]).n if n is None else n
@@ -216,10 +205,8 @@ def family_bounds(family: str, n: int | None, eps: float) -> dict[str, BoundResu
     single = rows["single_party"].value
     budget = ImprecisionBudget.uniform(eps, ideal(name).n)
     value, theta = (single, None) if eps == 0.0 else _reduced_sweep(BUILDERS[name](budget))
-    if value - single > tol("regime_tie"):
-        bisep = BoundResult(value, "numeric-theta-sweep", theta)
-    else:
-        bisep = BoundResult(max(value, single), "single-party-closed-form")
+    bisep = (BoundResult(value, "numeric-theta-sweep", theta) if value > single
+             else BoundResult(single, "single-party-closed-form"))
     return {"biseparable": bisep, **rows}
 
 
@@ -269,6 +256,16 @@ def _cut_maps(matrix: np.ndarray, partition: PartitionSpec):
     return to_a, to_b, real
 
 
+def _block_operators(rho_t: np.ndarray, to_other: np.ndarray, d: int, real: bool) -> np.ndarray:
+    """The d×d operators that a stack of one block's Hermitian operators ρ,
+    given as ρᵀ, leaves on the other block through ``to_other``, one of
+    ``_cut_maps``' maps.  On a ``real`` cut W equals its partial transpose on
+    either block, so the antisymmetric imaginary part of ρ maps to 0 and the
+    product runs in float64."""
+    rho_t = rho_t.real if real else rho_t
+    return (rho_t.reshape(len(rho_t), -1) @ to_other).reshape(-1, d, d)
+
+
 def bisep_brute_force(spec: WitnessSpec, partition: PartitionSpec,
                       restarts: int = 20, iterations: int = 100,
                       seed: int = 42) -> float:
@@ -282,9 +279,8 @@ def bisep_brute_force(spec: WitnessSpec, partition: PartitionSpec,
     1 − ``tol("seesaw_duplicate")``): the earlier one carries on from the
     same point, so the later one is kept at its current value.  Every value
     is still that of a product state, so the result is a lower bound on the
-    true maximum, for one-sided checks only.  After the first half-step from
-    the complex starts it runs in float64 where ``_cut_maps`` finds the cut
-    real.
+    true maximum, for one-sided checks only.  It runs in float64 where
+    ``_cut_maps`` finds the cut real.
     """
     if spec.n != partition.n:
         raise ValueError("partition size does not match the witness")
@@ -306,10 +302,10 @@ def bisep_brute_force(spec: WitnessSpec, partition: PartitionSpec,
     for _ in range(iterations):
         if not active.size:
             break
-        eff_a = (vb.conj()[:, :, None] * vb[:, None, :]).reshape(-1, db * db) @ to_a
-        va = np.linalg.eigh((eff_a.real if real else eff_a).reshape(-1, da, da))[1][:, :, -1]
-        eff_b = (va.conj()[:, :, None] * va[:, None, :]).reshape(-1, da * da) @ to_b
-        evals, evecs = np.linalg.eigh(eff_b.reshape(-1, db, db))
+        eff_a = _block_operators(vb.conj()[:, :, None] * vb[:, None, :], to_a, da, real)
+        va = np.linalg.eigh(eff_a)[1][:, :, -1]
+        eff_b = _block_operators(va.conj()[:, :, None] * va[:, None, :], to_b, db, real)
+        evals, evecs = np.linalg.eigh(eff_b)
         vb, new = evecs[:, :, -1], evals[:, -1]
         moving = np.abs(new - values[active]) >= 1e-12
         # Restart j meets an earlier active restart i < j.

@@ -166,13 +166,13 @@ PROJ_LABELS = ("D", "A", "R", "L", "H", "V")
 PROJECTOR_PAIRS = {"X": ("D", "A"), "Y": ("R", "L"), "Z": ("H", "V")}
 
 
-def _reject_repeated(prefix: str, labels: list[str]) -> None:
-    """Bad input if a label occurs twice: the later count would hide the earlier one."""
-    seen = set()
-    for label in labels:
-        if label in seen:
+def _check_labels(prefix: str, labels: list[str]) -> None:
+    """Bad input if a label is none of the six, or repeats (its later count hides the earlier)."""
+    for i, label in enumerate(labels):
+        if label not in PREP_LABELS:        # the projectors carry the same six
+            raise ValueError(f"{prefix}{label} is not one of {', '.join(PREP_LABELS)}")
+        if label in labels[:i]:
             raise ValueError(f"{prefix}{label} is repeated")
-        seen.add(label)
 
 
 @dataclass
@@ -198,11 +198,13 @@ class CountTable:
             raise ValueError("no header row of prep_ columns")
         header = rows[0]
         preps = [h.removeprefix("prep_") for h in header[1:]]
-        _reject_repeated("prep_", preps)
-        _reject_repeated("proj_", [row[0].removeprefix("proj_") for row in rows[1:]])
+        _check_labels("prep_", preps)
+        _check_labels("proj_", [row[0].removeprefix("proj_") for row in rows[1:]])
         counts = {}
         for row in rows[1:]:
             proj = row[0].removeprefix("proj_")
+            if len(row) != len(header):
+                raise ValueError(f"row proj_{proj} has {len(row)} cells, the header {len(header)}")
             for prep, cell in zip(preps, row[1:]):
                 if not cell.strip().isdecimal():
                     raise ValueError(f"proj_{proj}/prep_{prep} is not a count: {cell!r}")

@@ -10,7 +10,6 @@ _TOLERANCES = {
     "expectation_imag": 1e-10,
     "povm_completeness": 1e-10,
     "prob_norm": 1e-9,
-    "regime_tie": 1e-12,
     "dual_gap": 1e-15,
     "dual_weight": 1e-40,
     "dual_root": 1e-12,

@@ -55,6 +55,8 @@ class CorrelatorRecord:
     std: float
 
     def __post_init__(self):
+        if not np.isfinite([self.value, self.std]).all():
+            raise ValueError("value and std must be finite")
         if self.std < 0:
             raise ValueError("std must be non-negative")
         if abs(self.value) > 1 + 3 * self.std:

@@ -316,6 +316,21 @@ MALFORMED_INPUTS = {
                         ["tomo", "--counts"], "proj_D is repeated"),
     "repeatedcolumn.csv": (fixture_path("table_a1.csv").read_text().replace("prep_V,", "prep_H,"),
                            ["tomo", "--counts"], "prep_H is repeated"),
+    "unknowncolumn.csv": ("projector,prep_H,prep_Q\nproj_D,5,6\n", ["tomo", "--counts"],
+                          "prep_Q is not one of H, V, D, A, R, L"),
+    "unknownrow.csv": ("projector,prep_H\nproj_W,5\n", ["tomo", "--counts"],
+                       "proj_W is not one of H, V, D, A, R, L"),
+    "longrow.csv": ("projector,prep_H\nproj_D,5,6\n", ["tomo", "--counts"],
+                    "row proj_D has 3 cells, the header 2"),
+    "shortrow.csv": ("projector,prep_H,prep_V\nproj_D,5\n", ["tomo", "--counts"],
+                     "row proj_D has 2 cells, the header 3"),
+    "nanvalue.json": ('{"witness": "mermin4", "records": '
+                      '[{"letters": "XXXX", "value": NaN, "std": 0.1}]}',
+                      ["witness", "--fixture"], "record 0 value and std must be finite"),
+    "infinitestd.json": ('{"witness": "mermin4", "records": [{"letters": "XXXX", '
+                         '"value": 0.9, "std": 0.1}, {"letters": "YYYY", "value": 0.9, '
+                         '"std": Infinity}]}',
+                         ["witness", "--fixture"], "record 1 value and std must be finite"),
     "latin1.csv": (b"projector,prep_H\n\xff\n", ["tomo", "--counts"],
                    "'utf-8' codec can't decode byte 0xff in position 17: invalid start byte"),
 }

@@ -235,6 +235,38 @@ def test_seesaw_reads_only_the_witness_matrix():
         assert read & forbidden == set(), name
 
 
+def test_one_cut_path():
+    # ``_cut_maps``' block maps are applied in one function: elsewhere in
+    # bounds.py ``to_a`` and ``to_b`` take part in no arithmetic and are
+    # passed to no call but ``_block_operators``.  The θ-sweep takes its
+    # float64 decision from the cut's ``real`` flag, with no test of its own.
+    tree = ast.parse((ROOT / "src" / "gmewit" / "bounds.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    maps = {"to_a", "to_b"}
+
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    applying = set()
+    for name, fn in functions.items():
+        for node in ast.walk(fn):
+            if isinstance(node, ast.BinOp) and names(node) & (maps | {"to_other"}):
+                applying.add(name)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) != "_block_operators" \
+                    and any(names(arg) & maps for arg in node.args + node.keywords):
+                applying.add(name)
+    assert applying == {"_block_operators"}
+    callers = {name for name, fn in functions.items() for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and ast.unparse(node.func) == "_block_operators"}
+    assert callers == {"_reduced_sweep", "bisep_brute_force"}
+    sweep = functions["_reduced_sweep"]
+    unpacked = [node.targets[0] for node in ast.walk(sweep) if isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call) and ast.unparse(node.value.func) == "_cut_maps"]
+    assert [ast.unparse(target) for target in unpacked] == ["(_, to_b, real)"]
+    assert not [node for node in ast.walk(sweep)
+                if isinstance(node, ast.Attribute) and node.attr == "imag"]
+
+
 def test_one_seesaw():
     # bisep_brute_force keeps its signature, and bounds.py holds one see-saw:
     # no other function runs the stacked eigh, and no branch of it skips the

@@ -112,6 +112,10 @@ def test_correlator_record_validation():
     with pytest.raises(ValueError):
         CorrelatorRecord("XXXX", 0.5, -0.01)
     CorrelatorRecord("XXXX", 1.01, 0.01)  # within 3σ of the physical range
+    # json reads NaN and Infinity; neither may pass the physical-range check.
+    for value, std in ((np.nan, 0.01), (0.5, np.inf), (-np.inf, 0.01), (0.5, np.nan)):
+        with pytest.raises(ValueError, match="value and std must be finite"):
+            CorrelatorRecord("XXXX", value, std)
 
 
 def test_eval_from_correlators_born_consistency():
