@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULI, assert_hermitian
+from .linalg import PAULI, assert_hermitian, expectation
 from .measurement import ImprecisionBudget, q_of, u_of
 from .states import spoof_state
 from .tolerances import tol
@@ -165,7 +165,7 @@ def _closed_forms(name: str, eps: float) -> dict[str, BoundResult]:
 
     The fully-separable value is the witness on the product ansatz
     |χ(π/8)⟩^⊗n with every party tilted in its plane: each tilted letter
-    then reads a = (q + u)/√2, so the value is offset + Σ c·a^{weight}.  It
+    then reads a = (q + u)/√2, so the value is Σ c·a^{weight}.  It
     is a symmetric-ansatz strategy value, which product states outside the
     ansatz can exceed (|0000⟩ gives 7 for stabilizer4 at ε = 0).
     """
@@ -173,8 +173,7 @@ def _closed_forms(name: str, eps: float) -> dict[str, BoundResult]:
     spec = ideal(name)
     q, s = q_of(eps), np.sqrt(eps * (1 - eps))
     a = (q + u_of(eps)) / np.sqrt(2)
-    fully = spec.constant_offset + sum(c * a ** (spec.n - letters.count("I"))
-                                       for c, letters in spec.terms)
+    fully = sum(c * a ** (spec.n - letters.count("I")) for c, letters in spec.terms)
     single, quantum = CLOSED_FORMS[spec.family]
     return {"single_party": BoundResult(float(single(spec.n, q, s)), "closed-form"),
             "fully_separable": BoundResult(float(fully), "product-ansatz", np.pi / 8),
@@ -345,7 +344,7 @@ def spoofing_curve(eps_grid) -> list[dict]:
     for eps in eps_grid:
         _check_eps(eps, EPS_STAR)
         spec = mermin_witness(4, ImprecisionBudget.single_party(eps, 4))
-        predicted = float(np.real(np.vdot(psi, spec.matrix @ psi)))
+        predicted = expectation(spec.matrix, psi)
         rows.append({
             "epsilon": float(eps),
             "predicted": predicted,

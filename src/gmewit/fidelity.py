@@ -286,7 +286,7 @@ def _tilt_objective(query: FidelityBoundQuery):
     """
     spec = ideal(query.witness)
     ghz = ghz_state(spec.n, +1)
-    coeffs = coefficient_tensor(spec.terms, spec.constant_offset, spec.n)
+    coeffs = coefficient_tensor(spec.terms, spec.n)
     table = tilt_table(spec.tilt_plane, query.budget)
 
     def objective(x):
@@ -303,9 +303,10 @@ def _tilt_objective(query: FidelityBoundQuery):
 def ideal_l0(witness: str, w: float) -> float:
     """Ideal-measurement fidelity bound L0: the exact dual of
     ``_lower_bound_fixed`` at zero tilt, one eigensolve.  It is w/8 for
-    mermin4 and (w−3)/8 for stabilizer4 where those are ≥ 0, and 0 below."""
+    mermin4 and (w−3)/8 for stabilizer4 clipped to [0, 1]: a w in the
+    query's slack above the maximum would otherwise give more than 1."""
     spec = ideal(witness)
-    return _lower_bound_fixed(spec.matrix, ghz_state(spec.n, +1), w)[0]
+    return min(1.0, _lower_bound_fixed(spec.matrix, ghz_state(spec.n, +1), w)[0])
 
 
 def numeric_l_eps(query: FidelityBoundQuery) -> float:
@@ -319,7 +320,7 @@ def numeric_l_eps(query: FidelityBoundQuery) -> float:
     random starts, on the envelope gradient of the dual (``_tilt_objective``),
     each restart until L falls by a relative 1e7·ε_mach or less.  The outer
     minimum is a local heuristic: a local minimum reports a value that is
-    too high, the unsafe side for a certificate.
+    too high, the unsafe side for a certificate.  It is at most 1.
     """
     if query.budget.is_ideal():             # every tilt is then the untilted witness
         return ideal_l0(query.witness, query.observed_value)
@@ -327,12 +328,12 @@ def numeric_l_eps(query: FidelityBoundQuery) -> float:
     angles = spec.n * len(spec.tilt_plane)
     objective = _tilt_objective(query)
     rng = np.random.default_rng(query.seed)
-    return min(float(minimize(objective, rng.uniform(0, 2 * np.pi, angles)).fun)
-               for _ in range(query.tilt_restarts))
+    return min(1.0, *(float(minimize(objective, rng.uniform(0, 2 * np.pi, angles)).fun)
+                      for _ in range(query.tilt_restarts)))
 
 
 def fidelity_curve(witness: str, budget: ImprecisionBudget, w_fractions,
-                   tilt_restarts: int = 4, seed: int = 0) -> list[dict]:
+                   tilt_restarts: int, seed: int) -> list[dict]:
     """Fig.-6-style table: fraction of the maximal witness value vs L0/L_ε."""
     _, w_max = _algebraic_range(witness)
     rows = []

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -179,7 +179,7 @@ def _check_labels(prefix: str, labels: list[str]) -> None:
 class CountTable:
     """6×6 table of coincidence counts, projector row × preparation column."""
 
-    counts: dict = field(default_factory=dict)
+    counts: dict
 
     def __post_init__(self):
         for proj in PROJ_LABELS:

@@ -45,7 +45,7 @@ def noisy_witness_value(witness: str, noise_kind: str, p: float,
     elif measurement_case == "worst-case-tilted":
         cos, sin = np.moveaxis(np.array(WORST_CONFIGS[witness], dtype=float), -1, 0)
         maps, _ = tilt_table(spec.tilt_plane, ImprecisionBudget.uniform(eps, spec.n))(cos, sin)
-        mat = assemble(spec.terms, spec.constant_offset, maps)
+        mat = assemble(spec.terms, maps)
     else:
         raise ValueError(f"unknown measurement case {measurement_case!r}")
     rho = apply_noise(ghz_state(spec.n, +1), NoiseModel(noise_kind, p))

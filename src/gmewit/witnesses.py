@@ -26,13 +26,12 @@ TILT_PLANES = {
 
 @dataclass(frozen=True)
 class WitnessSpec:
-    """A witness: its family, Pauli-letter terms, offset and matrix."""
+    """A witness: its family, its Pauli-letter terms (a constant is the
+    all-identity term) and their matrix."""
 
-    name: str
     family: str           # a ``TILT_PLANES`` key
     n: int
     terms: tuple          # ((coefficient, letters), ...)
-    constant_offset: float
     matrix: np.ndarray
 
     def __post_init__(self):
@@ -124,11 +123,10 @@ def _pauli_basis(n: int) -> np.ndarray:
     return table.reshape(4 ** n, 4 ** n)
 
 
-def coefficient_tensor(terms, offset: float, n: int) -> np.ndarray:
+def coefficient_tensor(terms, n: int) -> np.ndarray:
     """Real tensor over {I,X,Y,Z}ⁿ (axes in ``LETTERS`` order) of
-    offset·𝟙 + Σ c·(Pauli string) over the (coefficient, letters) terms."""
+    Σ c·(Pauli string) over the (coefficient, letters) terms."""
     coeffs = np.zeros((4,) * n)
-    coeffs[(0,) * n] = offset
     for c, letters in terms:
         coeffs[tuple(map(LETTERS.index, letters))] += c
     return coeffs
@@ -200,19 +198,19 @@ def letter_map_gradients(stages, maps, expect: np.ndarray) -> np.ndarray:
     return grads
 
 
-def assemble(terms, offset: float, maps) -> np.ndarray:
-    """offset·𝟙 + Σ c·⊗ⱼ(Σ_b Mⱼ[letter, b]·σ_b) over the (coefficient,
-    letters) terms, for the (n, 4, 4) letter maps M of ``tilt_table``."""
-    return expand(contract(coefficient_tensor(terms, offset, len(maps)), maps)[-1])
+def assemble(terms, maps) -> np.ndarray:
+    """Σ c·⊗ⱼ(Σ_b Mⱼ[letter, b]·σ_b) over the (coefficient, letters) terms, for
+    the (n, 4, 4) letter maps M of ``tilt_table``; an all-identity term is 𝟙."""
+    return expand(contract(coefficient_tensor(terms, len(maps)), maps)[-1])
 
 
-def _make_spec(name, family, n, terms, offset, budget) -> WitnessSpec:
+def _make_spec(name, family, n, terms, budget) -> WitnessSpec:
     if budget is None:
         budget = ImprecisionBudget.ideal(n)
     elif budget.n != n:
         raise ValueError(f"the budget has {budget.n} parties, {name} has {n}")
-    matrix = assemble(terms, offset, partner_maps(TILT_PLANES[family], budget))
-    return WitnessSpec(name, family, n, tuple(terms), offset, matrix)
+    matrix = assemble(terms, partner_maps(TILT_PLANES[family], budget))
+    return WitnessSpec(family, n, tuple(terms), matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +235,7 @@ def mermin_terms(n: int):
 def mermin_witness(n: int, budget: ImprecisionBudget | None = None) -> WitnessSpec:
     if n < 2:
         raise ValueError("n must be at least 2")
-    return _make_spec(f"mermin{n}", "mermin", n, mermin_terms(n), 0.0, budget)
+    return _make_spec(f"mermin{n}", "mermin", n, mermin_terms(n), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +243,15 @@ def mermin_witness(n: int, budget: ImprecisionBudget | None = None) -> WitnessSp
 # ---------------------------------------------------------------------------
 
 def stabilizer_terms(n: int):
-    """Terms of 2^{n−2}·∏X + Σ_{edge subsets} ∏ZZ (expansion of ∏(ZZ+𝟙)).
+    """Terms of 2^{n−2}·∏X + ∏(ZZ+𝟙) − 𝟙: the all-X string and one Z-string
+    per non-empty subset of the chain edges, 2^{n−1} terms in all.
 
-    Each subset of the chain edges contributes a Z-string with letters set by
-    incidence parity; the empty subset yields the identity string whose +1
-    cancels against the −1 constant offset.
+    A subset's Z-string has letters set by incidence parity; the empty
+    subset's identity string cancels against the −𝟙 and is left out.
     """
     terms = [(float(2 ** (n - 2)), "X" * n)]
     edges = [(j, j + 1) for j in range(n - 1)]
-    for r in range(len(edges) + 1):
+    for r in range(1, len(edges) + 1):
         for subset in itertools.combinations(edges, r):
             incidence = [0] * n
             for a, b in subset:
@@ -267,7 +265,7 @@ def stabilizer_terms(n: int):
 def stabilizer_witness(n: int, budget: ImprecisionBudget | None = None) -> WitnessSpec:
     if n < 3:
         raise ValueError("n must be at least 3")
-    return _make_spec(f"stabilizer{n}", "stabilizer", n, stabilizer_terms(n), -1.0, budget)
+    return _make_spec(f"stabilizer{n}", "stabilizer", n, stabilizer_terms(n), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +277,11 @@ C4_TERMS = tuple((1.0, s) for s in ("XZII", "XIXZ", "IZXZ", "ZXZI", "IIZX", "ZXI
 
 
 def w_witness_d3(budget: ImprecisionBudget | None = None) -> WitnessSpec:
-    return _make_spec("d3", "wstate", 3, D3_TERMS, 0.0, budget)
+    return _make_spec("d3", "wstate", 3, D3_TERMS, budget)
 
 
 def cluster_witness_c4(budget: ImprecisionBudget | None = None) -> WitnessSpec:
-    return _make_spec("c4", "cluster", 4, C4_TERMS, 0.0, budget)
+    return _make_spec("c4", "cluster", 4, C4_TERMS, budget)
 
 
 BUILDERS = {
@@ -321,8 +319,7 @@ def eval_from_correlators(spec: WitnessSpec, records) -> tuple[float, float]:
         if rec.letters in by_letters:
             raise ValueError(f"duplicate record for {rec.letters}")
         by_letters[rec.letters] = rec
-    value = spec.constant_offset
-    var = 0.0
+    value = var = 0.0
     identity = "I" * spec.n
     for coeff, letters in spec.terms:
         if letters == identity:

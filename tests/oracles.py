@@ -53,7 +53,7 @@ def mermin_recursive(n: int, observables) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tilted_kron(spec: WitnessSpec, budget) -> np.ndarray:
-    """offset·𝟙 + Σ c·⊗ⱼ(q·σ_b + u·σ_partner(b)) of a witness tilted in its
+    """Σ c·⊗ⱼ(q·σ_b + u·σ_partner(b)) of a witness tilted in its
     plane by the per-party ``budget``, with (q, u) of party j's ε_b, summed
     term by term with ``np.kron``; letters outside the plane stay exact."""
     def observable(j, b):
@@ -62,7 +62,7 @@ def tilted_kron(spec: WitnessSpec, budget) -> np.ndarray:
         eps = budget.eps(j, b)
         return q_of(eps) * PAULI[b] + u_of(eps) * PAULI[spec.tilt_plane[b]]
 
-    mat = spec.constant_offset * np.eye(2 ** spec.n, dtype=complex)
+    mat = np.zeros((2 ** spec.n, 2 ** spec.n), dtype=complex)
     for c, letters in spec.terms:
         mat = mat + c * reduce(np.kron, [observable(j, b) for j, b in enumerate(letters)])
     return mat
@@ -133,7 +133,7 @@ def nelder_mead_l_eps(query) -> float:
     ghz = ghz_state(spec.n, +1)
     p_ghz = np.outer(ghz, ghz.conj())
     w = query.observed_value
-    coeffs = coefficient_tensor(spec.terms, spec.constant_offset, spec.n)
+    coeffs = coefficient_tensor(spec.terms, spec.n)
     table = tilt_table(bases, query.budget)
     lam = None
 

@@ -355,7 +355,7 @@ def test_merging_restarts_moves_no_converged_value(name):
 def test_seesaw_keeps_y_tensor_y_complex():
     # Y⊗Y is real but changes sign under the partial transpose; real product
     # states only reach 0 on it, complex ones reach 1 (both parties in |+i⟩).
-    spec = WitnessSpec("yy", "mermin", 2, (), 0.0, np.kron(PAULI["Y"], PAULI["Y"]))
+    spec = WitnessSpec("mermin", 2, (), np.kron(PAULI["Y"], PAULI["Y"]))
     assert not spec.matrix.imag.any()
     assert bisep_brute_force(spec, PartitionSpec((0,), (1,))) == pytest.approx(1.0, abs=1e-12)
 

@@ -14,7 +14,7 @@ from gmewit.fidelity import (LAMBDA_CAP, FidelityBoundQuery, _lower_bound_fixed,
 from gmewit.linalg import expectation
 from gmewit.measurement import REFERENCE_BUDGET, ImprecisionBudget
 from gmewit.states import ghz_state
-from gmewit.witnesses import BUILDERS, coefficient_tensor, contract, expand, tilt_table
+from gmewit.witnesses import BUILDERS, assemble, tilt_table
 import oracles
 from oracles import (closed_form_l0, dual_brentq, dual_newton, ghz_fidelity, lbfgsb_l_eps,
                      nelder_mead_l_eps)
@@ -47,7 +47,7 @@ def _tilted_witness(witness, eps, omegas):
     spec = BUILDERS[witness]()
     budget = ImprecisionBudget.uniform(eps, 4)
     maps, _ = tilt_table(spec.tilt_plane, budget)(np.cos(omegas), np.sin(omegas))
-    return expand(contract(coefficient_tensor(spec.terms, spec.constant_offset, 4), maps)[-1])
+    return assemble(spec.terms, maps)
 
 
 _tilts = st.tuples(
@@ -146,6 +146,17 @@ def test_exact_dual_infeasible_value_is_capped():
     w = np.linalg.eigvalsh(mat)[-1] + 0.5
     at_cap = np.linalg.eigvalsh(P_GHZ - LAMBDA_CAP * mat)[0] + LAMBDA_CAP * w
     assert _lower_bound_fixed(mat, GHZ, w)[0] == pytest.approx(at_cap, abs=1e-12)
+
+
+@pytest.mark.parametrize("budget", [ImprecisionBudget.ideal(4),
+                                    ImprecisionBudget.uniform(1e-16, 4)])
+def test_fidelity_bound_is_at_most_one_above_the_algebraic_maximum(budget):
+    # A query accepts w up to 1e-9 above mermin4's maximum 8, where the
+    # capped infeasible dual is 1 + 16·(w − 8); a fidelity is still at most 1.
+    w = 8.0000000001
+    assert ideal_l0("mermin4", w) == 1.0
+    query = FidelityBoundQuery("mermin4", w, budget, tilt_restarts=1, seed=0)
+    assert numeric_l_eps(query) == 1.0
 
 
 def _dual_case(case, where, untilted):
@@ -564,7 +575,7 @@ def test_l_eps_small_eps_limit():
 
 def test_fidelity_curve_shape():
     budget = ImprecisionBudget.ideal(4)
-    rows = fidelity_curve("mermin4", budget, [0.8, 0.9], tilt_restarts=1)
+    rows = fidelity_curve("mermin4", budget, [0.8, 0.9], tilt_restarts=1, seed=0)
     assert [r["w_fraction"] for r in rows] == [0.8, 0.9]
     for r in rows:
         assert r["L_eps"] == pytest.approx(r["L0"], abs=1e-9)

@@ -17,7 +17,7 @@ from oracles import projectors
 def _tilted(intended, partner, eps):
     """Extremal imprecise observable for ``intended``, tilted toward ``partner``."""
     maps = partner_maps({intended: partner}, ImprecisionBudget.uniform(eps, 1))
-    return assemble([(1.0, intended)], 0.0, maps)
+    return assemble([(1.0, intended)], maps)
 
 
 def test_q_u_unit_circle():

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 from functools import reduce
 
@@ -13,7 +14,7 @@ from gmewit.linalg import PAULI, expectation
 from gmewit.measurement import ImprecisionBudget
 from gmewit.robustness import noisy_witness_value, threshold_visibility
 from gmewit.states import NoiseModel, apply_noise, cluster_state_4, ghz_state, w_state
-from gmewit.witnesses import (BUILDERS, LETTERS, CorrelatorRecord, assemble,
+from gmewit.witnesses import (BUILDERS, LETTERS, CorrelatorRecord, WitnessSpec, assemble,
                               cluster_witness_c4, contract, eval_from_correlators, expand,
                               ideal, inm_value, letter_map_gradients, load_correlator_fixture,
                               mermin_terms, mermin_witness, pauli_expectations,
@@ -75,7 +76,7 @@ def test_mermin_recursive_validation():
 def test_stabilizer_terms_and_ghz_value():
     for n in (3, 4):
         terms = stabilizer_terms(n)
-        assert len(terms) == 1 + 2 ** (n - 1)
+        assert len(terms) == 2 ** (n - 1)
         spec = stabilizer_witness(n)
         assert expectation(spec.matrix, ghz_state(n, +1)) == pytest.approx(
             3 * 2 ** (n - 2) - 1, abs=1e-9)
@@ -83,8 +84,14 @@ def test_stabilizer_terms_and_ghz_value():
 
 def test_stabilizer4_z_strings():
     letters = {t[1] for t in stabilizer_terms(4)}
-    assert letters == {"XXXX", "IIII", "ZZII", "IZZI", "IIZZ",
-                       "ZIZI", "IZIZ", "ZIIZ", "ZZZZ"}
+    assert letters == {"XXXX", "ZZII", "IZZI", "IIZZ", "ZIZI", "IZIZ", "ZIIZ", "ZZZZ"}
+
+
+def test_a_witness_is_its_terms():
+    # No field besides the terms states a constant, and no builder needs one.
+    assert [f.name for f in dataclasses.fields(WitnessSpec)] == ["family", "n", "terms", "matrix"]
+    for name in BUILDERS:
+        assert all(set(letters) != {"I"} for _, letters in ideal(name).terms), name
 
 
 def test_w_and_cluster_witness_target_values():
@@ -119,14 +126,19 @@ def test_correlator_record_validation():
 
 
 def test_eval_from_correlators_born_consistency():
-    # Records built from exact GHZ correlators reproduce the matrix expectation.
+    # Records built from exact GHZ correlators reproduce the matrix
+    # expectation, also of a witness with a constant (all-identity) term,
+    # which needs no record.
     spec = stabilizer_witness(4)
+    shifted = WitnessSpec(spec.family, 4, spec.terms + ((-1.0, "IIII"),),
+                          spec.matrix - np.eye(16))
     psi = ghz_state(4, +1)
     records = [CorrelatorRecord(letters, expectation(pauli_string(letters), psi), 0.0)
-               for _, letters in spec.terms if letters != "IIII"]
-    value, std = eval_from_correlators(spec, records)
-    assert value == pytest.approx(expectation(spec.matrix, psi), abs=1e-9)
-    assert std == 0.0
+               for _, letters in spec.terms]
+    for witness in (spec, shifted):
+        value, std = eval_from_correlators(witness, records)
+        assert value == pytest.approx(expectation(witness.matrix, psi), abs=1e-9)
+        assert std == 0.0
 
 
 def test_eval_from_correlators_errors():
@@ -261,7 +273,7 @@ def explicit_2x2(letter_map, letter):
 def test_assembled_single_party_observables_have_spectrum_pm1(maps):
     for letter_map in maps:
         for letter in "XYZ":
-            evals = np.linalg.eigvalsh(assemble([(1.0, letter)], 0.0, letter_map[None]))
+            evals = np.linalg.eigvalsh(assemble([(1.0, letter)], letter_map[None]))
             assert np.allclose(evals, [-1.0, 1.0], atol=1e-12)
 
 
@@ -269,12 +281,14 @@ def test_assembled_single_party_observables_have_spectrum_pm1(maps):
 @given(st.integers(1, 4).flatmap(
     lambda n: st.tuples(letter_maps(n), term_lists(n), st.floats(-4, 4))))
 def test_assemble_equals_explicit_kron_sum(case):
-    maps, terms, offset = case
-    expected = offset * np.eye(2 ** len(maps), dtype=complex)
+    # A constant is the all-identity term, which every letter map keeps.
+    maps, terms, constant = case
+    terms = [(constant, "I" * len(maps))] + terms
+    expected = np.zeros((2 ** len(maps), 2 ** len(maps)), dtype=complex)
     for coeff, letters in terms:
         expected = expected + coeff * reduce(
             np.kron, [explicit_2x2(m, c) for m, c in zip(maps, letters)])
-    assert np.allclose(assemble(terms, offset, maps), expected, rtol=0, atol=1e-12)
+    assert np.allclose(assemble(terms, maps), expected, rtol=0, atol=1e-12)
 
 
 def budgets(n):
